@@ -9,17 +9,25 @@ above its *preemption threshold*.  Kernel activities use threshold
 The context-switch cost is explicit (it is part of the ``c_local`` /
 ``c_start_act`` dispatcher constants that §4.1 folds into application
 WCETs) and billed to the "kernel" account.
+
+The Run Queue is a binary heap with lazy deletion (the priority-queue
+recipe of the :mod:`heapq` documentation).  A submit, a preemption, a
+priority change or a dispatch costs O(log n).  A withdrawal only marks
+the thread's entry stale; stale entries are popped once they reach the
+head, or swept when they outnumber the live ones, at amortized
+O(log n) each.  So the cost of a scheduling point does not grow with
+the backlog, as a scan of the ready set would.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, TYPE_CHECKING
+import heapq
+import itertools
+from typing import Dict, List, Optional
 
+from repro.kernel.threads import KThread, ThreadState
 from repro.sim.engine import Simulator
 from repro.sim.trace import Tracer
-
-if TYPE_CHECKING:
-    from repro.kernel.threads import KThread
 
 
 class Cpu:
@@ -35,6 +43,11 @@ class Cpu:
     engine that ran it; the plain CPU carries no label, keeping
     engine-free traces byte-identical to earlier releases.
     """
+
+    #: The Run Queue is rebuilt once its stale entries outnumber the
+    #: live ones by this ratio, which bounds its length at
+    #: ``(STALE_RATIO + 1)`` times the number of ready threads.
+    STALE_RATIO = 4
 
     def __init__(self, sim: Simulator, tracer: Tracer, node_id: str,
                  context_switch_cost: int = 0, metrics=None,
@@ -57,7 +70,14 @@ class Cpu:
         self._m_preemptions = self.metrics.counter("cpu.preemptions")
         self._m_context_switches = self.metrics.counter(
             "cpu.context_switches")
-        self._ready: List["KThread"] = []
+        #: The Run Queue: a heap of ``[-selection priority, ready seq,
+        #: stamp, thread]`` entries.  Withdrawing or re-keying a thread
+        #: clears the thread slot of its entry, which then stays behind
+        #: as a stale entry; the unique stamp keeps heap comparisons
+        #: from ever reaching the thread slot.  Stale entries never sit
+        #: at the head, so ``_run_queue[0]`` is the next thread to run.
+        self._run_queue: List[list] = []
+        self._stale = 0
         self._running: Optional["KThread"] = None
         self._last_dispatched: Optional["KThread"] = None
         #: Real time at which the running thread starts making progress
@@ -68,7 +88,8 @@ class Cpu:
         #: (tombstoned in the event heap) when the block is interrupted,
         #: so preemption-heavy runs do not drown in stale timer pops.
         self._completion_timer = None
-        self._ready_counter = 0
+        #: Ready seqs and entry stamps; only their order matters.
+        self._seq = itertools.count(1)
         #: Busy microseconds per accounting category.
         self.busy_time: Dict[str, int] = {}
         self._busy_total = 0
@@ -77,11 +98,10 @@ class Cpu:
 
     def submit(self, thread: "KThread") -> None:
         """Register ``thread`` (whose ``_remaining`` is set) as wanting CPU."""
-        if thread in self._ready or thread is self._running:
+        if thread._ready_entry is not None or thread is self._running:
             raise RuntimeError(f"{thread!r} submitted twice")
-        self._ready_counter += 1
-        thread._ready_seq = self._ready_counter
-        self._ready.append(thread)
+        thread._ready_seq = next(self._seq)
+        self._enqueue(thread)
         self._schedule()
 
     def withdraw(self, thread: "KThread") -> None:
@@ -95,11 +115,16 @@ class Cpu:
             self.tracer.record("cpu", "withdraw", node=self.node_id,
                                thread=thread.name, **self._engine_kv)
             self._schedule()
-        elif thread in self._ready:
-            self._ready.remove(thread)
+        elif thread._ready_entry is not None:
+            self._discard(thread)
 
-    def priorities_changed(self) -> None:
-        """Re-evaluate dispatching after a priority/threshold update."""
+    def priorities_changed(self, thread: "KThread") -> None:
+        """Re-evaluate dispatching after ``thread``'s priority/threshold
+        changed, re-keying its Run Queue entry if it is ready."""
+        entry = thread._ready_entry
+        if entry is not None and -entry[0] != self._selection_priority(thread):
+            self._discard(thread)
+            self._enqueue(thread)
         self._schedule()
 
     @property
@@ -124,53 +149,64 @@ class Cpu:
         above the threshold (e.g. the scheduler task), so it resumes
         ahead of equal-threshold newcomers instead of being overtaken.
         """
-        if getattr(thread, "_pt_boosted", False):
+        if thread._pt_boosted:
             return thread.effective_threshold
-        return thread.priority
+        return thread._priority
 
-    def _top_ready(self) -> Optional["KThread"]:
-        best = None
-        best_key = None
-        for thread in self._ready:
-            key = (self._selection_priority(thread), -thread._ready_seq)
-            if best is None or key > best_key:
-                best = thread
-                best_key = key
-        return best
+    def _enqueue(self, thread: "KThread") -> None:
+        entry = [-self._selection_priority(thread), thread._ready_seq,
+                 next(self._seq), thread]
+        thread._ready_entry = entry
+        heapq.heappush(self._run_queue, entry)
+
+    def _discard(self, thread: "KThread") -> None:
+        thread._ready_entry[3] = None
+        thread._ready_entry = None
+        self._stale += 1
+        self._drop_stale()
+
+    def _drop_stale(self) -> None:
+        """Pop stale entries off the head; rebuild the heap once they
+        outnumber the live ones by STALE_RATIO."""
+        queue = self._run_queue
+        while queue and queue[0][3] is None:
+            heapq.heappop(queue)
+            self._stale -= 1
+        if self._stale > self.STALE_RATIO * (len(queue) - self._stale):
+            queue[:] = [entry for entry in queue if entry[3] is not None]
+            heapq.heapify(queue)
+            self._stale = 0
 
     def _schedule(self) -> None:
-        from repro.kernel.threads import ThreadState
-
+        queue = self._run_queue
         if self._running is not None:
             if not self.preemptive:
                 # Non-preemptive engine: the started block runs to
                 # completion; the dispatcher accounts for the blocking.
                 return
-            challenger = self._top_ready()
-            if (challenger is not None and
-                    self._selection_priority(challenger) >
-                    self._running.effective_threshold):
-                preempted = self._running
-                self._checkpoint()
-                self._running = None
-                preempted._set_state(ThreadState.READY)
-                self._ready.append(preempted)
-                self.tracer.record("cpu", "preempt", node=self.node_id,
-                                   thread=preempted.name, by=challenger.name,
-                                   by_priority=challenger.priority,
-                                   **self._engine_kv)
-                self._m_preemptions.inc()
-            else:
+            if (not queue or
+                    -queue[0][0] <= self._running.effective_threshold):
                 return
-        nxt = self._top_ready()
-        if nxt is None:
+            challenger = queue[0][3]
+            preempted = self._running
+            self._checkpoint()
+            self._running = None
+            preempted._set_state(ThreadState.READY)
+            self._enqueue(preempted)
+            self.tracer.record("cpu", "preempt", node=self.node_id,
+                               thread=preempted.name, by=challenger.name,
+                               by_priority=challenger.priority,
+                               **self._engine_kv)
+            self._m_preemptions.inc()
+        if not queue:
             return
-        self._ready.remove(nxt)
-        self._dispatch(nxt)
+        thread = heapq.heappop(queue)[3]
+        thread._ready_entry = None
+        if self._stale:
+            self._drop_stale()
+        self._dispatch(thread)
 
     def _dispatch(self, thread: "KThread") -> None:
-        from repro.kernel.threads import ThreadState
-
         self._running = thread
         thread._pt_boosted = True
         thread._set_state(ThreadState.RUNNING)

@@ -111,6 +111,8 @@ class KThread:
         self._remaining = 0
         self._category = "application"
         self._ready_seq = 0
+        #: This thread's live Run Queue entry, None while not queued.
+        self._ready_entry: Optional[list] = None
         #: Threshold elevation: set while the current compute block has
         #: started (see Cpu._selection_priority).
         self._pt_boosted = False
@@ -151,7 +153,7 @@ class KThread:
         if preemption_threshold is not None:
             self._preemption_threshold = preemption_threshold
         if self.state in (ThreadState.READY, ThreadState.RUNNING):
-            self.cpu.priorities_changed()
+            self.cpu.priorities_changed(self)
 
     # -- lifecycle -------------------------------------------------------
 

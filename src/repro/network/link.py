@@ -109,7 +109,14 @@ class PerformanceFault(LinkFault):
 
 
 class Link:
-    """A unidirectional channel from ``src`` to ``dst``."""
+    """A unidirectional channel from ``src`` to ``dst``.
+
+    The latency parameters (``base_latency``, ``size_cost_per_byte``,
+    ``jitter_bound``) are fixed at construction, and only
+    ``Network._make_link`` builds links.  ``Network.max_message_delay``
+    caches its bound on both facts; faults and partitions do not change
+    the bound.
+    """
 
     def __init__(self, sim: Simulator, tracer: Tracer, src: str, dst: str,
                  base_latency: int = 50, size_cost_per_byte: int = 0,

@@ -63,6 +63,9 @@ class Network:
         self.nodes: Dict[str, Node] = {}
         self.interfaces: Dict[str, NetworkInterface] = {}
         self.links: Dict[Tuple[str, str], Link] = {}
+        #: max_message_delay results per message size; cleared by the
+        #: only two methods that can change them (add_node, _make_link).
+        self._max_delay: Dict[int, int] = {}
         self.lost_no_route = 0
         # Attachment order of nodes, 1-based: the per-src message-id
         # lane index.  Identical in a serial run and in every shard
@@ -107,6 +110,7 @@ class Network:
                 self._make_link(other_id, node.node_id)
         self.nodes[node.node_id] = node
         self.interfaces[node.node_id] = interface
+        self._max_delay.clear()
         return interface
 
     def _make_link(self, src: str, dst: str) -> Link:
@@ -123,6 +127,7 @@ class Network:
                 and dst not in self.owned):
             link.redirect = self._queue_remote_delivery
         self.links[(src, dst)] = link
+        self._max_delay.clear()
         return link
 
     def link(self, src: str, dst: str) -> Link:
@@ -274,7 +279,14 @@ class Network:
     # -- properties used by timing analyses --------------------------------------
 
     def max_message_delay(self, size: int = 64) -> int:
-        """Network-wide worst-case correct transfer delay for ``size`` bytes."""
+        """Network-wide worst-case correct transfer delay for ``size`` bytes.
+
+        Cached per size: the bound changes only when a node is attached
+        or a link is built (see :class:`~repro.network.link.Link`).
+        """
+        bound = self._max_delay.get(size)
+        if bound is not None:
+            return bound
         bound = 0
         if self.lazy_links and len(self.nodes) > 1:
             # Unmaterialized pairs would be built with the defaults.
@@ -283,6 +295,7 @@ class Network:
         if self.links:
             bound = max(bound, max(link.guaranteed_bound(size)
                                    for link in self.links.values()))
+        self._max_delay[size] = bound
         return bound
 
     def node_ids(self) -> List[str]:

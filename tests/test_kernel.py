@@ -1,10 +1,14 @@
 """Unit tests for the simulated RT kernel (CPU, threads, clocks, interrupts)."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.kernel import (
     ByzantineClock,
     Compute,
+    Cpu,
     HardwareClock,
     KThread,
     Node,
@@ -428,3 +432,218 @@ class TestNodeFaults:
         sim.call_in(1000, lambda: None)
         sim.run()
         assert node.utilization() == pytest.approx(0.25)
+
+
+def live_entries(cpu):
+    return [entry for entry in cpu._run_queue if entry[3] is not None]
+
+
+class TestRunQueue:
+    def test_second_submit_of_ready_or_running_thread_rejected(self, sim,
+                                                                node):
+        def worker():
+            yield Compute(100)
+
+        running = node.spawn(worker(), name="running", priority=5)
+        ready = node.spawn(worker(), name="ready", priority=1)
+        sim.run(until=10)
+        assert running.state is ThreadState.RUNNING
+        assert ready.state is ThreadState.READY
+        for thread in (running, ready):
+            with pytest.raises(RuntimeError, match="submitted twice"):
+                node.cpu.submit(thread)
+        sim.run()
+        assert running.cpu_time == ready.cpu_time == 100
+
+    @pytest.mark.parametrize("leave", ["suspend", "kill"])
+    def test_withdrawn_ready_thread_leaves_no_live_entry(self, sim, node,
+                                                         leave):
+        def worker():
+            yield Compute(100)
+
+        node.spawn(worker(), name="running", priority=5)
+        ready = node.spawn(worker(), name="ready", priority=1)
+        sim.run(until=10)
+        assert [entry[3] for entry in live_entries(node.cpu)] == [ready]
+        getattr(ready, leave)()
+        assert ready._ready_entry is None
+        assert live_entries(node.cpu) == []
+
+    def test_rerankings_of_a_long_backlog_keep_the_queue_bounded(self, sim,
+                                                                  node):
+        """EDF re-ranks every live unit on each activation; the stale
+        entries this leaves behind are compacted away, so the heap never
+        outgrows ``STALE_RATIO + 1`` entries per ready thread."""
+        rng = random.Random(13)
+        threads = []
+        lengths = []
+
+        def worker():
+            yield Compute(50)
+
+        def activation(k):
+            threads.append(node.spawn(worker(), name=f"job{k}",
+                                      priority=rng.randint(1, 900)))
+            for thread in threads:
+                thread.set_priority(rng.randint(1, 900))
+            queue, live = node.cpu._run_queue, live_entries(node.cpu)
+            assert len(live) == sum(
+                t.state is ThreadState.READY for t in threads)
+            assert len(queue) <= (node.cpu.STALE_RATIO + 1) * len(live)
+            lengths.append(len(queue))
+
+        for k in range(300):
+            sim.call_at(20 * k, lambda k=k: activation(k))
+        sim.run()
+        assert all(t.cpu_time == 50 for t in threads)
+        # Without compaction every re-key would leave an entry behind.
+        assert max(lengths) <= (node.cpu.STALE_RATIO + 1) * 300
+        assert len(node.cpu._run_queue) == 0
+
+
+class ListRunQueueCpu(Cpu):
+    """Reference Run Queue: a plain list scanned linearly for the thread
+    with the highest selection priority, then the earliest ready seq."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._ready = []
+        self._ready_counter = 0
+
+    def submit(self, thread):
+        if thread in self._ready or thread is self._running:
+            raise RuntimeError(f"{thread!r} submitted twice")
+        self._ready_counter += 1
+        thread._ready_seq = self._ready_counter
+        self._ready.append(thread)
+        self._schedule()
+
+    def withdraw(self, thread):
+        if thread in self._ready:
+            thread._pt_boosted = False
+            self._ready.remove(thread)
+        else:
+            super().withdraw(thread)
+
+    def priorities_changed(self, thread):
+        self._schedule()
+
+    def _top_thread(self):
+        best = None
+        best_key = None
+        for thread in self._ready:
+            key = (self._selection_priority(thread), -thread._ready_seq)
+            if best is None or key > best_key:
+                best = thread
+                best_key = key
+        return best
+
+    def _schedule(self):
+        if self._running is not None:
+            if not self.preemptive:
+                return
+            challenger = self._top_thread()
+            if (challenger is None or self._selection_priority(challenger)
+                    <= self._running.effective_threshold):
+                return
+            preempted = self._running
+            self._checkpoint()
+            self._running = None
+            preempted._set_state(ThreadState.READY)
+            self._ready.append(preempted)
+            self.tracer.record("cpu", "preempt", node=self.node_id,
+                               thread=preempted.name, by=challenger.name,
+                               by_priority=challenger.priority,
+                               **self._engine_kv)
+            self._m_preemptions.inc()
+        nxt = self._top_thread()
+        if nxt is not None:
+            self._ready.remove(nxt)
+            self._dispatch(nxt)
+
+
+# Narrow priority and time ranges, so that equal selection priorities
+# (decided by ready seq) and same-instant events are common.
+_steps = st.lists(st.tuples(st.sampled_from(["compute", "sleep"]),
+                            st.integers(1, 40)), min_size=1, max_size=4)
+_thread_specs = st.lists(
+    st.tuples(st.integers(0, 60), st.integers(1, 6),
+              st.none() | st.integers(1, 8), _steps),
+    min_size=1, max_size=10)
+_actions = st.lists(
+    st.tuples(st.integers(0, 150), st.integers(0, 9),
+              st.sampled_from(["priority", "threshold", "suspend",
+                               "resume", "kill"]),
+              st.integers(1, 8)),
+    max_size=20)
+_kernel_bursts = st.lists(st.tuples(st.integers(0, 150), st.integers(1, 10)),
+                          max_size=4)
+
+
+def run_program(cpu_class, engine_class, specs, actions, bursts,
+                switch_cost):
+    """Run one random thread program on a node whose threads use a
+    ``cpu_class`` processor; returns the cpu and thread records."""
+    sim = Simulator()
+    node = Node(sim, "n0")
+    label = None if engine_class == "cpu" else f"{engine_class}0"
+    unit = cpu_class(sim, node.tracer, "n0", switch_cost,
+                     engine_class=engine_class, engine_label=label)
+    node.cpu = unit
+    threads = []
+
+    def body(steps):
+        for kind, amount in steps:
+            yield Compute(amount) if kind == "compute" else Sleep(amount)
+
+    def spawn(name, priority, threshold, steps):
+        thread = KThread(node, body(steps), name=name, priority=priority,
+                         preemption_threshold=threshold, processor=unit)
+        threads.append(thread)
+        thread.start()
+
+    def act(index, kind, value):
+        if index >= len(threads):
+            return
+        thread = threads[index]
+        if kind == "priority":
+            thread.set_priority(value)
+        elif kind == "threshold":
+            thread.set_priority(thread.priority, preemption_threshold=value)
+        elif kind == "suspend":
+            # The dispatcher suspends only units in the Run Queue.
+            if thread.state in (ThreadState.READY, ThreadState.RUNNING):
+                thread.suspend()
+        elif kind == "resume":
+            thread.resume()
+        else:
+            thread.kill()
+
+    for k, (start, priority, threshold, steps) in enumerate(specs):
+        sim.call_at(start, lambda a=(f"t{k}", priority, threshold, steps):
+                    spawn(*a))
+    for at, index, kind, value in actions:
+        sim.call_at(at, lambda a=(index, kind, value): act(*a))
+    for k, (at, wcet) in enumerate(bursts):
+        sim.call_at(at, lambda a=(f"kernel{k}", PRIO_MAX, PRIO_MAX,
+                                  [("compute", wcet)]): spawn(*a))
+    sim.run()
+    return [record for record in node.tracer
+            if record.category in ("cpu", "thread")]
+
+
+class TestRunQueueMatchesLinearScan:
+    """The heap picks exactly the thread the linear scan picks, at every
+    scheduling point: DESIGN.md §5's running-thread invariant, checked
+    on arbitrary workloads against the pre-heap rule."""
+
+    @pytest.mark.parametrize("engine_class", ["cpu", "gpu"])
+    @settings(max_examples=150, deadline=None)
+    @given(specs=_thread_specs, actions=_actions, bursts=_kernel_bursts,
+           switch_cost=st.integers(0, 3))
+    def test_same_records_as_the_list_oracle(self, engine_class, specs,
+                                             actions, bursts, switch_cost):
+        args = (engine_class, specs, actions, bursts, switch_cost)
+        heap_records = run_program(Cpu, *args)
+        assert heap_records
+        assert heap_records == run_program(ListRunQueueCpu, *args)

@@ -248,6 +248,39 @@ class TestMessage:
         net = make_net(sim, n=3, base_latency=40, jitter_bound=0)
         assert net.max_message_delay(0) == 40
 
+    @pytest.mark.parametrize("lazy_links", [False, True])
+    def test_cached_max_message_delay_equals_a_fresh_scan(self, sim,
+                                                          lazy_links):
+        def scanned(size):
+            bound = max((link.guaranteed_bound(size)
+                         for link in net.links.values()), default=0)
+            if lazy_links and len(net.nodes) > 1:
+                bound = max(bound, net.base_latency + net.jitter_bound
+                            + net.size_cost_per_byte * size)
+            return bound
+
+        def check():
+            for size in (0, 64, 64, 1500):
+                assert net.max_message_delay(size) == scanned(size)
+
+        tracer = Tracer(lambda: sim.now)
+        net = Network(sim, tracer, base_latency=40, size_cost_per_byte=2,
+                      jitter_bound=5, lazy_links=lazy_links)
+        net.add_node(Node(sim, "n0", tracer=tracer))
+        check()
+        assert net.max_message_delay(64) == 0
+        for i in (1, 2, 3):
+            net.add_node(Node(sim, f"n{i}", tracer=tracer))
+            check()
+        assert net.max_message_delay(64) == 40 + 2 * 64 + 5
+        net.link("n0", "n1")
+        check()
+        net.partition(["n0", "n1"], ["n2", "n3"])
+        check()
+        net.heal()
+        check()
+        assert len(net.links) == (12 if not lazy_links else 9)
+
 
 class _FixedRng:
     """Deterministic jitter source: always draws the same value."""
