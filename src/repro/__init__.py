@@ -141,7 +141,7 @@ from repro.sim.trace import Tracer, TraceRecord, load_trace
 from repro.system import HadesSystem, RunOptions
 from repro.workloads.arrivals import diurnal_profile, nhpp_arrivals
 
-__version__ = "1.7.0"
+__version__ = "2.0.0"
 
 __all__ = [
     # deployment facade

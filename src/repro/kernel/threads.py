@@ -196,9 +196,10 @@ class KThread:
     def suspend(self) -> None:
         """Remove the thread from CPU contention, banking its progress.
 
-        Only meaningful while the thread is READY or RUNNING (i.e. in
-        the Run Queue); the dispatcher uses this when a scheduler moves
-        a thread's earliest start time into the future (§3.2.2).
+        The dispatcher uses this on threads in the Run Queue (READY or
+        RUNNING) when a scheduler moves a thread's earliest start time
+        into the future (§3.2.2).  A thread that is not queued keeps
+        waiting, and parks at its next Compute request.
         """
         if self._suspended:
             return
@@ -212,11 +213,17 @@ class KThread:
         self._suspended = True
 
     def resume(self) -> None:
-        """Put a suspended thread back in the Run Queue."""
+        """Put a suspended thread back in the Run Queue.
+
+        A thread parked on a Sleep/WaitEvent, or not yet kicked off by
+        :meth:`start`, only loses the flag: the wait's callback (or the
+        start kick) advances the body, so it is advanced exactly once.
+        """
         if not self._suspended:
             return
         self._suspended = False
-        if not self.alive:
+        if (not self.alive or self._wait_target is not None
+                or self.state is ThreadState.NEW):
             return
         if self._remaining > 0:
             self._set_state(ThreadState.READY)

@@ -319,11 +319,7 @@ def resolve_metrics(metrics: Any) -> Any:
       instance — used as given (the sharing case: one registry wired
       through a whole deployment).
 
-    Any other object is accepted duck-typed for backward compatibility
-    with the old scattered per-class coercions (which treated every
-    non-``None`` value as a registry), but emits a
-    :class:`DeprecationWarning`: pass a real registry, ``True``, or
-    ``None``/``False`` instead.
+    Any other object raises :class:`TypeError`.
     """
     if metrics is None or metrics is False:
         return NULL_METRICS
@@ -331,14 +327,9 @@ def resolve_metrics(metrics: Any) -> Any:
         return MetricsRegistry()
     if isinstance(metrics, (MetricsRegistry, NullMetricsRegistry)):
         return metrics
-    import warnings
-
-    warnings.warn(
-        f"metrics={metrics!r}: passing objects other than a "
-        f"MetricsRegistry, NullMetricsRegistry, bool or None is "
-        f"deprecated; the value is used as a duck-typed registry",
-        DeprecationWarning, stacklevel=3)
-    return metrics
+    raise TypeError(
+        f"metrics={metrics!r}: expected a MetricsRegistry, "
+        f"NullMetricsRegistry, True, False or None")
 
 
 # --------------------------------------------------------------------------

@@ -561,9 +561,7 @@ def run_sharded(system, until: Optional[int] = None,
     kwargs = dict(system._scripted_kwargs or {})
     # Overwrite everything RunOptions owns with the parent's resolved
     # bundle: pins the backend so workers cannot re-resolve differently
-    # (e.g. if the environment changed after construction) and
-    # normalizes deprecated option spellings before replay.
-    kwargs.pop("categories", None)
+    # (e.g. if the environment changed after construction).
     kwargs.update(system.options.to_kwargs())
 
     if trace_dir is None:

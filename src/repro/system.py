@@ -14,7 +14,6 @@ benchmarks start with::
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, \
     Tuple
@@ -55,24 +54,8 @@ class RunOptions:
     def resolve(cls, metrics: Any = None,
                 trace_maxlen: Optional[int] = None,
                 trace_categories: Optional[Iterable[str]] = None,
-                backend: Optional[str] = None,
-                categories: Optional[Iterable[str]] = None) -> "RunOptions":
-        """Normalize raw constructor kwargs into one options bundle.
-
-        ``categories=`` is the deprecated spelling of
-        ``trace_categories=`` (the :class:`~repro.sim.trace.Tracer`
-        parameter name leaked into one layer above it); it still works
-        but warns, and giving both is an error.
-        """
-        if categories is not None:
-            warnings.warn(
-                "categories= is deprecated here; it is the Tracer's "
-                "parameter name — use trace_categories=",
-                DeprecationWarning, stacklevel=3)
-            if trace_categories is not None:
-                raise ValueError(
-                    "give trace_categories= or categories=, not both")
-            trace_categories = categories
+                backend: Optional[str] = None) -> "RunOptions":
+        """Normalize raw constructor kwargs into one options bundle."""
         if trace_categories is not None:
             trace_categories = tuple(trace_categories)
         return cls(metrics=metrics, trace_maxlen=trace_maxlen,
@@ -111,7 +94,6 @@ class HadesSystem:
                  backend: Optional[str] = None,
                  owned_nodes: Optional[Iterable[str]] = None,
                  lazy_links: bool = False,
-                 categories: Optional[Iterable[str]] = None,
                  engines: Optional[Dict[str, Dict[str, int]]] = None):
         # ``metrics`` accepts a MetricsRegistry, True (create one), or
         # None/False (disabled — the near-zero-cost default); see
@@ -127,12 +109,9 @@ class HadesSystem:
         # only the owned subset activates tasks, sends messages or runs
         # background activity.  ``lazy_links`` defers full-mesh link
         # construction to first use (see :class:`repro.network.Network`).
-        # ``categories`` is the deprecated spelling of
-        # ``trace_categories`` (see :meth:`RunOptions.resolve`).
         options = RunOptions.resolve(
             metrics=metrics, trace_maxlen=trace_maxlen,
-            trace_categories=trace_categories, backend=backend,
-            categories=categories)
+            trace_categories=trace_categories, backend=backend)
         self.metrics = resolve_metrics(options.metrics)
         self.sim = Simulator(metrics=self.metrics, backend=options.backend)
         self.backend = self.sim.backend
@@ -174,7 +153,7 @@ class HadesSystem:
                         engines=engine_specs.get(node_id), **extra)
             self.nodes[node_id] = node
             self.network.add_node(node)
-            if background_activities and self._owns(node_id):
+            if background_activities and self.owns(node_id):
                 node.start_background_activities()
         if self.owned_nodes is not None:
             self.network.set_shard_owner(self.owned_nodes)
@@ -190,7 +169,7 @@ class HadesSystem:
             self.dispatcher.register_node(node)
         if with_tnetwork:
             for node_id, node in self.nodes.items():
-                if self._owns(node_id):
+                if self.owns(node_id):
                     install_tnetwork(node, self.network.interfaces[node_id])
         # Set by :meth:`scripted`; required for ``run(shards=N)``.
         self._builder: Optional[Callable[["HadesSystem"], Any]] = None
@@ -205,9 +184,6 @@ class HadesSystem:
         replica only runs services for its own nodes.
         """
         return self.owned_nodes is None or node_id in self.owned_nodes
-
-    # Backwards-compatible private alias (pre-1.5 internal spelling).
-    _owns = owns
 
     @classmethod
     def scripted(cls, build: Callable[["HadesSystem"], Any],

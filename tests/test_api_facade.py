@@ -3,7 +3,6 @@ and the event-set backend selection plumbing."""
 
 import io
 import json
-import warnings
 
 import pytest
 
@@ -155,7 +154,9 @@ class TestBackendSelection:
         assert set(responses.values()) == {10}
 
     def test_version_bumped_for_backend_surface(self):
-        assert repro.__version__ == "1.7.0"
+        # 2.0.0: the deprecated categories= spelling is gone and
+        # resolve_metrics rejects objects that are not registries.
+        assert repro.__version__ == "2.0.0"
 
 
 class TestResolveMetrics:
@@ -175,17 +176,15 @@ class TestResolveMetrics:
         null = NullMetricsRegistry()
         assert resolve_metrics(null) is null
 
-    def test_duck_typed_object_warns_deprecation(self):
+    def test_duck_typed_object_is_rejected(self):
         class Homemade:
             enabled = True
 
             def counter(self, name):
                 raise NotImplementedError
 
-        homemade = Homemade()
-        with pytest.warns(DeprecationWarning):
-            resolved = resolve_metrics(homemade)
-        assert resolved is homemade
+        with pytest.raises(TypeError, match="MetricsRegistry"):
+            resolve_metrics(Homemade())
 
     def test_every_subsystem_accepts_bool_metrics(self):
         system = HadesSystem(node_ids=["n0"], metrics=True)

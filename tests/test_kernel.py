@@ -115,6 +115,51 @@ class TestThreadsBasic:
             Sleep(-5)
 
 
+class TestSuspendWhileNotQueued:
+    """``resume()`` of a thread that was suspended outside the Run Queue
+    must not advance its body: the wait (or the start kick) does that,
+    exactly once."""
+
+    @pytest.mark.parametrize("wait", ["sleep", "wait_event"])
+    def test_resume_during_wait_keeps_waiting(self, sim, node, wait):
+        if wait == "sleep":
+            request = Sleep(100)
+        else:
+            gate = sim.event()
+            sim.call_at(100, gate.succeed)
+            request = WaitEvent(gate)
+        marks = []
+
+        def body():
+            yield request
+            marks.append(("woke", sim.now))
+            yield Compute(200)
+            marks.append(("computed", sim.now))
+            yield Compute(10)
+            marks.append(("done", sim.now))
+
+        thread = node.spawn(body())
+        sim.call_at(10, thread.suspend)
+        sim.call_at(20, thread.resume)
+        sim.run()
+        assert marks == [("woke", 100), ("computed", 300), ("done", 310)]
+        assert thread.state is ThreadState.FINISHED
+        assert thread.cpu_time == 210
+
+    def test_resume_before_start_kick(self, sim, node):
+        def body():
+            yield Compute(50)
+            yield Compute(50)
+            return sim.now
+
+        thread = node.spawn(body())
+        thread.suspend()
+        thread.resume()
+        sim.run()
+        assert thread.finished.value == 100
+        assert thread.cpu_time == 100
+
+
 class TestPreemptiveScheduling:
     def test_higher_priority_preempts(self, sim, node):
         log = []
@@ -611,8 +656,7 @@ def run_program(cpu_class, engine_class, specs, actions, bursts,
         elif kind == "threshold":
             thread.set_priority(thread.priority, preemption_threshold=value)
         elif kind == "suspend":
-            # The dispatcher suspends only units in the Run Queue.
-            if thread.state in (ThreadState.READY, ThreadState.RUNNING):
+            if thread.alive:
                 thread.suspend()
         elif kind == "resume":
             thread.resume()

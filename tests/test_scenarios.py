@@ -1,8 +1,6 @@
 """The fluent ``Scenario`` facade: declarations, derived structure,
 traffic generation, and the RunOptions plumbing it rides on."""
 
-import warnings
-
 import pytest
 
 from repro import RunOptions, Scenario, scenario
@@ -243,25 +241,6 @@ class TestRunOptions:
         assert options.trace_categories is None
         assert options.backend is None
 
-    def test_categories_spelling_deprecated(self):
-        with pytest.warns(DeprecationWarning, match="trace_categories"):
-            options = RunOptions.resolve(categories=["dispatcher"])
-        assert options.trace_categories == ("dispatcher",)
-
-    def test_both_spellings_conflict(self):
-        with pytest.raises(ValueError):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                RunOptions.resolve(trace_categories=["a"],
-                                   categories=["b"])
-
-    def test_system_accepts_deprecated_spelling(self):
-        with pytest.warns(DeprecationWarning):
-            system = HadesSystem(node_ids=["n0"],
-                                 categories=["dispatcher"])
-        assert system.options.trace_categories == ("dispatcher",)
-        assert system.options.backend is not None  # pinned post-resolve
-
     def test_pinned_round_trip(self):
         options = RunOptions.resolve(trace_maxlen=10)
         pinned = options.pinned("heapq")
@@ -269,12 +248,17 @@ class TestRunOptions:
         assert pinned.trace_maxlen == 10
         assert "backend" in pinned.to_kwargs()
 
+    def test_removed_categories_spelling_is_rejected(self):
+        with pytest.raises(TypeError, match="categories"):
+            RunOptions.resolve(categories=["dispatcher"])
+        with pytest.raises(TypeError, match="categories"):
+            HadesSystem(node_ids=["n0"], categories=["dispatcher"])
+
     def test_owns_is_public_with_compat_alias(self):
         whole = HadesSystem(node_ids=["n0"])
         assert whole.owns("n0") and whole.owns("n1")  # owns everything
         replica = HadesSystem(node_ids=["n0", "n1"], owned_nodes=["n0"])
         assert replica.owns("n0") and not replica.owns("n1")
-        assert replica._owns("n0")  # pre-1.5 spelling still works
 
 
 class TestGenericWorkloads:
