@@ -28,23 +28,27 @@ must record at least ``CALENDAR_SPEEDUP_FLOOR``× heapq for the
 calendar backend on the timeout/cancel shapes, and every fresh run
 must reproduce at least ``FRESH_SPEEDUP_FLOOR``× in-process.
 
-CLI (used by the CI job)::
+CLI (``benchmarks/gate.py``; the CI ``gates`` job runs ``--check``)::
 
     python benchmarks/bench_engine_hotpath.py --write   # re-baseline
     python benchmarks/bench_engine_hotpath.py --check   # gate: big drops fail
 
 Re-baselining is deliberate: after an intentional perf change, run
 ``--write`` on the reference machine and commit the new
-``BENCH_engine.json`` alongside the change.
+``e17_engine_hotpath`` section of ``BENCH_engine.json`` alongside the
+change.  ``--write`` refuses to record a calendar speedup below
+``CALENDAR_SPEEDUP_FLOOR``.
 """
 
-import gc
-import json
 import pathlib
 import sys
 import time
 
-BASELINE_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_engine.json"
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
+from benchmarks import gate  # noqa: E402
+
+#: This experiment's section of BENCH_engine.json.
+SECTION = "e17_engine_hotpath"
 
 #: Fractional throughput drop (normalized) that fails the gate.
 #: Sized to the observed process-to-process variance on a single-core
@@ -153,16 +157,6 @@ def run_activation_heavy(backend="heapq", n=ACTIVATIONS):
     return n / (time.perf_counter() - start)
 
 
-def run_calibration(n=2_000_000):
-    """Fixed pure-Python workload: host-speed yardstick (ops/sec)."""
-    start = time.perf_counter()
-    total = 0
-    for i in range(n):
-        total += i & 7
-    assert total > 0
-    return n / (time.perf_counter() - start)
-
-
 SHAPES = {
     "timeout_heavy": (run_timeout_heavy, "events/sec"),
     "cancel_heavy": (run_cancel_heavy, "events/sec"),
@@ -182,28 +176,6 @@ PRE_PR_MAIN = {
 
 # -- measurement & gate -----------------------------------------------------
 
-def _timed(fn, **kwargs):
-    """One rep with the cyclic GC paused, collected afterwards.
-
-    Collector pauses landing inside a timed region are the dominant
-    run-to-run noise for the allocation-heavy shapes; collecting
-    *between* reps keeps garbage from one rep from slowing the next.
-    """
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return fn(**kwargs)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-        gc.collect()
-
-
-def best_of(fn, repeat=REPEATS):
-    """Best single-backend rate over ``repeat`` runs (calibration)."""
-    return max(_timed(fn) for _ in range(repeat))
-
-
 def best_of_backends(fn, repeat=REPEATS):
     """Per-backend best rates, reps interleaved across backends.
 
@@ -214,13 +186,14 @@ def best_of_backends(fn, repeat=REPEATS):
     best = {backend: 0.0 for backend in BACKENDS}
     for _ in range(repeat):
         for backend in BACKENDS:
-            best[backend] = max(best[backend], _timed(fn, backend=backend))
+            best[backend] = max(best[backend],
+                                gate.timed(fn, backend=backend))
     return best
 
 
 def measure():
     """Best-of-N per-backend rates for every shape plus calibration."""
-    calibration = best_of(run_calibration)
+    calibration = gate.calibration(REPEATS)
     shapes = {}
     for name, (fn, unit) in SHAPES.items():
         rates = best_of_backends(fn)
@@ -254,7 +227,7 @@ def measure():
 def check(results, baseline, extra_tolerance=0.0):
     """Gate the fresh ``results`` against the committed ``baseline``.
 
-    Two families of failure, returned as ``(label, ratio)`` pairs:
+    Three families of failure, returned as ``(label, detail)`` pairs:
 
     * per-backend normalized regressions — new/old normalized
       throughput below ``1 - tolerance`` for any (shape, backend);
@@ -273,28 +246,30 @@ def check(results, baseline, extra_tolerance=0.0):
     shape_tolerances = baseline.get("shape_tolerances", SHAPE_TOLERANCES)
     failures = []
     for name, backends in baseline["shapes"].items():
-        floor = 1.0 - shape_tolerances.get(name, tolerance) \
-            - extra_tolerance
+        shape_tolerance = (shape_tolerances.get(name, tolerance)
+                           + extra_tolerance)
         for backend, entry in backends.items():
+            label = f"{name}[{backend}]"
             fresh = results["shapes"].get(name, {}).get(backend)
             if fresh is None:
-                failures.append((f"{name}[{backend}]", 0.0))
+                failures.append((label, "missing"))
                 continue
-            ratio = fresh["normalized"] / entry["normalized"]
-            if ratio < floor:
-                failures.append((f"{name}[{backend}]", ratio))
+            failures += gate.floor(label, fresh["normalized"],
+                                   entry["normalized"], shape_tolerance)
     floor = baseline.get("calendar_speedup_floor", CALENDAR_SPEEDUP_FLOOR)
     for name in SPEEDUP_GATED_SHAPES:
         recorded = (baseline["shapes"].get(name, {})
                     .get("calendar", {}).get("speedup_vs_heapq"))
         if recorded is not None and recorded < floor:
-            failures.append((f"{name}[baseline calendar/heapq]", recorded))
+            failures.append((f"{name}[baseline calendar/heapq]",
+                             f"{recorded:.2f}x < {floor:.2f}x"))
         backends = results["shapes"].get(name, {})
         if "calendar" not in backends or "heapq" not in backends:
             continue
         speedup = backends["calendar"]["rate"] / backends["heapq"]["rate"]
         if speedup < FRESH_SPEEDUP_FLOOR:
-            failures.append((f"{name}[calendar/heapq]", speedup))
+            failures.append((f"{name}[calendar/heapq]",
+                             f"{speedup:.2f}x < {FRESH_SPEEDUP_FLOOR:.2f}x"))
     return failures
 
 
@@ -321,52 +296,6 @@ def _print_results(results, baseline=None):
                 headers, rows)
 
 
-def main(argv=None):
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if "--write" in argv:
-        results = measure()
-        if BASELINE_PATH.exists():
-            # BENCH_engine.json is shared with other experiments'
-            # sections (e.g. bench_sharded_scaling.py's E21); carry
-            # them over instead of clobbering the file wholesale.
-            previous = json.loads(BASELINE_PATH.read_text())
-            for key, value in previous.items():
-                if key not in results and key.startswith("e"):
-                    results[key] = value
-        BASELINE_PATH.write_text(json.dumps(results, indent=2) + "\n")
-        _print_results(results)
-        print(f"baseline written to {BASELINE_PATH}")
-        return 0
-    if "--check" in argv:
-        if not BASELINE_PATH.exists():
-            print(f"error: no baseline at {BASELINE_PATH}; run --write first",
-                  file=sys.stderr)
-            return 2
-        baseline = json.loads(BASELINE_PATH.read_text())
-        results = measure()
-        _print_results(results, baseline)
-        failures = check(results, baseline)
-        tolerance = baseline.get("tolerance", REGRESSION_TOLERANCE)
-        if failures:
-            for label, ratio in failures:
-                print(f"REGRESSION {label}: {ratio:.2f}x "
-                      f"(normalized floor {1.0 - tolerance:.2f}x, "
-                      f"baseline speedup floor "
-                      f"{baseline.get('calendar_speedup_floor'):.2f}x, "
-                      f"fresh speedup floor {FRESH_SPEEDUP_FLOOR:.2f}x)",
-                      file=sys.stderr)
-            return 1
-        print(f"gate passed: every shape/backend >= "
-              f"{1.0 - tolerance:.2f}x of the committed baseline "
-              f"(normalized), recorded calendar speedup >= "
-              f"{baseline.get('calendar_speedup_floor'):.2f}x and fresh >= "
-              f"{FRESH_SPEEDUP_FLOOR:.2f}x heapq on "
-              f"{', '.join(SPEEDUP_GATED_SHAPES)}")
-        return 0
-    print(__doc__)
-    return 0
-
-
 # -- pytest face ------------------------------------------------------------
 
 #: Extra normalized slack for the pytest face only: the committed
@@ -383,8 +312,7 @@ PYTEST_HARNESS_MARGIN = 0.10
 def test_engine_hotpath_rates(benchmark):
     """Regenerates the E17/E20 table and gates against the baseline."""
     results = benchmark.pedantic(measure, rounds=1, iterations=1)
-    baseline = (json.loads(BASELINE_PATH.read_text())
-                if BASELINE_PATH.exists() else None)
+    baseline = gate.load().get(SECTION)
     _print_results(results, baseline)
     for name, backends in results["shapes"].items():
         for backend, entry in backends.items():
@@ -419,5 +347,5 @@ def test_cancel_heavy_tombstones_are_skipped():
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
-    raise SystemExit(main())
+    raise SystemExit(gate.main(__doc__, SECTION, measure, check,
+                               _print_results, None))

@@ -21,8 +21,12 @@ and the EU-to-engine mapping layer):
    byte-identical to the serial run, and the engine-record stream's
    SHA-256 must reproduce the baseline exactly.
 3. **Mapped-scenario throughput** — wall-clock requests/sec of the
-   hetero scenario, compared baseline-relative after the same
-   in-process calibration normalization the E17/E21/E22/E23 gates use.
+   hetero scenario, compared baseline-relative after the gate's
+   in-process calibration normalization.
+
+Gate design (``--check``, ``benchmarks/gate.py``): the figures of the
+first two gates are compared **exactly** against the
+``e24_hetero_mapping`` section of the committed ``BENCH_engine.json``.
 
 CLI::
 
@@ -31,18 +35,16 @@ CLI::
     python benchmarks/bench_hetero_mapping.py --smoke   # CI-sized run
 """
 
-import gc
 import hashlib
 import json
 import pathlib
 import sys
 import time
 
-BASELINE_PATH = (pathlib.Path(__file__).resolve().parent.parent
-                 / "BENCH_engine.json")
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
+from benchmarks import gate  # noqa: E402
 
-#: Key of this experiment's section inside BENCH_engine.json (the rest
-#: of the file belongs to the E17/E20/E21/E22/E23 gates).
+#: This experiment's section of BENCH_engine.json.
 SECTION = "e24_hetero_mapping"
 
 SEED = 3
@@ -179,21 +181,8 @@ def _engine_digest(records):
 
 def determinism_check(backend, shards=2, horizon=HORIZON):
     """Serial vs ``shards=N`` byte-identity of the engine-tagged trace."""
-    import tempfile
-
-    serial = build_scenario(backend=backend).run(until=horizon)
-    sharded = build_scenario(backend=backend).run(until=horizon,
-                                                  shards=shards)
-    with tempfile.TemporaryDirectory() as tmp:
-        a = pathlib.Path(tmp) / "serial.jsonl"
-        b = pathlib.Path(tmp) / "sharded.jsonl"
-        serial.system.tracer.to_jsonl(str(a))
-        sharded.system.tracer.to_jsonl(str(b))
-        serial_bytes, sharded_bytes = a.read_bytes(), b.read_bytes()
-    assert serial_bytes, "empty serial trace"
-    assert serial_bytes == sharded_bytes, \
-        (f"{backend} shards={shards}: engines-enabled trace diverged "
-         f"from serial")
+    serial, _ = gate.serial_equals_sharded(
+        lambda: build_scenario(backend=backend), horizon, shards)
     engine_records, digest = _engine_digest(serial.system.tracer.records)
     assert engine_records, "hetero scenario must emit engine records"
     return {"records": len(serial.system.tracer),
@@ -220,32 +209,11 @@ def throughput_check(horizon=HORIZON, repeats=REPEATS):
             "requests_per_sec": round(best, 1)}
 
 
-def run_calibration(n=2_000_000):
-    """Same host-speed yardstick as the E17/E21/E22/E23 gates (ops/sec)."""
-    start = time.perf_counter()
-    total = 0
-    for i in range(n):
-        total += i & 7
-    assert total > 0
-    return n / (time.perf_counter() - start)
-
-
-def _timed(fn, **kwargs):
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return fn(**kwargs)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-        gc.collect()
-
-
 def measure(horizon=HORIZON, repeats=REPEATS, shard_counts=(2, 4)):
     """All three gates; determinism on both backends."""
     from repro import available_backends
 
-    calibration = max(_timed(run_calibration) for _ in range(2))
+    calibration = gate.calibration(2)
     quality = quality_check()
     determinism = {}
     for backend in sorted(available_backends(), key=lambda n: n != "heapq"):
@@ -278,31 +246,19 @@ def measure(horizon=HORIZON, repeats=REPEATS, shard_counts=(2, 4)):
 def check(results, baseline):
     """Exact quality/determinism figures + the throughput gate."""
     tolerance = baseline.get("tolerance", REGRESSION_TOLERANCE)
-    floor = 1.0 - tolerance
-    failures = []
-    for key in ("cpu_only_us", "mapped_us", "oracle_us", "oracle_space",
-                "offloaded", "speedup_milli", "oracle_ratio_milli"):
-        if results["quality"][key] != baseline["quality"][key]:
-            # Fully deterministic single-request simulations: a changed
-            # figure means mapping or engine semantics changed without
-            # a re-baseline.
-            failures.append(
-                (f"quality[{key}]",
-                 f"{results['quality'][key]} != "
-                 f"{baseline['quality'][key]}"))
+    failures = gate.exact(
+        "quality", results["quality"], baseline["quality"],
+        ("cpu_only_us", "mapped_us", "oracle_us", "oracle_space",
+         "offloaded", "speedup_milli", "oracle_ratio_milli"))
     for label, entry in baseline["determinism"].items():
         fresh = results["determinism"].get(label)
         if fresh is None:
             failures.append((f"determinism[{label}]", "missing"))
             continue
-        for key in ("records", "engine_records", "engine_sha256"):
-            if fresh[key] != entry[key]:
-                failures.append((f"determinism[{label}][{key}]",
-                                 f"{fresh[key]} != {entry[key]}"))
-    ratio = (results["throughput"]["normalized"]
-             / baseline["throughput"]["normalized"])
-    if ratio < floor:
-        failures.append(("throughput", f"{ratio:.2f}x"))
+        failures += gate.exact(f"determinism[{label}]", fresh, entry,
+                               ("records", "engine_records", "engine_sha256"))
+    failures += gate.floor("throughput", results["throughput"]["normalized"],
+                           baseline["throughput"]["normalized"], tolerance)
     return failures
 
 
@@ -343,12 +299,6 @@ def _print_results(results, baseline=None):
                   f"{throughput['requests_per_sec']:,.0f}{suffix}"]])
 
 
-def _load_bench_file():
-    if BASELINE_PATH.exists():
-        return json.loads(BASELINE_PATH.read_text())
-    return {}
-
-
 def smoke():
     """CI-sized sanity run: mapping quality (2x floor, 10% oracle
     slack) and serial-vs-shards=2 byte-identity of the engines-enabled
@@ -372,40 +322,6 @@ def test_hetero_mapping(benchmark):
     _print_results(results)
 
 
-def main(argv=None):
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if "--smoke" in argv:
-        return smoke()
-    if "--write" in argv:
-        results = measure()
-        data = _load_bench_file()
-        data[SECTION] = results
-        BASELINE_PATH.write_text(json.dumps(data, indent=2) + "\n")
-        _print_results(results)
-        print(f"baseline section {SECTION!r} written to {BASELINE_PATH}")
-        return 0
-    if "--check" in argv:
-        data = _load_bench_file()
-        if SECTION not in data:
-            print(f"error: no {SECTION!r} section in {BASELINE_PATH}; "
-                  f"run --write first", file=sys.stderr)
-            return 2
-        baseline = data[SECTION]
-        results = measure()
-        _print_results(results, baseline)
-        failures = check(results, baseline)
-        if failures:
-            for label, detail in failures:
-                print(f"REGRESSION {label}: {detail}", file=sys.stderr)
-            return 1
-        print("gate passed: mapping quality and engine-trace digests "
-              "exactly reproduce the committed baseline; throughput "
-              "within tolerance (calibration-normalized)")
-        return 0
-    print(__doc__)
-    return 0
-
-
 if __name__ == "__main__":
-    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
-    raise SystemExit(main())
+    raise SystemExit(gate.main(__doc__, SECTION, measure, check,
+                               _print_results, smoke))

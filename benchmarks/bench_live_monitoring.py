@@ -18,16 +18,16 @@ Three gates over the :mod:`repro.obs.live` monitoring plane:
    the raise instant (backlog admitted before the alert may still
    miss), while the same scenario without the reaction keeps missing.
 3. **Monitoring overhead** — the E22 ``adm_reject@3x`` shape is timed
-   with and without monitors on all four tenants; the wall-clock
-   overhead (best-of-N both sides) must stay under
-   :data:`OVERHEAD_LIMIT` (10%).
+   with and without monitors on all four tenants, plain and monitored
+   reps alternating; the wall-clock overhead (best-of-N both sides)
+   must stay under :data:`OVERHEAD_LIMIT` (10%).
 
-Gate design (``--check``): scenario runs are fully seeded and
-deterministic, so the alert digests, raise instants and classification
-counters are compared **exactly** against the ``e23_live_monitoring``
-section of the committed ``BENCH_engine.json``; monitored-run
-throughput is compared baseline-relative after the same in-process
-calibration normalization the E17/E21/E22 gates use.
+Gate design (``--check``, ``benchmarks/gate.py``): scenario runs are
+fully seeded and deterministic, so the alert digests, raise instants
+and classification counters are compared **exactly** against the
+``e23_live_monitoring`` section of the committed ``BENCH_engine.json``;
+monitored-run throughput is compared baseline-relative after the
+gate's in-process calibration normalization.
 
 CLI::
 
@@ -36,18 +36,16 @@ CLI::
     python benchmarks/bench_live_monitoring.py --smoke   # CI-sized run
 """
 
-import gc
 import hashlib
 import json
 import pathlib
 import sys
 import time
 
-BASELINE_PATH = (pathlib.Path(__file__).resolve().parent.parent
-                 / "BENCH_engine.json")
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
+from benchmarks import gate  # noqa: E402
 
-#: Key of this experiment's section inside BENCH_engine.json (the rest
-#: of the file belongs to the E17/E20/E21/E22 gates).
+#: This experiment's section of BENCH_engine.json.
 SECTION = "e23_live_monitoring"
 
 SEED = 7
@@ -108,21 +106,8 @@ def _alert_digest(records):
 
 def determinism_check(backend, shards=4, horizon=HORIZON):
     """Serial vs ``shards=N`` byte-identity of the monitored trace."""
-    import tempfile
-
-    serial = build_monitored(backend=backend).run(until=horizon)
-    sharded = build_monitored(backend=backend).run(until=horizon,
-                                                   shards=shards)
-    with tempfile.TemporaryDirectory() as tmp:
-        a = pathlib.Path(tmp) / "serial.jsonl"
-        b = pathlib.Path(tmp) / "sharded.jsonl"
-        serial.system.tracer.to_jsonl(str(a))
-        sharded.system.tracer.to_jsonl(str(b))
-        serial_bytes, sharded_bytes = a.read_bytes(), b.read_bytes()
-    assert serial_bytes, "empty serial trace"
-    assert serial_bytes == sharded_bytes, \
-        (f"{backend} shards={shards}: monitored trace diverged "
-         f"from serial")
+    serial, _ = gate.serial_equals_sharded(
+        lambda: build_monitored(backend=backend), horizon, shards)
     alerts, digest = _alert_digest(serial.system.tracer.records)
     assert alerts, "3x overload must raise alerts"
     return {"records": len(serial.system.tracer), "alerts": alerts,
@@ -185,7 +170,14 @@ def reaction_check(horizon=HORIZON):
 
 
 def overhead_check(horizon=HORIZON, repeats=REPEATS):
-    """Monitored-vs-plain wall clock on the E22 shape (best-of-N)."""
+    """Monitored-vs-plain wall clock on the E22 shape (best-of-N).
+
+    Plain and monitored reps alternate, so host drift over the
+    measurement window slows both sides alike instead of being charged
+    to monitoring.  A rep keeps only its completed count, so the
+    collection after it frees the whole run and every rep starts on the
+    same heap.
+    """
     from benchmarks.bench_service_scenarios import build_scenario
 
     def run_once(monitored):
@@ -196,17 +188,13 @@ def overhead_check(horizon=HORIZON, repeats=REPEATS):
                                  objective_ppm=990_000)
         start = time.perf_counter()
         result = scenario.run(until=horizon)
-        return result, time.perf_counter() - start
+        return result.completed, time.perf_counter() - start
 
-    plain_sec = min(_timed(run_once, monitored=False)[1]
-                    for _ in range(repeats))
-    monitored_sec = None
-    completed = None
+    plain_sec = monitored_sec = float("inf")
     for _ in range(repeats):
-        result, elapsed = _timed(run_once, monitored=True)
-        completed = result.completed
-        monitored_sec = (elapsed if monitored_sec is None
-                         else min(monitored_sec, elapsed))
+        plain_sec = min(plain_sec, gate.timed(run_once, monitored=False)[1])
+        completed, elapsed = gate.timed(run_once, monitored=True)
+        monitored_sec = min(monitored_sec, elapsed)
     overhead = monitored_sec / plain_sec - 1.0
     assert overhead < OVERHEAD_LIMIT, \
         (f"monitoring overhead {overhead:.1%} exceeds the "
@@ -221,32 +209,11 @@ def overhead_check(horizon=HORIZON, repeats=REPEATS):
     }
 
 
-def run_calibration(n=2_000_000):
-    """Same host-speed yardstick as the E17/E21/E22 gates (ops/sec)."""
-    start = time.perf_counter()
-    total = 0
-    for i in range(n):
-        total += i & 7
-    assert total > 0
-    return n / (time.perf_counter() - start)
-
-
-def _timed(fn, **kwargs):
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return fn(**kwargs)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-        gc.collect()
-
-
 def measure(horizon=HORIZON, repeats=REPEATS, shard_counts=(2, 4)):
     """All three gates; determinism on both backends."""
     from repro import available_backends
 
-    calibration = max(_timed(run_calibration) for _ in range(2))
+    calibration = gate.calibration(2)
     determinism = {}
     for backend in sorted(available_backends(), key=lambda n: n != "heapq"):
         for shards in shard_counts:
@@ -277,36 +244,25 @@ def measure(horizon=HORIZON, repeats=REPEATS, shard_counts=(2, 4)):
 def check(results, baseline):
     """Exact alert/reaction figures + throughput/overhead gates."""
     tolerance = baseline.get("tolerance", REGRESSION_TOLERANCE)
-    floor = 1.0 - tolerance
     failures = []
     for label, entry in baseline["determinism"].items():
         fresh = results["determinism"].get(label)
         if fresh is None:
             failures.append((f"determinism[{label}]", "missing"))
             continue
-        for key in ("records", "alerts", "alert_sha256"):
-            if fresh[key] != entry[key]:
-                # Fully seeded monitored run: a changed figure means
-                # the monitoring semantics changed without a
-                # re-baseline.
-                failures.append((f"determinism[{label}][{key}]",
-                                 f"{fresh[key]} != {entry[key]}"))
-    for key in ("raise_time", "raises", "clears", "reacted_misses_after",
-                "unreacted_misses_after", "submitted", "admitted",
-                "good", "bad"):
-        if results["reaction"][key] != baseline["reaction"][key]:
-            failures.append(
-                (f"reaction[{key}]",
-                 f"{results['reaction'][key]} != "
-                 f"{baseline['reaction'][key]}"))
+        failures += gate.exact(f"determinism[{label}]", fresh, entry,
+                               ("records", "alerts", "alert_sha256"))
+    failures += gate.exact(
+        "reaction", results["reaction"], baseline["reaction"],
+        ("raise_time", "raises", "clears", "reacted_misses_after",
+         "unreacted_misses_after", "submitted", "admitted", "good", "bad"))
     if results["overhead"]["overhead_pct"] >= OVERHEAD_LIMIT * 100:
         failures.append(("overhead",
                          f"{results['overhead']['overhead_pct']:.1f}% >= "
                          f"{OVERHEAD_LIMIT:.0%}"))
-    ratio = (results["overhead"]["normalized"]
-             / baseline["overhead"]["normalized"])
-    if ratio < floor:
-        failures.append(("overhead[throughput]", f"{ratio:.2f}x"))
+    failures += gate.floor("overhead[throughput]",
+                           results["overhead"]["normalized"],
+                           baseline["overhead"]["normalized"], tolerance)
     return failures
 
 
@@ -347,12 +303,6 @@ def _print_results(results, baseline=None):
                 ["figure", "value"], rows)
 
 
-def _load_bench_file():
-    if BASELINE_PATH.exists():
-        return json.loads(BASELINE_PATH.read_text())
-    return {}
-
-
 def smoke():
     """CI-sized sanity run: serial-vs-shards=4 byte-identity of the
     monitored trace on both backends, the reaction invariant and the
@@ -378,41 +328,6 @@ def test_live_monitoring(benchmark):
     _print_results(results)
 
 
-def main(argv=None):
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if "--smoke" in argv:
-        return smoke()
-    if "--write" in argv:
-        results = measure()
-        data = _load_bench_file()
-        data[SECTION] = results
-        BASELINE_PATH.write_text(json.dumps(data, indent=2) + "\n")
-        _print_results(results)
-        print(f"baseline section {SECTION!r} written to {BASELINE_PATH}")
-        return 0
-    if "--check" in argv:
-        data = _load_bench_file()
-        if SECTION not in data:
-            print(f"error: no {SECTION!r} section in {BASELINE_PATH}; "
-                  f"run --write first", file=sys.stderr)
-            return 2
-        baseline = data[SECTION]
-        results = measure()
-        _print_results(results, baseline)
-        failures = check(results, baseline)
-        if failures:
-            for label, detail in failures:
-                print(f"REGRESSION {label}: {detail}", file=sys.stderr)
-            return 1
-        print("gate passed: alert streams and reaction figures exactly "
-              "reproduce the committed baseline; overhead under the "
-              "ceiling; throughput within tolerance "
-              "(calibration-normalized)")
-        return 0
-    print(__doc__)
-    return 0
-
-
 if __name__ == "__main__":
-    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
-    raise SystemExit(main())
+    raise SystemExit(gate.main(__doc__, SECTION, measure, check,
+                               _print_results, smoke))

@@ -13,18 +13,19 @@ admission-controlled ones shed load *before* guaranteeing it and keep
 the admitted-work miss ratio at zero (enforced here as a hard
 invariant at every load, not just the <= 3x the issue requires).
 
-A separate determinism probe builds a stagger-quantized scenario
-(every duration on the mod-50 grid — see ``Scenario.stagger``) and
-asserts the ``shards=4`` merged trace is **byte-identical** to the
-serial run on the active event-set backend.
+Every measurement also runs a determinism probe: it builds a
+stagger-quantized scenario (every duration on the mod-50 grid — see
+``Scenario.stagger``) and asserts the ``shards=4`` merged trace is
+**byte-identical** to the serial run on the active event-set backend.
 
-Gate design (``--check``): the committed ``BENCH_engine.json`` gains an
-``e22_service_scenarios`` section.  Scenario runs are fully seeded and
-deterministic, so the scoreboard figures (value, admitted, missed) are
-compared **exactly**; wall-clock throughput (requests simulated per
-second) is compared baseline-relative after normalizing by the same
-in-process calibration workload the E17/E21 gates use, so runner speed
-never masquerades as a regression.
+Gate design (``--check``, ``benchmarks/gate.py``): scenario runs are
+fully seeded and deterministic, so the scoreboard figures (value,
+admitted, missed) are compared **exactly** against the
+``e22_service_scenarios`` section of the committed
+``BENCH_engine.json``; wall-clock throughput (requests simulated per
+second) is compared baseline-relative after normalizing by the gate's
+in-process calibration loop, so runner speed never masquerades as a
+regression.
 
 CLI::
 
@@ -33,17 +34,14 @@ CLI::
     python benchmarks/bench_service_scenarios.py --smoke   # CI-sized run
 """
 
-import gc
-import json
 import pathlib
 import sys
 import time
 
-BASELINE_PATH = (pathlib.Path(__file__).resolve().parent.parent
-                 / "BENCH_engine.json")
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
+from benchmarks import gate  # noqa: E402
 
-#: Key of this experiment's section inside BENCH_engine.json (the rest
-#: of the file belongs to the E17/E20/E21 gates).
+#: This experiment's section of BENCH_engine.json.
 SECTION = "e22_service_scenarios"
 
 SEED = 7
@@ -119,10 +117,8 @@ def run_cell(config, load, horizon=HORIZON):
     return summary, elapsed
 
 
-def determinism_check(shards=4, horizon=200_000):
+def determinism_check(horizon, shards=4):
     """Serial vs ``shards=N`` byte-identity on a staggered scenario."""
-    import tempfile
-
     from repro import Scenario
 
     def build():
@@ -143,40 +139,9 @@ def determinism_check(shards=4, horizon=200_000):
                          node_kwargs={"net_irq_wcet": 0})
                 .load(2.0))
 
-    serial = build().run(until=horizon, seed=SEED)
-    sharded = build().run(until=horizon, seed=SEED, shards=shards)
-    with tempfile.TemporaryDirectory() as tmp:
-        a = pathlib.Path(tmp) / "serial.jsonl"
-        b = pathlib.Path(tmp) / "sharded.jsonl"
-        serial.system.tracer.to_jsonl(str(a))
-        sharded.system.tracer.to_jsonl(str(b))
-        serial_bytes, sharded_bytes = a.read_bytes(), b.read_bytes()
-    assert serial_bytes, "empty serial trace"
-    assert serial_bytes == sharded_bytes, \
-        f"shards={shards} trace diverged from serial"
+    serial, sharded = gate.serial_equals_sharded(build, horizon, shards,
+                                                 seed=SEED)
     assert serial.scoreboard.to_dict() == sharded.scoreboard.to_dict()
-    return len(serial.system.tracer)
-
-
-def run_calibration(n=2_000_000):
-    """Same host-speed yardstick as the E17/E21 gates (ops/sec)."""
-    start = time.perf_counter()
-    total = 0
-    for i in range(n):
-        total += i & 7
-    assert total > 0
-    return n / (time.perf_counter() - start)
-
-
-def _timed(fn, **kwargs):
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return fn(**kwargs)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-        gc.collect()
 
 
 def _assert_admission_invariant(config, load, summary):
@@ -188,17 +153,18 @@ def _assert_admission_invariant(config, load, summary):
 
 
 def measure(loads=LOADS, configs=CONFIGS, horizon=HORIZON,
-            repeats=REPEATS):
-    """The full config x load matrix (best-of-N wall throughput)."""
-    calibration = max(_timed(run_calibration) for _ in range(repeats))
+            repeats=REPEATS, probe_horizon=200_000):
+    """The full config x load matrix (best-of-N wall throughput), then
+    the determinism probe."""
+    calibration = gate.calibration(repeats)
     cells = {}
     for config in configs:
         for load in loads:
             best_elapsed = None
             summary = None
             for _ in range(repeats):
-                fresh, elapsed = _timed(run_cell, config=config,
-                                        load=load, horizon=horizon)
+                fresh, elapsed = gate.timed(run_cell, config=config,
+                                            load=load, horizon=horizon)
                 if summary is not None and fresh != summary:
                     raise AssertionError(
                         f"{config}@{load}x not deterministic across "
@@ -211,6 +177,7 @@ def measure(loads=LOADS, configs=CONFIGS, horizon=HORIZON,
             summary["requests_per_sec"] = round(rate, 1)
             summary["normalized"] = rate / calibration
             cells[f"{config}@{load:g}x"] = summary
+    determinism_check(horizon=probe_horizon)
     return {
         "experiment": "E22",
         "description": "service scenarios: EDF vs Spring vs admission "
@@ -227,23 +194,16 @@ def measure(loads=LOADS, configs=CONFIGS, horizon=HORIZON,
 def check(results, baseline):
     """Exact scoreboard match + baseline-relative throughput gate."""
     tolerance = baseline.get("tolerance", REGRESSION_TOLERANCE)
-    floor = 1.0 - tolerance
     failures = []
     for label, entry in baseline["cells"].items():
         fresh = results["cells"].get(label)
         if fresh is None:
             failures.append((label, "missing"))
             continue
-        for key in ("completed", "admitted", "missed", "value"):
-            if fresh[key] != entry[key]:
-                # Fully seeded workload: a changed figure means the
-                # scenario semantics (not the host) changed without a
-                # re-baseline.
-                failures.append((f"{label}[{key}]",
-                                 f"{fresh[key]} != {entry[key]}"))
-        ratio = fresh["normalized"] / entry["normalized"]
-        if ratio < floor:
-            failures.append((f"{label}[throughput]", f"{ratio:.2f}x"))
+        failures += gate.exact(label, fresh, entry,
+                               ("completed", "admitted", "missed", "value"))
+        failures += gate.floor(f"{label}[throughput]", fresh["normalized"],
+                               entry["normalized"], tolerance)
     return failures
 
 
@@ -273,21 +233,13 @@ def _print_results(results, baseline=None):
         headers, rows)
 
 
-def _load_bench_file():
-    if BASELINE_PATH.exists():
-        return json.loads(BASELINE_PATH.read_text())
-    return {}
-
-
 def smoke():
     """CI-sized sanity run: shortened horizon, 1x/3x, plus the
     serial-vs-shards=4 byte-determinism probe.  No baseline comparison
     — containers are too noisy."""
-    results = measure(loads=(1.0, 3.0), horizon=150_000, repeats=1)
-    _print_results(results)
-    records = determinism_check()
-    print(f"smoke passed: determinism probe byte-identical "
-          f"({records} records, serial == shards=4)")
+    _print_results(measure(loads=(1.0, 3.0), horizon=150_000, repeats=1))
+    print("smoke passed: determinism probe byte-identical "
+          "(serial == shards=4)")
     return 0
 
 
@@ -295,48 +247,12 @@ def smoke():
 #: ``python -m repro.experiments E22`` regenerate the comparison table.
 def test_service_scenarios(benchmark):
     results = benchmark.pedantic(
-        lambda: measure(loads=(1.0, 3.0), horizon=150_000, repeats=1),
+        lambda: measure(loads=(1.0, 3.0), horizon=150_000, repeats=1,
+                        probe_horizon=100_000),
         rounds=1, iterations=1)
     _print_results(results)
-    determinism_check(horizon=100_000)
-
-
-def main(argv=None):
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if "--smoke" in argv:
-        return smoke()
-    if "--write" in argv:
-        results = measure()
-        determinism_check()
-        data = _load_bench_file()
-        data[SECTION] = results
-        BASELINE_PATH.write_text(json.dumps(data, indent=2) + "\n")
-        _print_results(results)
-        print(f"baseline section {SECTION!r} written to {BASELINE_PATH}")
-        return 0
-    if "--check" in argv:
-        data = _load_bench_file()
-        if SECTION not in data:
-            print(f"error: no {SECTION!r} section in {BASELINE_PATH}; "
-                  f"run --write first", file=sys.stderr)
-            return 2
-        baseline = data[SECTION]
-        results = measure()
-        _print_results(results, baseline)
-        determinism_check()
-        failures = check(results, baseline)
-        if failures:
-            for label, detail in failures:
-                print(f"REGRESSION {label}: {detail}", file=sys.stderr)
-            return 1
-        print("gate passed: scoreboards exactly reproduce the committed "
-              "baseline; throughput within tolerance "
-              "(calibration-normalized); determinism probe byte-identical")
-        return 0
-    print(__doc__)
-    return 0
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
-    raise SystemExit(main())
+    raise SystemExit(gate.main(__doc__, SECTION, measure, check,
+                               _print_results, smoke))

@@ -9,11 +9,11 @@ quantifies the tentpole claim of the sharded executor: conservative
 synchronization over the paper's guaranteed delivery bounds turns the
 T_network layer into usable parallelism.
 
-Gate design (``--check``): the committed ``BENCH_engine.json`` gains an
-``e21_sharded_scaling`` section; every fresh run is compared
-**baseline-relative** after normalizing by the same in-process
-pure-Python calibration workload the E17 gate uses, so runner speed
-never masquerades as a regression.  The *absolute* speedup column is
+Gate design (``--check``, ``benchmarks/gate.py``): every fresh run is
+compared against the ``e21_sharded_scaling`` section of the committed
+``BENCH_engine.json`` **baseline-relative**, after normalizing by the
+gate's in-process calibration loop, so runner speed never masquerades
+as a regression.  The *absolute* speedup column is
 recorded but only enforced when the measuring host actually has the
 cores: on >= 8 physical CPUs the committed baseline must record at
 least ``SPEEDUP_TARGET``x serial throughput at 8 shards; on smaller
@@ -21,7 +21,8 @@ hosts (CI containers are routinely 1-2 cores, where 8 forked workers
 time-slice one CPU) the target is documented, recorded, and skipped —
 the baseline-relative ratchet still catches coordination-layer
 regressions there, because the per-window protocol overhead dominates
-the single-core rate.
+the single-core rate.  On a host with the cores, ``--write`` refuses
+to record a speedup below the target.
 
 CLI::
 
@@ -30,18 +31,15 @@ CLI::
     python benchmarks/bench_sharded_scaling.py --smoke   # CI-sized sanity run
 """
 
-import gc
-import json
 import os
 import pathlib
 import sys
 import time
 
-BASELINE_PATH = (pathlib.Path(__file__).resolve().parent.parent
-                 / "BENCH_engine.json")
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
+from benchmarks import gate  # noqa: E402
 
-#: Key of this experiment's section inside BENCH_engine.json (the rest
-#: of the file belongs to the E17/E20 hot-path gate).
+#: This experiment's section of BENCH_engine.json.
 SECTION = "e21_sharded_scaling"
 
 NODES = 256
@@ -120,38 +118,17 @@ def run_once(shards, node_count=NODES, activations=ACTIVATIONS_PER_NODE):
     return total / elapsed, len(system.tracer)
 
 
-def run_calibration(n=2_000_000):
-    """Same host-speed yardstick as the E17 gate (ops/sec)."""
-    start = time.perf_counter()
-    total = 0
-    for i in range(n):
-        total += i & 7
-    assert total > 0
-    return n / (time.perf_counter() - start)
-
-
-def _timed(fn, **kwargs):
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return fn(**kwargs)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-        gc.collect()
-
-
 def measure(shard_counts=SHARD_COUNTS, repeats=REPEATS,
             node_count=NODES, activations=ACTIVATIONS_PER_NODE):
     """Best-of-N activation throughput per shard count, interleaved."""
-    calibration = max(_timed(run_calibration) for _ in range(repeats))
+    calibration = gate.calibration(repeats)
     best = {shards: 0.0 for shards in shard_counts}
     records = {}
     for _ in range(repeats):
         for shards in shard_counts:
-            rate, count = _timed(run_once, shards=shards,
-                                 node_count=node_count,
-                                 activations=activations)
+            rate, count = gate.timed(run_once, shards=shards,
+                                     node_count=node_count,
+                                     activations=activations)
             best[shards] = max(best[shards], rate)
             records[shards] = count
     serial_rate = best[shard_counts[0]]
@@ -180,24 +157,18 @@ def measure(shard_counts=SHARD_COUNTS, repeats=REPEATS,
 
 
 def check(results, baseline):
-    """Baseline-relative gate; returns (label, ratio) failures."""
+    """Baseline-relative gate; returns (label, detail) failures."""
     tolerance = baseline.get("tolerance", REGRESSION_TOLERANCE)
-    floor = 1.0 - tolerance
     failures = []
     for shards, entry in baseline["shards"].items():
+        label = f"shards={shards}"
         fresh = results["shards"].get(shards)
         if fresh is None:
-            failures.append((f"shards={shards}", 0.0))
+            failures.append((label, "missing"))
             continue
-        ratio = fresh["normalized"] / entry["normalized"]
-        if ratio < floor:
-            failures.append((f"shards={shards}", ratio))
-        if fresh["trace_records"] != entry["trace_records"]:
-            # The workload is fully deterministic: a changed record
-            # count means the scenario (not the host) changed without
-            # a re-baseline.
-            failures.append((f"shards={shards}[trace_records]",
-                             fresh["trace_records"]))
+        failures += gate.floor(label, fresh["normalized"],
+                               entry["normalized"], tolerance)
+        failures += gate.exact(label, fresh, entry, ("trace_records",))
     cores = os.cpu_count() or 1
     target = baseline.get("speedup_target", SPEEDUP_TARGET)
     needed_cores = baseline.get("speedup_target_cores", SPEEDUP_TARGET_CORES)
@@ -206,7 +177,7 @@ def check(results, baseline):
                     .get("speedup_vs_serial"))
         if recorded is not None and recorded < target:
             failures.append((f"shards={needed_cores}[baseline speedup]",
-                             recorded))
+                             f"{recorded:.2f}x < {target}x"))
     return failures
 
 
@@ -232,12 +203,6 @@ def _print_results(results, baseline=None):
         f"{results['cores']} core(s) "
         f"(calibration {results['calibration_ops_per_sec']:,.0f} ops/s)",
         headers, rows)
-
-
-def _load_bench_file():
-    if BASELINE_PATH.exists():
-        return json.loads(BASELINE_PATH.read_text())
-    return {}
 
 
 def smoke():
@@ -273,55 +238,6 @@ def test_sharded_scaling_curve(benchmark):
     assert len(counts) == 1, f"record counts diverged across shards: {counts}"
 
 
-def main(argv=None):
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if "--smoke" in argv:
-        return smoke()
-    if "--write" in argv:
-        results = measure()
-        cores = os.cpu_count() or 1
-        if cores >= SPEEDUP_TARGET_CORES:
-            speedup = (results["shards"]
-                       [str(SPEEDUP_TARGET_CORES)]["speedup_vs_serial"])
-            if speedup < SPEEDUP_TARGET:
-                print(f"error: refusing to baseline {speedup:.2f}x at "
-                      f"{SPEEDUP_TARGET_CORES} shards on a "
-                      f"{cores}-core host (target {SPEEDUP_TARGET}x)",
-                      file=sys.stderr)
-                return 1
-        data = _load_bench_file()
-        data[SECTION] = results
-        BASELINE_PATH.write_text(json.dumps(data, indent=2) + "\n")
-        _print_results(results)
-        print(f"baseline section {SECTION!r} written to {BASELINE_PATH}")
-        return 0
-    if "--check" in argv:
-        data = _load_bench_file()
-        if SECTION not in data:
-            print(f"error: no {SECTION!r} section in {BASELINE_PATH}; "
-                  f"run --write first", file=sys.stderr)
-            return 2
-        baseline = data[SECTION]
-        results = measure()
-        _print_results(results, baseline)
-        failures = check(results, baseline)
-        if failures:
-            for label, ratio in failures:
-                print(f"REGRESSION {label}: {ratio} "
-                      f"(floor {1.0 - baseline.get('tolerance', REGRESSION_TOLERANCE):.2f}x "
-                      f"of baseline, normalized)", file=sys.stderr)
-            return 1
-        print("gate passed: every shard count within tolerance of the "
-              "committed baseline (calibration-normalized); speedup "
-              f"target {baseline.get('speedup_target')}x at "
-              f"{baseline.get('speedup_target_cores')} shards applies on "
-              f">= {baseline.get('speedup_target_cores')}-core hosts "
-              f"(this host: {os.cpu_count()})")
-        return 0
-    print(__doc__)
-    return 0
-
-
 if __name__ == "__main__":
-    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
-    raise SystemExit(main())
+    raise SystemExit(gate.main(__doc__, SECTION, measure, check,
+                               _print_results, smoke))

@@ -8,19 +8,22 @@ the scheduler/dispatcher cooperation timeline with them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.obs.metrics import exact_quantile
 from repro.sim.trace import Tracer
 
 
 @dataclass(frozen=True)
 class ScheduleInterval:
-    """One stretch of a thread holding a CPU."""
+    """One stretch of a thread holding a CPU or an engine unit."""
 
     node: str
     thread: str
     start: int
     end: int
+    #: "cpu", or the engine-unit label ("gpu0", ...) that ran it.
+    engine: str = "cpu"
 
     @property
     def length(self) -> int:
@@ -31,9 +34,13 @@ class ScheduleInterval:
 def schedule_intervals(tracer: Tracer,
                        node: Optional[str] = None) -> List[ScheduleInterval]:
     """Reconstruct who ran when from cpu dispatch/preempt/withdraw/
-    complete records."""
+    complete records.
+
+    A node's CPU and each of its engine units run concurrently, so
+    intervals are tracked per (node, engine), as ``obs.spans`` does.
+    """
     intervals: List[ScheduleInterval] = []
-    running: Dict[str, tuple] = {}  # node -> (thread, start)
+    running: Dict[Tuple[str, str], tuple] = {}  # -> (thread, start)
 
     for record in tracer:
         if record.category != "cpu":
@@ -42,15 +49,16 @@ def schedule_intervals(tracer: Tracer,
         if node is not None and rec_node != node:
             continue
         thread = record.details.get("thread")
+        engine = record.details.get("engine", "cpu")
         if record.event == "dispatch":
-            running[rec_node] = (thread, record.time)
+            running[(rec_node, engine)] = (thread, record.time)
         elif record.event in ("preempt", "complete", "withdraw"):
-            current = running.pop(rec_node, None)
+            current = running.pop((rec_node, engine), None)
             if current is not None:
                 name, start = current
                 if record.time > start:
-                    intervals.append(
-                        ScheduleInterval(rec_node, name, start, record.time))
+                    intervals.append(ScheduleInterval(
+                        rec_node, name, start, record.time, engine))
     return intervals
 
 
@@ -69,17 +77,16 @@ def thread_time(intervals: Sequence[ScheduleInterval],
 
 
 def response_time_stats(response_times: Sequence[int]) -> Dict[str, float]:
-    """min / max / mean / p95 over a response-time sample."""
+    """min / max / mean / nearest-rank p95 over a response-time sample."""
     if not response_times:
         return {"count": 0, "min": 0, "max": 0, "mean": 0.0, "p95": 0}
     ordered = sorted(response_times)
-    p95_index = min(len(ordered) - 1, int(0.95 * len(ordered)))
     return {
         "count": len(ordered),
         "min": ordered[0],
         "max": ordered[-1],
         "mean": sum(ordered) / len(ordered),
-        "p95": ordered[p95_index],
+        "p95": exact_quantile(ordered, 0.95),
     }
 
 

@@ -305,12 +305,36 @@ class TestTraceAnalysis:
         intervals = schedule_intervals(system.tracer, node="n0")
         assert busy_fraction(intervals, 120) == pytest.approx(1.0)
 
+    def test_engine_unit_intervals_are_kept(self):
+        # The CPU and a GPU unit of one node run at once: the GPU
+        # block's interval must not be overwritten by the CPU's.
+        from repro.core.attributes import EUAttributes
+        system = HadesSystem(node_ids=["n0"], costs=DispatcherCosts.zero(),
+                             engines={"n0": {"gpu": 1}})
+        low = Task("low", node_id="n0")
+        low.code_eu("block", wcet=1_000, variants={"gpu": 1_000},
+                    engine="gpu", attrs=EUAttributes(prio=10))
+        cpuwork = Task("cpuwork", node_id="n0")
+        cpuwork.code_eu("c", wcet=500, attrs=EUAttributes(prio=40))
+        system.activate(low)
+        system.activate(cpuwork)
+        system.run()
+        intervals = schedule_intervals(system.tracer)
+        assert sorted((i.thread, i.start, i.end, i.engine)
+                      for i in intervals) == [
+            ("cpuwork#1/c", 0, 500, "cpu"),
+            ("low#1/block", 0, 1000, "gpu0"),
+        ]
+
     def test_response_time_stats(self):
         stats = response_time_stats([10, 20, 30, 40])
         assert stats["count"] == 4
         assert stats["min"] == 10
         assert stats["max"] == 40
         assert stats["mean"] == 25.0
+        # Nearest-rank p95, as obs.metrics.exact_quantile defines it.
+        assert response_time_stats(range(1, 21))["p95"] == 19
+        assert response_time_stats(range(1, 101))["p95"] == 95
 
     def test_response_time_stats_empty(self):
         assert response_time_stats([])["count"] == 0
