@@ -1,16 +1,20 @@
-"""Schedule reconstruction and response-time statistics from traces.
+"""Schedule views and response-time statistics from traces.
 
-The tests use these reconstructions to verify the dispatcher's
-priority rules *from the outside*, and the Figure 2 benchmark renders
-the scheduler/dispatcher cooperation timeline with them.
+The tests use these views to verify the dispatcher's priority rules
+*from the outside*, and the Figure 2 benchmark renders the
+scheduler/dispatcher cooperation timeline with them.  Who ran when is
+not rebuilt here: :func:`schedule_intervals` reads the CPU slices of
+:func:`repro.obs.spans.reconstruct`, the one place that pairs
+``cpu/dispatch`` records with the records that close them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.obs.metrics import exact_quantile
+from repro.obs.spans import reconstruct
 from repro.sim.trace import Tracer
 
 
@@ -33,33 +37,17 @@ class ScheduleInterval:
 
 def schedule_intervals(tracer: Tracer,
                        node: Optional[str] = None) -> List[ScheduleInterval]:
-    """Reconstruct who ran when from cpu dispatch/preempt/withdraw/
-    complete records.
+    """Who ran when: the closed CPU and engine-unit slices of
+    :func:`repro.obs.spans.reconstruct`, per node, in close order.
 
-    A node's CPU and each of its engine units run concurrently, so
-    intervals are tracked per (node, engine), as ``obs.spans`` does.
+    ``node`` restricts the view to one node.  A slice still running at
+    trace end has no end yet and is left out.
     """
-    intervals: List[ScheduleInterval] = []
-    running: Dict[Tuple[str, str], tuple] = {}  # -> (thread, start)
-
-    for record in tracer:
-        if record.category != "cpu":
-            continue
-        rec_node = record.details.get("node")
-        if node is not None and rec_node != node:
-            continue
-        thread = record.details.get("thread")
-        engine = record.details.get("engine", "cpu")
-        if record.event == "dispatch":
-            running[(rec_node, engine)] = (thread, record.time)
-        elif record.event in ("preempt", "complete", "withdraw"):
-            current = running.pop((rec_node, engine), None)
-            if current is not None:
-                name, start = current
-                if record.time > start:
-                    intervals.append(ScheduleInterval(
-                        rec_node, name, start, record.time, engine))
-    return intervals
+    slices = reconstruct(tracer).cpu_slices
+    nodes = slices if node is None else (node,)
+    return [ScheduleInterval(s.node, s.thread, s.start, s.end, s.engine)
+            for name in nodes for s in slices.get(name, ())
+            if s.end is not None]
 
 
 def busy_fraction(intervals: Sequence[ScheduleInterval],

@@ -1,13 +1,14 @@
-"""Seed-deterministic wire format for cross-process result shipping.
+"""Seed-deterministic wire format for the parallel fault campaigns.
 
-Both parallel executors — the fault-campaign pool
-(:mod:`repro.faults.parallel`) and the sharded simulation coordinator
-(:mod:`repro.sim.sharded`) — move run results between processes as
-plain picklable data: metric dicts with every
-:class:`~repro.obs.metrics.RunReport` flattened to its ``to_dict()``
-form, insertion order preserved.  This module is the single definition
-of that format, so a payload encoded by one side always decodes on the
-other and merge order stays deterministic.
+The fault-campaign pool (:mod:`repro.faults.parallel`) moves per-run
+results between processes as plain picklable data: metric dicts with
+every :class:`~repro.obs.metrics.RunReport` flattened to its
+``to_dict()`` form, insertion order preserved.  This module is the
+single definition of that format, so a payload encoded by a worker
+always decodes in the parent and merge order stays deterministic.  A
+bare report needs no format of its own: the sharded coordinator
+(:mod:`repro.sim.sharded`) ships ``RunReport.to_dict()`` and rebuilds
+it with ``RunReport.from_dict()``.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.metrics import RunReport
 
-__all__ = ["REPORT_TAG", "encode_run", "decode_run",
-           "encode_report", "decode_report"]
+__all__ = ["REPORT_TAG", "encode_run", "decode_run"]
 
 #: Wire tag marking a metric value that was a RunReport before pickling.
 REPORT_TAG = "__runreport__"
@@ -65,12 +65,3 @@ def decode_run(seed: int, payload: Dict[str, Any],
         report = RunReport.from_dict(payload["report"])
     return metrics, report
 
-
-def encode_report(report: RunReport) -> Dict[str, Any]:
-    """One bare report as plain data (the sharded worker's result)."""
-    return report.to_dict()
-
-
-def decode_report(payload: Dict[str, Any]) -> RunReport:
-    """Inverse of :func:`encode_report`."""
-    return RunReport.from_dict(payload)

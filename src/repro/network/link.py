@@ -112,10 +112,14 @@ class Link:
     """A unidirectional channel from ``src`` to ``dst``.
 
     The latency parameters (``base_latency``, ``size_cost_per_byte``,
-    ``jitter_bound``) are fixed at construction, and only
-    ``Network._make_link`` builds links.  ``Network.max_message_delay``
-    caches its bound on both facts; faults and partitions do not change
-    the bound.
+    ``jitter_bound``) are fixed at construction.  Inside a
+    :class:`~repro.network.network.Network` only ``Network._make_link``
+    builds links, always with the network-wide parameters, so every
+    link of a network shares one bound: ``Network.max_message_delay``
+    and ``Network.min_cross_base_latency`` derive theirs from those
+    parameters without scanning links.  Faults and partitions do not
+    change the bound; :meth:`guaranteed_bound` is what classifies each
+    delivery as on time or late.
     """
 
     def __init__(self, sim: Simulator, tracer: Tracer, src: str, dst: str,

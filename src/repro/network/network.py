@@ -63,9 +63,6 @@ class Network:
         self.nodes: Dict[str, Node] = {}
         self.interfaces: Dict[str, NetworkInterface] = {}
         self.links: Dict[Tuple[str, str], Link] = {}
-        #: max_message_delay results per message size; cleared by the
-        #: only two methods that can change them (add_node, _make_link).
-        self._max_delay: Dict[int, int] = {}
         self.lost_no_route = 0
         # Attachment order of nodes, 1-based: the per-src message-id
         # lane index.  Identical in a serial run and in every shard
@@ -110,7 +107,6 @@ class Network:
                 self._make_link(other_id, node.node_id)
         self.nodes[node.node_id] = node
         self.interfaces[node.node_id] = interface
-        self._max_delay.clear()
         return interface
 
     def _make_link(self, src: str, dst: str) -> Link:
@@ -127,7 +123,6 @@ class Network:
                 and dst not in self.owned):
             link.redirect = self._queue_remote_delivery
         self.links[(src, dst)] = link
-        self._max_delay.clear()
         return link
 
     def link(self, src: str, dst: str) -> Link:
@@ -204,29 +199,18 @@ class Network:
                                owner: Dict[str, Any]) -> Optional[int]:
         """Smallest base latency over links crossing shard boundaries.
 
-        ``owner`` maps node id -> shard key; links whose endpoints map
-        to different shards count.  This is the conservative lookahead
+        ``owner`` maps node id -> shard key; a node pair whose ids map
+        to different keys crosses.  This is the conservative lookahead
         of the sharded engine: every delivery takes at least the base
         latency, so a shard at local time *t* cannot affect a peer
-        before ``t + lookahead``.  Unmaterialized lazy links use the
-        network-wide defaults.  ``None`` when no link crosses.
+        before ``t + lookahead``.  Every link, built or still lazy,
+        has the network-wide ``base_latency`` (see
+        :class:`~repro.network.link.Link`), so that is the answer
+        whenever the nodes map to two or more keys; ``None`` otherwise.
         """
-        best: Optional[int] = None
-        crossing_links = 0
-        for (src, dst), link in self.links.items():
-            if owner.get(src) != owner.get(dst):
-                crossing_links += 1
-                if best is None or link.base_latency < best:
-                    best = link.base_latency
-        total_crossing = sum(
-            1 for src in self.nodes for dst in self.nodes
-            if src != dst and owner.get(src) != owner.get(dst))
-        if crossing_links < total_crossing:
-            # At least one crossing pair has no materialized link yet;
-            # it would be built with the default parameters.
-            if best is None or self.base_latency < best:
-                best = self.base_latency
-        return best
+        if len({owner.get(node_id) for node_id in self.nodes}) > 1:
+            return self.base_latency
+        return None
 
     # -- routing ------------------------------------------------------------
 
@@ -281,22 +265,16 @@ class Network:
     def max_message_delay(self, size: int = 64) -> int:
         """Network-wide worst-case correct transfer delay for ``size`` bytes.
 
-        Cached per size: the bound changes only when a node is attached
-        or a link is built (see :class:`~repro.network.link.Link`).
+        Derived from the network-wide parameters, which every link,
+        built or still lazy, shares (see
+        :class:`~repro.network.link.Link`): the same bound as each
+        link's :meth:`~repro.network.link.Link.guaranteed_bound`, or 0
+        while fewer than two nodes are attached.
         """
-        bound = self._max_delay.get(size)
-        if bound is not None:
-            return bound
-        bound = 0
-        if self.lazy_links and len(self.nodes) > 1:
-            # Unmaterialized pairs would be built with the defaults.
-            bound = (self.base_latency + self.size_cost_per_byte * size
-                     + self.jitter_bound)
-        if self.links:
-            bound = max(bound, max(link.guaranteed_bound(size)
-                                   for link in self.links.values()))
-        self._max_delay[size] = bound
-        return bound
+        if len(self.nodes) < 2:
+            return 0
+        return (self.base_latency + self.size_cost_per_byte * size
+                + self.jitter_bound)
 
     def node_ids(self) -> List[str]:
         """Sorted ids of the attached nodes."""

@@ -67,6 +67,7 @@ from typing import (Any, Callable, Deque, Dict, Iterable, List, Optional,
 
 from repro.obs.metrics import (DEFAULT_BUCKETS, HistogramSnapshot,
                                exact_quantile)
+from repro.sim.trace import TraceRecord, read_jsonl
 
 __all__ = [
     "Alert",
@@ -730,31 +731,19 @@ def react_revert(manager) -> Callable[[Any, Alert], None]:
 # Text dashboard (CLI)
 # --------------------------------------------------------------------------
 
-def _iter_jsonl(path: str) -> Iterable[dict]:
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                yield json.loads(line)
-
-
 def render_dashboard(trace_path: str,
                      tenant: Optional[str] = None) -> str:
     """Render the monitor/alert stream of a JSONL trace as text."""
-    samples: Dict[str, List[dict]] = {}
-    alerts: List[dict] = []
-    for raw in _iter_jsonl(trace_path):
-        if "time" not in raw:
-            continue
-        category = raw.get("category")
-        details = raw.get("details", {})
-        who = details.get("tenant")
+    samples: Dict[str, List[TraceRecord]] = {}
+    alerts: List[TraceRecord] = []
+    for rec in read_jsonl(trace_path):
+        who = rec.details.get("tenant")
         if tenant is not None and who != tenant:
             continue
-        if category == CATEGORY_MONITOR and raw.get("event") == "sample":
-            samples.setdefault(who, []).append(raw)
-        elif category == CATEGORY_ALERT:
-            alerts.append(raw)
+        if rec.category == CATEGORY_MONITOR and rec.event == "sample":
+            samples.setdefault(who, []).append(rec)
+        elif rec.category == CATEGORY_ALERT:
+            alerts.append(rec)
     lines: List[str] = []
     if not samples and not alerts:
         lines.append("no monitor/alert records"
@@ -762,17 +751,16 @@ def render_dashboard(trace_path: str,
                      + " in this trace")
         return "\n".join(lines) + "\n"
     raised_at: Dict[Tuple[str, str], List[Tuple[int, Optional[int]]]] = {}
-    for raw in alerts:
-        details = raw["details"]
-        key = (details.get("tenant"), details.get("rule"))
-        if raw["event"] == "raise":
-            raised_at.setdefault(key, []).append((raw["time"], None))
-        elif raw["event"] == "clear" and raised_at.get(key):
+    for rec in alerts:
+        key = (rec.details.get("tenant"), rec.details.get("rule"))
+        if rec.event == "raise":
+            raised_at.setdefault(key, []).append((rec.time, None))
+        elif rec.event == "clear" and raised_at.get(key):
             start, _ = raised_at[key][-1]
-            raised_at[key][-1] = (start, raw["time"])
+            raised_at[key][-1] = (start, rec.time)
     for who in sorted(samples):
         rows = samples[who]
-        burn_keys = sorted(key for key in rows[-1]["details"]
+        burn_keys = sorted(key for key in rows[-1].details
                            if key.startswith("burn_"))
         header = (f"{'time':>12} {'good':>7} {'bad':>7} "
                   + " ".join(f"{key[5:] + ' f/s':>17}"
@@ -781,9 +769,9 @@ def render_dashboard(trace_path: str,
         lines.append(f"tenant {who}")
         lines.append(header)
         lines.append("-" * len(header))
-        for raw in rows:
-            details = raw["details"]
-            time = raw["time"]
+        for rec in rows:
+            details = rec.details
+            time = rec.time
             active = sorted(
                 rule for (tenant_key, rule), spans in raised_at.items()
                 if tenant_key == who
@@ -805,11 +793,11 @@ def render_dashboard(trace_path: str,
     if alerts:
         lines.append("alert log")
         lines.append("-" * 9)
-        for raw in alerts:
-            details = raw["details"]
-            mark = "RAISE" if raw["event"] == "raise" else "clear"
+        for rec in alerts:
+            details = rec.details
+            mark = "RAISE" if rec.event == "raise" else "clear"
             lines.append(
-                f"{raw['time']:>12} {mark:<5} {details.get('tenant')}"
+                f"{rec.time:>12} {mark:<5} {details.get('tenant')}"
                 f"/{details.get('rule')} "
                 f"burn {details.get('burn_fast_milli', 0) / BURN_SCALE:.2f}"
                 f"/{details.get('burn_slow_milli', 0) / BURN_SCALE:.2f}")
@@ -824,7 +812,9 @@ def render_coordinator(path: str) -> str:
     windows = 0
     shipped = 0
     span: Tuple[Optional[int], Optional[int]] = (None, None)
-    for raw in _iter_jsonl(path):
+    with open(path, "r", encoding="utf-8") as handle:
+        rows = [json.loads(line) for line in handle if line.strip()]
+    for raw in rows:
         windows += 1
         shipped += raw.get("shipped", 0)
         start, bound = raw.get("start"), raw.get("bound")

@@ -39,11 +39,10 @@ On top of the forest sit the forensic primitives used by
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.sim.trace import TraceRecord, Tracer
+from repro.sim.trace import TraceRecord, Tracer, read_jsonl
 
 __all__ = [
     "Segment",
@@ -360,25 +359,6 @@ class SpanForest:
 # ---------------------------------------------------------------------------
 
 TraceSource = Union[Tracer, str, Iterable[TraceRecord]]
-
-
-def _iter_records(source: TraceSource) -> Iterator[Tuple[int, str, str, dict]]:
-    """Yield (time, category, event, details) from any trace source."""
-    if isinstance(source, str):
-        def gen():
-            with open(source, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    raw = json.loads(line)
-                    if "time" not in raw:
-                        continue  # stream footer metadata line
-                    yield (raw["time"], raw["category"], raw["event"],
-                           raw.get("details", {}))
-        return gen()
-    return ((rec.time, rec.category, rec.event, rec.details)
-            for rec in source)
 
 
 class _Builder:
@@ -750,9 +730,11 @@ def reconstruct(source: TraceSource) -> SpanForest:
 
     Single pass, O(n) in the record count.
     """
+    if isinstance(source, str):
+        source = read_jsonl(source)
     builder = _Builder()
-    for time, category, event, details in _iter_records(source):
-        builder.feed(time, category, event, details)
+    for rec in source:
+        builder.feed(rec.time, rec.category, rec.event, rec.details)
     return builder.finish()
 
 

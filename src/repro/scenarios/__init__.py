@@ -28,8 +28,9 @@ per-tier SLO accounting).  Experiment E22
 admission policies on these scenarios under 1×–10× load.
 """
 
+from repro.obs.metrics import exact_quantile
 from repro.scenarios.scenario import Scenario, ScenarioResult, scenario
-from repro.scenarios.scoreboard import Scoreboard, TenantSLO, exact_quantile
+from repro.scenarios.scoreboard import Scoreboard, TenantSLO
 from repro.scenarios.traffic import (
     DeterministicService,
     LogNormalService,

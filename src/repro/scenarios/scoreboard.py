@@ -32,12 +32,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-# One exact-quantile implementation tree-wide (re-exported here for
-# backward compatibility): the scoreboard, the live monitoring windows
-# and campaign report aggregation must agree on what "p99" means.
+# One exact-quantile implementation tree-wide: the scoreboard, the live
+# monitoring windows and campaign report aggregation must agree on what
+# "p99" means.
 from repro.obs.metrics import exact_quantile
 
-__all__ = ["TenantSLO", "Scoreboard", "exact_quantile"]
+__all__ = ["TenantSLO", "Scoreboard"]
 
 
 @dataclass(frozen=True)

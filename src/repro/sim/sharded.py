@@ -68,8 +68,8 @@ Surface: ``HadesSystem.run(shards=N)`` or ``run(partition=[[...],
 ...])``; :func:`auto_partition` is the default min-cut-ish partitioner
 (greedy agglomeration over the task co-location graph).  Workers are
 forked, so closures in builders need no pickling; results come back as
-:class:`~repro.obs.metrics.RunReport` dicts over the same wire format
-the parallel fault campaigns use (:mod:`repro.faults.wire`).
+:class:`~repro.obs.metrics.RunReport` dicts (``to_dict`` /
+``from_dict``).
 """
 
 from __future__ import annotations
@@ -84,10 +84,10 @@ from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple)
 
-from repro.faults.wire import decode_report, encode_report
 from repro.network.link import DeliveryOutcome
+from repro.obs.metrics import RunReport
 from repro.sim.engine import SimulationError
-from repro.sim.trace import TraceRecord, _record_to_json
+from repro.sim.trace import TraceRecord, _record_to_json, read_jsonl
 
 __all__ = ["ShardRunResult", "auto_partition", "colocation_weights",
            "make_rank_resolver", "merge_shard_traces", "run_sharded"]
@@ -456,7 +456,7 @@ def _worker_main(conn, rank: int, owned: List[str], builder,
             elif op == "finish":
                 stream.close()
                 report = system.run_report(shard=rank)
-                conn.send(("done", encode_report(report),
+                conn.send(("done", report.to_dict(),
                            system.sim.now))
                 return
             else:
@@ -682,7 +682,7 @@ def run_sharded(system, until: Optional[int] = None,
         for rank in range(len(plan)):
             conns[rank].send(("finish",))
             _tag, report_dict, worker_now = receive(rank)
-            reports.append(decode_report(report_dict))
+            reports.append(RunReport.from_dict(report_dict))
             if until is None and worker_now > final_time:
                 final_time = worker_now
         for proc in procs:
@@ -701,11 +701,9 @@ def run_sharded(system, until: Optional[int] = None,
     # Load the merged stream back into the parent tracer so post-hoc
     # analyses see the global record sequence.
     tracer = system.tracer
-    with open(merged_path) as handle:
-        for line in handle:
-            raw = json.loads(line)
-            tracer.record(raw["category"], raw["event"],
-                          time=raw["time"], **raw["details"])
+    for entry in read_jsonl(merged_path):
+        tracer.record(entry.category, entry.event, time=entry.time,
+                      **entry.details)
     system.sim.now = final_time
 
     result = ShardRunResult(partition=plan, lookahead=lookahead,

@@ -35,6 +35,9 @@ obvious way: a record dropped by ``categories=`` is never created, so
 it never reaches any stream either — the stream sees exactly what
 :meth:`record` returns.  Pass ``footer=True`` to append a final
 metadata line counting what the stream did (and did not) capture.
+:func:`read_jsonl` is the one decoder of that format: :func:`load_trace`,
+the ``repro.obs`` consumers and the sharded coordinator's merged-trace
+reload all read trace files through it.
 """
 
 from __future__ import annotations
@@ -487,19 +490,28 @@ class Tracer:
         return JsonlStream(self, path, footer=footer)
 
 
-def load_trace(path: str, maxlen: Optional[int] = None) -> "Tracer":
-    """Load a trace previously saved with :meth:`Tracer.to_jsonl` or
-    :meth:`Tracer.stream_jsonl` (a ``footer`` metadata line, if
-    present, is skipped)."""
-    tracer = Tracer(clock=lambda: 0, maxlen=maxlen)
-    with open(path) as handle:
+def read_jsonl(path: str) -> Iterator[TraceRecord]:
+    """Yield the records of a JSONL trace in file order.
+
+    Reads what :meth:`Tracer.to_jsonl` and :meth:`Tracer.stream_jsonl`
+    write; blank lines and metadata lines without a ``time`` (the
+    stream ``footer``) are skipped.
+    """
+    with open(path, encoding="utf-8") as handle:
         for line in handle:
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             raw = json.loads(line)
-            if "time" not in raw:
-                continue  # stream footer (or other metadata) line
-            tracer.record(raw["category"], raw["event"], time=raw["time"],
-                          **raw["details"])
+            if "time" in raw:
+                yield TraceRecord(raw["time"], raw["category"],
+                                  raw["event"], raw.get("details"))
+
+
+def load_trace(path: str, maxlen: Optional[int] = None) -> "Tracer":
+    """Load a trace previously saved with :meth:`Tracer.to_jsonl` or
+    :meth:`Tracer.stream_jsonl` (see :func:`read_jsonl`)."""
+    tracer = Tracer(clock=lambda: 0, maxlen=maxlen)
+    for entry in read_jsonl(path):
+        tracer.record(entry.category, entry.event, time=entry.time,
+                      **entry.details)
     return tracer

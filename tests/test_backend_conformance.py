@@ -14,7 +14,9 @@ levels:
 2. **Engine level** — random interleavings of schedule / cancel /
    re-schedule at equal timestamps, tombstone-skip and ``run(until=)``
    bound re-check edges, replayed on both ``Simulator`` flavours,
-   assert identical dispatch logs and time advancement.
+   assert identical dispatch logs and time advancement; random
+   cascades assert that callbacks read identical ``pending`` and
+   ``next_event_time()`` values, mid-instant included.
 3. **System level** — the PR-4 trace contract: one seeded scenario run
    on both backends must export *byte-identical* JSONL traces, equal
    metric reports, and a representative fault campaign must produce
@@ -351,6 +353,62 @@ def test_step_interleaves_with_bulk_run(backend):
     sim.run()
     assert order == [0, 1, 2, 3, 4]
     assert sim.now == 10 + WHEEL_SPAN * 2
+
+
+#: Follow-up delays: same instant, window interior, both sides of the
+#: window edge, overflow.
+FOLLOW_UP_DELAYS = (0, 1, 3, WHEEL_SPAN - 1, WHEEL_SPAN, WHEEL_SPAN + 1, 200)
+
+
+def _callback_view_log(sim, seed):
+    """Random cascade; every callback logs what it sees of the engine.
+
+    Each callback records ``(now, next_event_time(), pending)`` and
+    schedules one to three follow-ups, a fifth of them cancelled, until
+    a fixed budget runs out.  The schedule is drained mostly by the
+    unbounded ``run()``, entered after a random mix of ``step()`` and
+    ``run(until=)`` so it also starts from half-drained instants.
+    """
+    rng = random.Random(seed)
+    log = []
+    budget = [400]
+
+    def fire(tag):
+        log.append((tag, sim.now, sim.next_event_time(), sim.pending))
+        for _ in range(rng.randint(1, 3)):
+            if budget[0] == 0:
+                return
+            budget[0] -= 1
+            child = budget[0]
+            timer = sim.call_in(rng.choice(FOLLOW_UP_DELAYS),
+                                lambda child=child: fire(child))
+            if rng.random() < 0.2:
+                timer.cancel()
+
+    for k in range(rng.randint(3, 10)):
+        sim.call_at(rng.randint(0, 100), lambda k=k: fire(f"root{k}"))
+    for _ in range(rng.randint(0, 3)):
+        sim.step()
+        log.append(("step", sim.now, sim.next_event_time(), sim.pending))
+    if rng.random() < 0.5:
+        sim.run(until=sim.now + rng.randint(0, 150))
+        log.append(("bound", sim.now, sim.next_event_time(), sim.pending))
+    sim.run()
+    log.append(("end", sim.now, sim.next_event_time(), sim.pending))
+    return log
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_callbacks_see_identical_pending_state(seed):
+    """``pending`` and ``next_event_time()`` read inside callbacks agree
+    on every backend, mid-instant included — the state the SRP settle
+    tick polls (``SRPProtocol._settle_tick``)."""
+    logs = {backend: _callback_view_log(Simulator(backend=backend), seed)
+            for backend in BACKENDS}
+    reference = logs[BACKENDS[0]]
+    assert len(reference) > 100
+    for backend in BACKENDS[1:]:
+        assert logs[backend] == reference, seed
 
 
 # -- 3. system level --------------------------------------------------------

@@ -84,6 +84,50 @@ class TestEngineEdges:
         assert order == ["a", "b"]
         assert sim.now == 0
 
+    def test_rearm_at_busy_instant_settles_once(self, sim):
+        # The SRP settle-tick shape (SRPProtocol._settle_tick): re-arm
+        # at ``now`` while more work is due at this instant, settle
+        # once it has run.  An engine whose drain reports dispatched
+        # entries as still pending re-arms forever; the cap turns that
+        # into a quick failure.
+        settled = []
+        rearms = []
+
+        def settle():
+            if sim.next_event_time() == sim.now:
+                rearms.append(sim.now)
+                if len(rearms) > 100:
+                    raise RuntimeError("settle tick never settles")
+                sim.call_at(sim.now, settle)
+                return
+            settled.append(sim.now)
+
+        sim.call_at(10, settle)
+        sim.call_at(10, lambda: None)
+        sim.run()
+        assert settled == [10]
+        assert rearms == [10]
+
+    def test_run_resumes_after_a_callback_raises(self, sim):
+        # A raising callback is consumed like any dispatched entry: the
+        # rest of its instant stays pending, and the next run() resumes
+        # there without replaying anything.
+        order = []
+
+        def boom():
+            order.append(("boom", sim.pending))
+            raise RuntimeError("boom")
+
+        sim.call_at(5, lambda: order.append(("a", sim.pending)))
+        sim.call_at(5, boom)
+        sim.call_at(5, lambda: order.append(("b", sim.pending)))
+        sim.call_at(7, lambda: order.append(("c", sim.pending)))
+        with pytest.raises(RuntimeError):
+            sim.run()
+        assert (sim.now, sim.pending, sim.next_event_time()) == (5, 2, 5)
+        sim.run()
+        assert order == [("a", 3), ("boom", 2), ("b", 1), ("c", 0)]
+
 
 class TestKernelEdges:
     def test_thread_double_start_rejected(self, sim):

@@ -281,6 +281,22 @@ class TestMessage:
         check()
         assert len(net.links) == (12 if not lazy_links else 9)
 
+    @pytest.mark.parametrize("lazy_links", [False, True])
+    def test_min_cross_base_latency(self, sim, lazy_links):
+        # The sharded engine's lookahead: base_latency as soon as two
+        # nodes map to different owners, None while all share one.
+        net = make_net(sim, n=4, base_latency=40, jitter_bound=5,
+                       lazy_links=lazy_links)
+        one_owner = {f"n{i}": 0 for i in range(4)}
+        two_owners = {"n0": 0, "n1": 1, "n2": 0, "n3": 1}
+        assert len(net.links) == (0 if lazy_links else 12)
+        assert net.min_cross_base_latency(one_owner) is None
+        assert net.min_cross_base_latency(two_owners) == 40
+        net.link("n0", "n1")
+        net.link("n0", "n2")
+        assert net.min_cross_base_latency(one_owner) is None
+        assert net.min_cross_base_latency(two_owners) == 40
+
 
 class _FixedRng:
     """Deterministic jitter source: always draws the same value."""
