@@ -1,27 +1,27 @@
 """Experiment E16 — parallel deterministic fault campaigns.
 
 The E9/E9b validation rests on large seeded fault-injection campaigns;
-``Campaign.run(jobs=N)`` fans the seeds out to a process pool and
-merges results in seed order.  This benchmark measures the two claims
-that make that useful:
+``Campaign.run(jobs=N)`` forks one worker process per chunk of seeds
+and merges results in seed order.  This benchmark measures the two
+claims that make that useful:
 
 * **determinism** — the parallel campaign's ``per_run`` dicts and the
   campaign-level ``aggregate().to_dict()`` are identical to the serial
   path's, byte for byte;
 * **speedup** — wall-clock improves materially at 4 workers, and the
-  serialise/merge overhead (RunReport -> dict -> RunReport per run) is
-  a negligible slice of the run cost.
+  transfer overhead (a pickle round trip of each run and its report)
+  is a negligible slice of the run cost.
 """
 
 import json
 import os
+import pickle
 import time
 
 from benchmarks.bench_monitoring import campaign_jobs
 from benchmarks.conftest import print_table
 from repro.core import DispatcherCosts, Periodic, Task
 from repro.faults import Campaign, random_plan
-from repro.faults.parallel import _decode_run, _encode_run
 from repro.services import HeartbeatDetector
 from repro.system import HadesSystem
 
@@ -32,7 +32,6 @@ NODE_IDS = ["a", "b", "c", "d"]
 def e16_scenario(seed):
     """A heavier E9-style run: 4 nodes, two pipelines, long horizon.
 
-    Module-level so it pickles by reference into the worker processes.
     Sized so one seed costs hundreds of milliseconds — the regime where
     campaign-level parallelism, not per-run micro-optimisation, sets
     the wall-clock.
@@ -76,11 +75,11 @@ def test_parallel_campaign_speedup_and_determinism(benchmark):
         t0 = time.perf_counter()
         parallel = campaign.run(jobs=jobs)
         t_parallel = time.perf_counter() - t0
-        # Merge overhead: the per-run wire round-trip the parallel path
-        # adds on top of scenario execution.
+        # Merge overhead: the per-run pickle round trip the parallel
+        # path adds on top of scenario execution.
         t0 = time.perf_counter()
         for run, report in zip(serial.per_run, serial.reports):
-            _decode_run(run["seed"], _encode_run(run, report))
+            pickle.loads(pickle.dumps((run, report)))
         t_merge = time.perf_counter() - t0
         return serial, parallel, t_serial, t_parallel, t_merge
 

@@ -12,8 +12,8 @@ This package turns those into injectable, reproducible *fault plans*:
 * :class:`~repro.faults.campaign.Campaign` — run a scenario function
   across many seeds/plans and aggregate detection & survival metrics,
 * :func:`~repro.faults.parallel.run_parallel` — the same campaign
-  fanned out over a process pool (``Campaign.run(jobs=N)``), merged
-  deterministically in seed order.
+  fanned out to forked worker processes, one per chunk of seeds
+  (``Campaign.run(jobs=N)``), merged deterministically in seed order.
 """
 
 from repro.faults.campaign import Campaign, CampaignResult

@@ -132,12 +132,12 @@ class Campaign:
         into :attr:`CampaignResult.reports` and its flattened metrics
         back-fill keys the dict does not set explicitly.
 
-        With ``jobs`` > 1 the seeds fan out to a process pool (see
-        :mod:`repro.faults.parallel`); results merge back in seed order
-        so the :class:`CampaignResult` is identical to the serial path.
-        ``timeout`` (seconds, wall-clock, per seed), ``retries``,
-        ``chunk_size`` and ``on_timeout`` tune the parallel executor
-        and are ignored when running serially.
+        With ``jobs`` > 1 the seeds fan out to forked worker processes,
+        one per chunk (see :mod:`repro.faults.parallel`); results merge
+        back in seed order so the :class:`CampaignResult` is identical
+        to the serial path.  ``timeout`` (seconds, wall-clock, per
+        seed), ``retries``, ``chunk_size`` and ``on_timeout`` tune the
+        parallel executor and are ignored when running serially.
         """
         if jobs is not None and jobs > 1:
             from repro.faults.parallel import run_parallel

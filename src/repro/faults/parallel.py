@@ -1,59 +1,50 @@
-"""Parallel deterministic fault campaigns over a process pool.
+"""Parallel deterministic fault campaigns over forked workers.
 
 Fault-injection campaigns are embarrassingly parallel: every seeded run
 is independent, deterministic, and communicates only through its final
-:class:`~repro.obs.metrics.RunReport` / metric dict.  This module fans
-the seeds of a :class:`~repro.faults.campaign.Campaign` out to ``jobs``
-worker processes (chunked over a ``ProcessPoolExecutor``), runs each
-scenario in an isolated interpreter, ships results back as plain dicts
-(``RunReport.to_dict()`` on the wire), and merges them **in seed
-order** — so the resulting :class:`CampaignResult` (``per_run``,
-``reports``, ``aggregate()``) is identical to what the serial path
-produces.
+metric dict and :class:`~repro.obs.metrics.RunReport`.  This module
+splits the seeds of a :class:`~repro.faults.campaign.Campaign` into
+chunks and forks one worker process per chunk, at most ``jobs`` alive
+at a time.  A worker runs its seeds, sends the normalised
+``(metrics, report)`` pairs back over its own pipe as one pickled
+message, and exits.  The parent merges the chunks **in seed order**, so
+the resulting :class:`CampaignResult` (``per_run``, ``reports``,
+``aggregate()``) is identical to what the serial path produces.
 
 Robustness shapes (the part that matters for long campaigns):
 
-* **Per-seed timeout** — a hung seed becomes a structured
-  ``{"seed": s, "campaign_error": ...}`` run instead of wedging the
-  pool; the stuck worker processes are killed and the pool is rebuilt
-  (``on_timeout="record"``, the default) or the campaign aborts with
-  :class:`CampaignTimeoutError` (``on_timeout="raise"``).
-* **Bounded retry on worker crash** — a chunk whose worker dies (e.g.
-  OOM-killed, ``os._exit``) is resubmitted once (``retries``); a second
-  crash records structured error runs for the chunk's seeds.
-* **Graceful fallback** — an unpicklable scenario (a closure, a lambda)
-  silently runs serially in-process; ``jobs <= 1`` likewise.
-* **Scenario exceptions** become structured error runs too (unlike the
-  serial path, which propagates), so one bad seed cannot kill a
-  10k-seed campaign.
+* **Per-seed timeout** — a worker still running ``timeout`` seconds
+  per seed of its chunk (plus a short grace) after its start is
+  terminated, and its seeds become structured
+  ``{"seed": s, "campaign_error": "timeout: ..."}`` runs
+  (``on_timeout="record"``, the default); under ``on_timeout="raise"``
+  every worker is terminated and :class:`CampaignTimeoutError` raised.
+* **Bounded retry on worker crash** — a worker that dies (OOM-killed,
+  ``os._exit``) closes its pipe without sending.  Its chunk alone is
+  re-run while ``retries`` lasts, then recorded as
+  ``"worker crashed ..."`` error runs; no other chunk runs again.
+* **Scenario exceptions** become structured error runs inside the
+  worker (unlike the serial path, which propagates), so one bad seed
+  cannot kill a 10k-seed campaign.
 
-Timeouts are enforced per submission *wave*: at most ``jobs`` chunks
-are outstanding at a time, so every submitted chunk starts executing
-immediately and wall-clock-since-submit is a faithful bound on
-execution time.  With a timeout set, the default chunk size drops to 1
-so the kill granularity is a single seed.
+Workers are forked and not daemonic, so closures run in parallel too
+and a seed may itself fork (``HadesSystem.run(shards=N)``).  Without
+the fork start method, and for ``jobs <= 1`` or a single seed, the
+campaign runs serially in-process.
 """
 
 from __future__ import annotations
 
 import math
-import pickle
-from concurrent.futures import ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+import time
+from typing import Any, Dict, Optional, Sequence
 
-from repro.faults.campaign import (
-    Campaign,
-    CampaignResult,
-    Scenario,
-    normalise_outcome,
-)
-from repro.faults.wire import decode_run as _decode_run
-from repro.faults.wire import encode_run as _encode_run
+from repro.faults.campaign import (Campaign, CampaignResult, Scenario,
+                                   normalise_outcome)
 
 __all__ = ["CampaignTimeoutError", "run_parallel"]
 
-#: Slack added to every wave deadline, absorbing pool dispatch latency.
+#: Slack added to every chunk deadline, absorbing worker start latency.
 _TIMEOUT_GRACE = 0.5
 
 
@@ -61,76 +52,26 @@ class CampaignTimeoutError(RuntimeError):
     """A seed exceeded the per-seed timeout under ``on_timeout="raise"``."""
 
 
-def _run_chunk(scenario: Scenario,
-               seeds: Sequence[int]) -> List[Dict[str, Any]]:
-    """Worker entry point: run a contiguous chunk of seeds.
+def _run_chunk(conn, scenario: Scenario, seeds: Sequence[int]) -> None:
+    """Worker body: run a contiguous chunk of seeds, send the runs.
 
-    Must stay module-level (pickled by reference).  Scenario exceptions
-    are contained per seed so the rest of the chunk still completes.
+    Scenario exceptions are contained per seed so the rest of the chunk
+    still completes.  The runs go out in one ``send`` so a report
+    embedded in its run's dict stays the same object after unpickling.
     """
-    payloads: List[Dict[str, Any]] = []
+    runs = []
     for seed in seeds:
         try:
-            metrics, report = normalise_outcome(scenario(seed), seed)
-            payloads.append(_encode_run(metrics, report))
+            runs.append(normalise_outcome(scenario(seed), seed))
         except Exception as exc:  # contained: becomes a structured run
-            payloads.append(
-                {"error": f"scenario raised {type(exc).__name__}: {exc}"})
-    return payloads
-
-
-# --------------------------------------------------------------------------
-# Pool lifecycle
-# --------------------------------------------------------------------------
-
-class _Pool:
-    """A ProcessPoolExecutor that can be hard-killed and rebuilt.
-
-    ``ProcessPoolExecutor`` has no per-task cancellation: once a worker
-    hangs, the only way to reclaim the slot is to terminate the worker
-    processes and start a fresh executor.
-    """
-
-    def __init__(self, jobs: int):
-        self.jobs = jobs
-        self._executor: Optional[ProcessPoolExecutor] = None
-
-    def get(self) -> ProcessPoolExecutor:
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=self.jobs)
-        return self._executor
-
-    def kill(self) -> None:
-        """Terminate every worker process and discard the executor."""
-        executor, self._executor = self._executor, None
-        if executor is None:
-            return
-        # _processes is private but stable across CPython 3.8-3.13; a
-        # hung worker ignores graceful shutdown, so terminate directly.
-        processes = list(getattr(executor, "_processes", {}).values())
-        executor.shutdown(wait=False, cancel_futures=True)
-        for process in processes:
-            try:
-                process.terminate()
-            except Exception:
-                pass
-
-    def shutdown(self) -> None:
-        executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=True, cancel_futures=True)
-
-
-# --------------------------------------------------------------------------
-# The executor
-# --------------------------------------------------------------------------
-
-def _picklable(scenario: Scenario) -> bool:
+            runs.append(({"seed": seed, "campaign_error":
+                          f"scenario raised {type(exc).__name__}: {exc}"},
+                         None))
     try:
-        pickle.dumps(scenario)
-        return True
-    except Exception:
-        return False
+        conn.send(runs)
+    except Exception as exc:  # e.g. an unpicklable metric value
+        conn.send(f"worker failed ({type(exc).__name__}): {exc}")
+    conn.close()
 
 
 def run_parallel(scenario: Scenario, seeds: Sequence[int], jobs: int,
@@ -138,30 +79,34 @@ def run_parallel(scenario: Scenario, seeds: Sequence[int], jobs: int,
                  retries: int = 1,
                  chunk_size: Optional[int] = None,
                  on_timeout: str = "record") -> CampaignResult:
-    """Run a campaign's seeds across ``jobs`` worker processes.
+    """Run a campaign's seeds across at most ``jobs`` forked workers.
 
     Returns a :class:`CampaignResult` identical to
     ``Campaign(scenario, seeds).run()`` for deterministic scenarios —
     per-run dicts in seed order, reports in seed order, byte-identical
     ``aggregate().to_dict()``.
 
-    ``timeout`` is wall-clock seconds *per seed*; ``on_timeout`` is
-    ``"record"`` (kill the stuck workers, record a structured error
-    run, continue) or ``"raise"`` (abort with
-    :class:`CampaignTimeoutError`).  ``retries`` bounds resubmissions
-    of a chunk whose worker process crashed.  ``chunk_size`` defaults
-    to 1 when a timeout is set (per-seed kill granularity), else to
-    ``ceil(len(seeds) / (jobs * 4))`` for low dispatch overhead.
+    ``timeout`` is wall-clock seconds *per seed*, counted from the
+    start of the chunk's worker; ``on_timeout`` is ``"record"``
+    (terminate that worker, record structured error runs, continue) or
+    ``"raise"`` (terminate every worker and raise
+    :class:`CampaignTimeoutError`).  ``retries`` bounds re-runs of a
+    chunk whose worker process crashed.  ``chunk_size`` defaults to 1
+    when a timeout is set (per-seed kill granularity), else to
+    ``ceil(len(seeds) / (jobs * 4))`` for few forks.
     """
     if on_timeout not in ("record", "raise"):
         raise ValueError(f"unknown on_timeout policy {on_timeout!r}")
     if retries < 0:
         raise ValueError("retries must be >= 0")
+    import multiprocessing
+    from multiprocessing.connection import wait
+
     seeds = list(seeds)
-    if jobs <= 1 or len(seeds) <= 1 or not _picklable(scenario):
-        # Graceful fallback: closures/lambdas cannot cross process
-        # boundaries; run in-process with identical semantics.
+    if (jobs <= 1 or len(seeds) <= 1
+            or "fork" not in multiprocessing.get_all_start_methods()):
         return Campaign(scenario, seeds).run()
+    ctx = multiprocessing.get_context("fork")
 
     if chunk_size is None:
         chunk_size = (1 if timeout is not None
@@ -171,106 +116,76 @@ def run_parallel(scenario: Scenario, seeds: Sequence[int], jobs: int,
     chunks = [seeds[i:i + chunk_size]
               for i in range(0, len(seeds), chunk_size)]
 
-    # chunk index -> list of payloads, or an error string for the chunk.
+    # chunk index -> list of (metrics, report), or an error string for
+    # the whole chunk.  Chunks to start form a stack, so a crashed
+    # chunk's retry starts next.
     outcomes: Dict[int, Any] = {}
-    pool = _Pool(jobs)
-    # Waves of `jobs` chunks make submit-to-completion a faithful bound
-    # on execution time (every submitted chunk starts immediately);
-    # without a timeout there is nothing to bound, so one wave of
-    # everything avoids the inter-wave barrier entirely.
-    wave_size = jobs if timeout is not None else len(chunks)
+    to_start = [(index, retries) for index in reversed(range(len(chunks)))]
+    # reader end of a worker's pipe -> (chunk index, retries left,
+    # process, deadline)
+    running: Dict[Any, tuple] = {}
     try:
-        for wave_start in range(0, len(chunks), wave_size):
-            wave = [(index, chunks[index], retries)
-                    for index in range(wave_start,
-                                       min(wave_start + wave_size,
-                                           len(chunks)))]
-            _run_wave(pool, scenario, wave, timeout, on_timeout, outcomes)
+        while to_start or running:
+            while to_start and len(running) < jobs:
+                index, budget = to_start.pop()
+                reader, writer = ctx.Pipe(duplex=False)
+                process = ctx.Process(target=_run_chunk,
+                                      args=(writer, scenario, chunks[index]))
+                process.start()
+                writer.close()
+                limit = (math.inf if timeout is None
+                         else timeout * len(chunks[index]) + _TIMEOUT_GRACE)
+                running[reader] = (index, budget, process,
+                                   time.monotonic() + limit)
+
+            earliest = min(entry[3] for entry in running.values())
+            wait_for = (None if earliest == math.inf
+                        else max(0.0, earliest - time.monotonic()))
+            for reader in wait(list(running), timeout=wait_for):
+                index, budget, process, _deadline = running.pop(reader)
+                try:
+                    outcome = reader.recv()
+                except EOFError:  # died without sending: a crash
+                    outcome = None
+                reader.close()
+                process.join()
+                if outcome is not None:
+                    outcomes[index] = outcome
+                elif budget > 0:
+                    to_start.append((index, budget - 1))
+                else:
+                    outcomes[index] = (f"worker crashed (exit code "
+                                       f"{process.exitcode})")
+
+            now = time.monotonic()
+            for reader, (index, _budget, process, deadline) in list(
+                    running.items()):
+                if now < deadline:
+                    continue
+                if on_timeout == "raise":
+                    raise CampaignTimeoutError(
+                        f"seeds {chunks[index]} exceeded the per-seed "
+                        f"timeout of {timeout}s")
+                del running[reader]
+                process.terminate()
+                process.join()
+                reader.close()
+                outcomes[index] = (f"timeout: exceeded {timeout}s per seed; "
+                                   f"worker killed")
     finally:
-        pool.shutdown()
+        for reader, (_index, _budget, process, _deadline) in running.items():
+            process.terminate()
+            process.join()
+            reader.close()
 
     result = CampaignResult(runs=len(seeds))
     for index, chunk in enumerate(chunks):
         outcome = outcomes[index]
         if isinstance(outcome, str):  # whole-chunk failure
-            for seed in chunk:
-                result.per_run.append(
-                    {"seed": seed, "campaign_error": outcome})
-            continue
-        for seed, payload in zip(chunk, outcome):
-            metrics, report = _decode_run(seed, payload)
+            outcome = [({"seed": seed, "campaign_error": outcome}, None)
+                       for seed in chunk]
+        for metrics, report in outcome:
             result.per_run.append(metrics)
             if report is not None:
                 result.reports.append(report)
     return result
-
-
-def _run_wave(pool: _Pool, scenario: Scenario,
-              wave: List[Tuple[int, List[int], int]],
-              timeout: Optional[float], on_timeout: str,
-              outcomes: Dict[int, Any]) -> None:
-    """Execute one wave of at most ``jobs`` chunks, with retries.
-
-    Every chunk in ``wave`` ends up with an entry in ``outcomes``:
-    either its payload list or a chunk-level error string.
-
-    Crash attribution: one dying worker breaks the whole pool, failing
-    every in-flight future, so a group failure cannot name the culprit.
-    Failed chunks are therefore re-run one at a time — a chunk that
-    crashes *alone* is the culprit and is charged one retry from its
-    budget; collateral victims succeed on their isolated re-run without
-    being charged.
-    """
-    group = list(wave)
-    isolated: List[Tuple[int, List[int], int]] = []
-    while group or isolated:
-        if group:
-            batch, group = group, []
-        else:
-            batch, isolated = isolated[:1], isolated[1:]
-        attributable = len(batch) == 1
-
-        executor = pool.get()
-        futures = {executor.submit(_run_chunk, scenario, chunk):
-                   (index, chunk, budget)
-                   for index, chunk, budget in batch}
-        wave_timeout = None
-        if timeout is not None:
-            wave_timeout = (timeout * max(len(chunk) for _, chunk, _
-                                          in batch) + _TIMEOUT_GRACE)
-        done, not_done = wait(futures, timeout=wave_timeout)
-
-        pool_dirty = bool(not_done)
-        for future in done:
-            index, chunk, budget = futures[future]
-            try:
-                outcomes[index] = future.result()
-                continue
-            except BrokenProcessPool as exc:
-                pool_dirty = True
-                if not attributable:
-                    # Possibly collateral damage: re-run alone, free.
-                    isolated.append((index, chunk, budget))
-                    continue
-                detail = f"worker crashed: {exc}" if str(exc) \
-                    else "worker crashed (BrokenProcessPool)"
-            except Exception as exc:  # e.g. result transport failure
-                pool_dirty = True
-                detail = f"worker failed ({type(exc).__name__}): {exc}"
-            if budget > 0:
-                isolated.append((index, chunk, budget - 1))
-            else:
-                outcomes[index] = detail
-        for future in not_done:
-            index, chunk, _budget = futures[future]
-            if on_timeout == "raise":
-                pool.kill()
-                raise CampaignTimeoutError(
-                    f"seeds {chunk} exceeded the per-seed timeout of "
-                    f"{timeout}s")
-            outcomes[index] = (f"timeout: exceeded {timeout}s per seed; "
-                               f"worker killed")
-        if pool_dirty:
-            # A hung or crashed worker poisons the executor; reclaim the
-            # processes and start clean for retries / the next wave.
-            pool.kill()

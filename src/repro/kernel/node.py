@@ -141,8 +141,9 @@ class Node:
 
     @property
     def threads(self) -> List[KThread]:
-        """Live thread objects spawned on this node (copy)."""
-        return list(self._threads)
+        """Live thread objects spawned on this node (copy); finished
+        threads stay in ``_threads`` until :meth:`crash`."""
+        return [thread for thread in self._threads if thread.alive]
 
     def utilization(self, horizon: Optional[int] = None) -> float:
         """Fraction of elapsed (or ``horizon``) time the CPU was busy."""
@@ -162,4 +163,4 @@ class Node:
 
     def __repr__(self) -> str:
         state = "crashed" if self.crashed else "up"
-        return f"<Node {self.node_id} {state} threads={len(self._threads)}>"
+        return f"<Node {self.node_id} {state} threads={len(self.threads)}>"

@@ -404,9 +404,9 @@ class RunReport:
 
     ``to_dict()``/``from_dict()`` round-trip exactly — values, key
     insertion order, and int/float distinctions all survive, including
-    through a JSON encode/decode.  Parallel fault campaigns rely on
-    this: reports cross process boundaries as plain dicts and the
-    merged campaign must be indistinguishable from a serial run.
+    through a JSON encode/decode — so a report can be stored as JSON
+    and read back unchanged.  Between processes (parallel campaigns,
+    shard workers) reports travel pickled as they are.
     """
 
     counters: Dict[str, int] = field(default_factory=dict)

@@ -67,9 +67,8 @@ Trace merging
 Surface: ``HadesSystem.run(shards=N)`` or ``run(partition=[[...],
 ...])``; :func:`auto_partition` is the default min-cut-ish partitioner
 (greedy agglomeration over the task co-location graph).  Workers are
-forked, so closures in builders need no pickling; results come back as
-:class:`~repro.obs.metrics.RunReport` dicts (``to_dict`` /
-``from_dict``).
+forked, so closures in builders need no pickling; each shard's
+:class:`~repro.obs.metrics.RunReport` comes back pickled over its pipe.
 """
 
 from __future__ import annotations
@@ -85,7 +84,6 @@ from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple)
 
 from repro.network.link import DeliveryOutcome
-from repro.obs.metrics import RunReport
 from repro.sim.engine import SimulationError
 from repro.sim.trace import TraceRecord, _record_to_json, read_jsonl
 
@@ -430,7 +428,7 @@ def _worker_main(conn, rank: int, owned: List[str], builder,
       ``("at", next_time, outbox)`` with the drained send-side
       decisions for other shards.
     * ``("finish",)`` -> close the trace stream, reply
-      ``("done", report_dict, now)`` and exit.
+      ``("done", report, now)`` and exit.
 
     Any exception is reported as ``("error", text)``.
     """
@@ -455,8 +453,7 @@ def _worker_main(conn, rank: int, owned: List[str], builder,
                 conn.send(("at", system.sim.next_event_time(), outbox))
             elif op == "finish":
                 stream.close()
-                report = system.run_report(shard=rank)
-                conn.send(("done", report.to_dict(),
+                conn.send(("done", system.run_report(shard=rank),
                            system.sim.now))
                 return
             else:
@@ -681,8 +678,8 @@ def run_sharded(system, until: Optional[int] = None,
         final_time = 0 if until is None else until
         for rank in range(len(plan)):
             conns[rank].send(("finish",))
-            _tag, report_dict, worker_now = receive(rank)
-            reports.append(RunReport.from_dict(report_dict))
+            _tag, report, worker_now = receive(rank)
+            reports.append(report)
             if until is None and worker_now > final_time:
                 final_time = worker_now
         for proc in procs:

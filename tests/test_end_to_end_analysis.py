@@ -228,3 +228,16 @@ class TestSystemMonitor:
         system.run()
         monitor = SystemMonitor(system)
         assert monitor.network_status()["delivered"] == 1
+
+    def test_thread_count_excludes_finished_threads(self):
+        system = make_system()
+        task = Task("t", deadline=1_000, arrival=Periodic(period=1_000),
+                    node_id="n0")
+        task.code_eu("eu", wcet=100)
+        system.register_periodic(task, count=50)
+        system.run()
+        node = system.nodes["n0"]
+        assert not any(thread.alive for thread in node._threads)
+        assert SystemMonitor(system).node_status()["n0"]["threads"] == 0
+        assert node.threads == []
+        assert "threads=0" in repr(node)

@@ -1,18 +1,24 @@
 """Parallel campaign executor: determinism, timeouts, crash recovery.
 
-The scenarios live at module level so they pickle by reference into the
-worker processes; closures exercise the graceful serial fallback.
+Workers are forked, so module-level scenarios and closures alike run in
+the worker processes; only the results cross a pipe.
 """
 
+import functools
 import json
 import os
+import subprocess
+import sys
+import tempfile
 import time
 
 import pytest
 
+import repro
 from repro.core import DispatcherCosts, Periodic, Task
 from repro.faults import Campaign, CampaignTimeoutError, run_parallel
 from repro.obs.metrics import MetricsRegistry
+from repro.sim.sharded import run_sharded
 from repro.system import HadesSystem
 
 
@@ -67,6 +73,48 @@ def raising_scenario(seed):
     return {"value": seed}
 
 
+def unpicklable_result_scenario(seed):
+    return {"value": seed, "callback": lambda: seed}
+
+
+def marking_crash_scenario(marker_dir, seed):
+    """Leave one marker file per execution of a seed; seed 2 kills its
+    worker process."""
+    fd, _path = tempfile.mkstemp(prefix=f"seed{seed}-", dir=marker_dir)
+    os.close(fd)
+    if seed == 2:
+        os._exit(13)
+    return {"value": seed}
+
+
+def sharded_scenario(seed):
+    """A seed that forks processes of its own: a scripted two-node run,
+    one periodic task per node and messages from a to b, on two
+    shards."""
+    def build(system):
+        for index, node_id in enumerate(("a", "b")):
+            task = Task(f"t{node_id}", deadline=5_000,
+                        arrival=Periodic(period=10_000,
+                                         phase=1_000 + 2_300 * index),
+                        node_id=node_id)
+            task.code_eu("eu", wcet=200 + 10 * seed)
+            system.register_periodic(task, count=3)
+        iface = system.network.interfaces["a"]
+        for k in range(3):
+            system.sim.call_at(700 + 10_000 * k,
+                               lambda k=k: iface.send("b", {"k": k},
+                                                      size=64))
+
+    system = HadesSystem.scripted(build, node_ids=["a", "b"],
+                                  costs=DispatcherCosts.zero(), seed=seed,
+                                  metrics=True)
+    with tempfile.TemporaryDirectory() as trace_dir:
+        result = run_sharded(system, until=40_000, shards=2,
+                             trace_dir=trace_dir)
+    return {"windows": result.windows, "messages": result.messages,
+            "records": len(system.tracer), "report": result.reports[0]}
+
+
 def assert_identical(serial, parallel):
     assert parallel.runs == serial.runs
     assert parallel.per_run == serial.per_run
@@ -111,6 +159,8 @@ class TestDeterminism:
 
 class TestFallbacks:
     def test_unpicklable_scenario_falls_back_to_serial(self):
+        """A closure needs no pickling: it runs in the forked workers
+        and gives the serial results."""
         offset = 10
         campaign = Campaign(lambda seed: {"value": seed + offset},
                             seeds=range(6))
@@ -129,6 +179,30 @@ class TestFallbacks:
             run_parallel(metric_scenario, range(4), jobs=2, retries=-1)
         with pytest.raises(ValueError):
             run_parallel(metric_scenario, range(4), jobs=2, chunk_size=0)
+
+
+class TestForkedWorkers:
+    def test_closure_scenario_runs_in_child_processes(self):
+        parent = os.getpid()
+        result = Campaign(lambda seed: {"pid": os.getpid()},
+                          seeds=range(4)).run(jobs=2)
+        assert len(result.per_run) == 4
+        assert all(run["pid"] != parent for run in result.per_run)
+
+    def test_seed_that_forks_shards_matches_serial(self):
+        campaign = Campaign(sharded_scenario, seeds=range(3))
+        serial = campaign.run()
+        assert all(run["messages"] > 0 for run in serial.per_run)
+        assert_identical(serial, campaign.run(jobs=2))
+
+    def test_import_loads_no_process_machinery(self):
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        code = ("import sys, repro; print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestRobustness:
@@ -162,6 +236,25 @@ class TestRobustness:
         healthy = [run for run in result.per_run
                    if "campaign_error" not in run]
         assert [run["value"] for run in healthy] == [0, 1, 3, 4]
+
+    def test_crash_reruns_only_the_crashed_chunk(self, tmp_path):
+        retries = 2
+        scenario = functools.partial(marking_crash_scenario, str(tmp_path))
+        result = Campaign(scenario, seeds=range(5)).run(jobs=4,
+                                                         retries=retries)
+        runs = {seed: len(list(tmp_path.glob(f"seed{seed}-*")))
+                for seed in range(5)}
+        assert runs == {0: 1, 1: 1, 2: retries + 1, 3: 1, 4: 1}
+        assert [run.get("value") for run in result.per_run] == [
+            0, 1, None, 3, 4]
+        assert "crash" in result.per_run[2]["campaign_error"]
+
+    def test_unpicklable_result_becomes_structured_run(self):
+        result = Campaign(unpicklable_result_scenario,
+                          seeds=range(4)).run(jobs=2)
+        assert [run["seed"] for run in result.per_run] == list(range(4))
+        for run in result.per_run:
+            assert "worker failed" in run["campaign_error"]
 
     def test_scenario_exception_becomes_structured_run(self):
         result = Campaign(raising_scenario, seeds=range(4)).run(jobs=2)
