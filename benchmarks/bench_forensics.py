@@ -17,7 +17,8 @@ Checked properties (the PR's acceptance criteria):
 * the Chrome trace-event export is schema-valid (ph/ts/pid/tid on
   every event) and **byte-identical** across two independent runs of
   the same seed;
-* reconstruction is a single O(n) pass — throughput is reported.
+* reconstruction is a single O(n) pass — throughput is reported, and
+  so is the cost of the forensics report on the reconstructed forest.
 
 Run directly or via ``python -m repro.experiments E18``.
 """
@@ -96,7 +97,9 @@ def test_forensics_miss_decomposition(benchmark):
         assert dec.path, "critical path must be non-empty"
         exact += 1
 
+    t0 = time.perf_counter()
     report = forensics_report(system.tracer, forest=forest)
+    forensics_s = time.perf_counter() - t0
     # Every miss section names at least one concrete contributor.
     sections = [s for s in report.split("MISS ")[1:]]
     assert len(sections) == len(misses)
@@ -117,7 +120,8 @@ def test_forensics_miss_decomposition(benchmark):
          ("exact decompositions", exact),
          ("messages", len(forest.messages)),
          ("reconstruct (ms)", f"{reconstruct_s * 1e3:.1f}"),
-         ("records/sec", f"{records / max(reconstruct_s, 1e-9):,.0f}")])
+         ("records/sec", f"{records / max(reconstruct_s, 1e-9):,.0f}"),
+         ("forensics report (ms)", f"{forensics_s * 1e3:.1f}")])
 
 
 def test_timeline_schema_and_determinism(tmp_path):

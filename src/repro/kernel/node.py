@@ -10,6 +10,7 @@ processors).
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.kernel.clocks import HardwareClock
@@ -50,6 +51,9 @@ class Node:
         self.metrics = metrics
         self.cpu = Cpu(sim, self.tracer, node_id, context_switch_cost,
                        metrics=metrics)
+        # Numbers this node's threads, so an unnamed thread's name
+        # depends on this node's history only, not on the process's.
+        self._thread_ids = itertools.count(1)
         #: Heterogeneous engine pool (repro.hetero), or None for the
         #: paper's homogeneous mono-processor node.
         self.engines = None

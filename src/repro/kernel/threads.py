@@ -83,14 +83,12 @@ ThreadBody = Generator[Any, Any, Any]
 class KThread:
     """A schedulable kernel thread on one node."""
 
-    _next_id = 0
-
     def __init__(self, node: "Node", body: ThreadBody, name: str = "",
                  priority: int = 1,
                  preemption_threshold: Optional[int] = None,
                  processor=None):
-        KThread._next_id += 1
-        self.tid = KThread._next_id
+        #: Creation number on this node, from 1; names unnamed threads.
+        self.tid = next(node._thread_ids)
         self.node = node
         #: The processing unit this thread's Compute blocks run on —
         #: the node's CPU by default, or a unit of the node's

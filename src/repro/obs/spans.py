@@ -39,7 +39,9 @@ On top of the forest sit the forensic primitives used by
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from heapq import merge
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.sim.trace import TraceRecord, Tracer, read_jsonl
@@ -319,8 +321,14 @@ class SpanForest:
         self.activations: Dict[str, ActivationSpan] = {}
         #: every message span, in send order (index+1 == norm_id).
         self.messages: List[MessageSpan] = []
-        #: node -> closed CPU slices in start order (all threads).
+        #: node -> CPU slices of every thread and engine unit, in the
+        #: order the builder closed them.  That is not start order on a
+        #: node with engine units, whose slices overlap the CPU's.
+        #: Slices still open at trace end come last, with ``end=None``.
         self.cpu_slices: Dict[str, List[CpuSlice]] = {}
+        # node -> ((slice count, t_end) it was built for, its chains);
+        # see _slice_chains.
+        self._chains: Dict[str, Tuple[Tuple[int, int], List[list]]] = {}
         #: node ids in first-appearance order.
         self.nodes: List[str] = []
         #: largest record time seen.
@@ -345,13 +353,56 @@ class SpanForest:
         return [a for a in self.activations.values() if a.missed]
 
     def cpu_slices_in(self, node: str, t0: int, t1: int) -> List[CpuSlice]:
-        """Slices on ``node`` overlapping ``[t0, t1]``."""
-        out = []
-        for sl in self.cpu_slices.get(node, ()):
-            end = sl.end if sl.end is not None else self.t_end
-            if sl.start < t1 and end > t0:
-                out.append(sl)
-        return out
+        """Slices on ``node`` overlapping ``[t0, t1]``, in close order.
+
+        A slice overlaps when it starts before ``t1`` and ends after
+        ``t0``; a slice still open at trace end ends at :attr:`t_end`.
+        O(log n + k) for k slices found, once the node's chains exist.
+        """
+        slices = self.cpu_slices.get(node, ())
+        chains = self._slice_chains(node, slices)
+        runs = []
+        for starts, ends, positions, _reach in chains:
+            lo = bisect_right(ends, t0)
+            hi = bisect_left(starts, t1, lo)
+            if lo < hi:
+                runs.append(positions[lo:hi])
+        return [slices[pos] for pos in merge(*runs)]
+
+    def _slice_chains(self, node: str,
+                      slices: List[CpuSlice]) -> List[list]:
+        """Split ``node``'s slices into chains sorted by start and end.
+
+        A chain is ``[starts, ends, positions, reach]``: parallel lists
+        of slices that follow one another in time, their positions in
+        ``slices``, and the time the last one reaches (its end, or its
+        start if it ends before it).  Within a chain both starts and
+        ends are sorted, so the slices overlapping a window are one
+        contiguous run.  Each engine unit runs one slice at a time, so
+        a monotone trace gives one chain per unit; a slice that does
+        not follow its unit's chain starts a new one.  Rebuilt when the
+        list has grown or :attr:`t_end` has changed.
+        """
+        key = (len(slices), self.t_end)
+        cached = self._chains.get(node)
+        if cached is not None and cached[0] == key:
+            return cached[1]
+        t_end = self.t_end
+        chains: List[list] = []
+        current: Dict[str, list] = {}
+        for pos, sl in enumerate(slices):
+            start = sl.start
+            end = sl.end if sl.end is not None else t_end
+            chain = current.get(sl.engine)
+            if chain is None or not chain[3] <= start <= end:
+                chain = current[sl.engine] = [[], [], [], start]
+                chains.append(chain)
+            chain[0].append(start)
+            chain[1].append(end)
+            chain[2].append(pos)
+            chain[3] = end if end > start else start
+        self._chains[node] = (key, chains)
+        return chains
 
 
 # ---------------------------------------------------------------------------

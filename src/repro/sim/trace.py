@@ -17,16 +17,20 @@ The tracer scales to long runs four ways:
 * **Bounded ring buffer** — ``Tracer(maxlen=...)`` keeps only the most
   recent records (post-mortem tail), dropping the oldest; ``dropped``
   counts evictions.
-* **Per-(category, event) indexes** — :meth:`select` and :meth:`count`
-  are O(matching records), not O(trace length).  The index is built
-  lazily on the first category query and maintained incrementally
-  afterwards, so record-heavy runs that never query pay nothing.
+* **Per-key query buckets** — :meth:`select` and :meth:`count` with a
+  category run over a bucket holding the records of that (category,
+  event) key, or of the whole category when ``event`` is ``None``.  A
+  key's first query scans the held records once; each later query
+  scans only the records appended since (the bucket's watermark), so
+  from then on queries are O(matching records), not O(trace length).
+  :meth:`record` does no index work at all, and buckets exist only for
+  keys that were queried.
 * **Time windows** — ``select(..., t_min=..., t_max=...)`` restricts a
   query to a window of simulated time.  With a category filter the
-  window runs over the index bucket and — for the common monotone
-  (clock-bound) trace — stops scanning at the right window edge, so
-  scoping a deadline miss to its busy period costs O(bucket prefix),
-  not O(trace length).
+  window runs over the key's bucket; on the common monotone
+  (clock-bound) trace it is found by binary search, so scoping a
+  deadline miss to its busy period costs O(log n), plus the records
+  returned.
 
 **Streaming JSONL export** — :meth:`Tracer.stream_jsonl` writes records
 to disk as they are emitted, so a bounded tracer still produces a
@@ -43,12 +47,12 @@ reload all read trace files through it.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from collections import deque
 from itertools import islice
 from typing import (
     Any,
     Callable,
-    Deque,
     Dict,
     IO,
     Iterable,
@@ -237,6 +241,54 @@ class JsonlStream:
         self.close()
 
 
+class _Bucket:
+    """The held records of one query key, in emission order.
+
+    ``seqs``, ``times`` and ``records`` are parallel lists: a record's
+    sequence number (its position in the whole emission history), its
+    time and the record itself.  Eviction pruning bisects ``seqs`` and
+    window queries bisect ``times``.  ``watermark`` is the sequence
+    number of the first record this key has not scanned yet.
+    """
+
+    __slots__ = ("seqs", "times", "records", "watermark")
+
+    def __init__(self) -> None:
+        self.seqs: List[int] = []
+        self.times: List[int] = []
+        self.records: List[TraceRecord] = []
+        self.watermark = 0
+
+
+def _scan(records: Iterable[TraceRecord], category: Optional[str],
+          event: Optional[str], t_min: Optional[int], t_max: Optional[int],
+          details: Dict[str, Any]) -> List[TraceRecord]:
+    """The records that pass every given filter, by one linear pass."""
+    found = []
+    for entry in records:
+        if category is not None and entry.category != category:
+            continue
+        if event is not None and entry.event != event:
+            continue
+        if t_min is not None and entry.time < t_min:
+            continue
+        if t_max is not None and entry.time > t_max:
+            continue
+        if details and any(entry.details.get(k) != v
+                           for k, v in details.items()):
+            continue
+        found.append(entry)
+    return found
+
+
+def _window(times: List[int], t_min: Optional[int],
+            t_max: Optional[int]) -> Tuple[int, int]:
+    """Index range of the sorted ``times`` inside ``[t_min, t_max]``."""
+    lo = 0 if t_min is None else bisect_left(times, t_min)
+    hi = len(times) if t_max is None else bisect_right(times, t_max, lo)
+    return lo, hi
+
+
 class Tracer:
     """Collects :class:`TraceRecord` instances in emission order."""
 
@@ -249,8 +301,11 @@ class Tracer:
                               else [])
         self.maxlen = maxlen
         self._clock = clock
-        self._listeners: List[Callable[[TraceRecord], None]] = []
-        #: Records evicted by the ring buffer so far.
+        # Replaced, never mutated, by subscribe/unsubscribe, so record()
+        # can iterate it while a listener (un)subscribes.
+        self._listeners: Tuple[Callable[[TraceRecord], None], ...] = ()
+        #: Records evicted by the ring buffer so far (also the sequence
+        #: number of the oldest held record).
         self.dropped = 0
         #: Records dropped by the category filter so far.
         self.filtered = 0
@@ -259,19 +314,15 @@ class Tracer:
         # category costs one membership test, nothing else.
         self._categories: Optional[frozenset] = (
             None if categories is None else frozenset(categories))
-        self._seq = 0          # sequence number of the next record
-        self._first_seq = 0    # sequence number of the oldest kept record
         # Whether record times have been non-decreasing so far; lets
-        # time-window queries stop scanning at the right window edge.
+        # time-window queries binary-search a bucket.
         self._monotonic = True
         self._last_time: Optional[int] = None
         self._index_enabled = index
-        # Lazily built:  (category, event) -> deque[(seq, record)] and
-        # category -> deque[(seq, record)].  Entries older than
-        # ``_first_seq`` are pruned lazily on access.
-        self._by_cat_event: Optional[Dict[Tuple[str, str],
-                                          Deque[Tuple[int, TraceRecord]]]] = None
-        self._by_cat: Optional[Dict[str, Deque[Tuple[int, TraceRecord]]]] = None
+        # Lazily created on the first indexed query:  (category, event)
+        # -> _Bucket, with event None for a whole-category bucket.
+        self._by_cat_event: Optional[Dict[Tuple[str, Optional[str]],
+                                          _Bucket]] = None
 
     def bind_clock(self, clock: Callable[[], int]) -> None:
         """Attach the time source used when ``record`` omits a time."""
@@ -294,15 +345,25 @@ class Tracer:
         return self
 
     def subscribe(self, listener: Callable[[TraceRecord], None]) -> None:
-        """Invoke ``listener`` synchronously for every new record."""
-        self._listeners.append(listener)
+        """Invoke ``listener`` synchronously for every new record.
+
+        A listener subscribed while a record is being dispatched first
+        sees the next record.
+        """
+        self._listeners = self._listeners + (listener,)
 
     def unsubscribe(self, listener: Callable[[TraceRecord], None]) -> None:
-        """Remove a previously subscribed listener (no-op if absent)."""
+        """Remove a previously subscribed listener (no-op if absent).
+
+        Removal during dispatch does not disturb it: every listener
+        subscribed when the record was emitted still sees that record.
+        """
+        listeners = list(self._listeners)
         try:
-            self._listeners.remove(listener)
+            listeners.remove(listener)
         except ValueError:
-            pass
+            return
+        self._listeners = tuple(listeners)
 
     def record(self, category: str, event: str, time: Optional[int] = None,
                **details: Any) -> Optional[TraceRecord]:
@@ -333,14 +394,7 @@ class Tracer:
         entry = TraceRecord(time, category, event, details)
         if self.maxlen is not None and len(self._records) == self.maxlen:
             self.dropped += 1
-            self._first_seq += 1
         self._records.append(entry)
-        seq = self._seq
-        self._seq += 1
-        if self._by_cat_event is not None:
-            self._by_cat_event.setdefault((category, event),
-                                          deque()).append((seq, entry))
-            self._by_cat.setdefault(category, deque()).append((seq, entry))
         if self._listeners:
             for listener in self._listeners:
                 listener(entry)
@@ -359,32 +413,39 @@ class Tracer:
 
     # -- indexed queries ----------------------------------------------------
 
-    def _ensure_index(self) -> None:
-        if self._by_cat_event is not None:
-            return
-        self._by_cat_event = {}
-        self._by_cat = {}
-        seq = self._first_seq
-        for entry in self._records:
-            self._by_cat_event.setdefault((entry.category, entry.event),
-                                          deque()).append((seq, entry))
-            self._by_cat.setdefault(entry.category, deque()).append(
-                (seq, entry))
-            seq += 1
-
-    def _bucket(self, category: str,
-                event: Optional[str]) -> Deque[Tuple[int, TraceRecord]]:
-        self._ensure_index()
-        if event is not None:
-            bucket = self._by_cat_event.get((category, event))
-        else:
-            bucket = self._by_cat.get(category)
+    def _bucket(self, category: str, event: Optional[str]) -> _Bucket:
+        """The key's bucket, caught up with every held record."""
+        table = self._by_cat_event
+        if table is None:
+            table = self._by_cat_event = {}
+        key = (category, event)
+        bucket = table.get(key)
         if bucket is None:
-            return deque()
-        # Drop entries the ring buffer has already evicted.
-        first = self._first_seq
-        while bucket and bucket[0][0] < first:
-            bucket.popleft()
+            bucket = table[key] = _Bucket()
+        held = self._records
+        first = self.dropped              # sequence number of held[0]
+        end = first + len(held)           # sequence number of the next record
+        new = end - max(bucket.watermark, first)
+        if new:
+            if new == len(held):
+                tail = held
+            else:
+                tail = list(islice(reversed(held), new))
+                tail.reverse()
+            seqs, times, records = bucket.seqs, bucket.times, bucket.records
+            for seq, entry in enumerate(tail, end - new):
+                if entry.category == category and (event is None
+                                                   or entry.event == event):
+                    seqs.append(seq)
+                    times.append(entry.time)
+                    records.append(entry)
+            bucket.watermark = end
+        seqs = bucket.seqs
+        if seqs and seqs[0] < first:
+            # Drop entries the ring buffer has evicted since.
+            evicted = bisect_left(seqs, first)
+            del seqs[:evicted], bucket.times[:evicted]
+            del bucket.records[:evicted]
         return bucket
 
     def select(self, category: Optional[str] = None,
@@ -394,46 +455,27 @@ class Tracer:
                **details: Any) -> List[TraceRecord]:
         """Records matching the given category/event/detail filters.
 
-        With a ``category`` filter this runs over the per-(category,
-        event) index — O(matching records); other shapes fall back to a
-        linear scan.
+        With a ``category`` filter this runs over the key's bucket —
+        O(matching records) once the key has been queried; other shapes
+        fall back to a linear scan.
 
         ``t_min``/``t_max`` bound the record times (both inclusive) —
         the forensics tooling uses this to scope a deadline miss to its
         busy period.  On a monotone trace (times never decreased, the
-        normal clock-bound case) the indexed path stops scanning at the
-        first record past ``t_max``.
+        normal clock-bound case) the bucket's window is found by binary
+        search.
         """
-        if category is not None and self._index_enabled:
-            bucket = self._bucket(category, event)
-            found = []
-            for _seq, entry in bucket:
-                time = entry.time
-                if t_min is not None and time < t_min:
-                    continue
-                if t_max is not None and time > t_max:
-                    if self._monotonic:
-                        break
-                    continue
-                if details and not all(entry.details.get(k) == v
-                                       for k, v in details.items()):
-                    continue
-                found.append(entry)
-            return found
-        found = []
-        for entry in self._records:
-            if category is not None and entry.category != category:
-                continue
-            if event is not None and entry.event != event:
-                continue
-            if t_min is not None and entry.time < t_min:
-                continue
-            if t_max is not None and entry.time > t_max:
-                continue
-            if any(entry.details.get(k) != v for k, v in details.items()):
-                continue
-            found.append(entry)
-        return found
+        if category is None or not self._index_enabled:
+            return _scan(self._records, category, event, t_min, t_max,
+                         details)
+        bucket = self._bucket(category, event)
+        if not self._monotonic:
+            return _scan(bucket.records, None, None, t_min, t_max, details)
+        lo, hi = _window(bucket.times, t_min, t_max)
+        rows = bucket.records[lo:hi]
+        if details:
+            rows = _scan(rows, None, None, None, None, details)
+        return rows
 
     def count(self, category: Optional[str] = None,
               event: Optional[str] = None,
@@ -441,8 +483,10 @@ class Tracer:
               t_max: Optional[int] = None, **details: Any) -> int:
         """Current number of matching items."""
         if (category is not None and self._index_enabled and not details
-                and t_min is None and t_max is None):
-            return len(self._bucket(category, event))
+                and (self._monotonic or (t_min is None and t_max is None))):
+            lo, hi = _window(self._bucket(category, event).times,
+                             t_min, t_max)
+            return hi - lo
         return len(self.select(category, event, t_min=t_min, t_max=t_max,
                                **details))
 

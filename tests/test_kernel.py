@@ -30,7 +30,30 @@ def node(sim):
     return Node(sim, "n0")
 
 
+def unnamed_thread_trace():
+    """The trace of a fresh one-node system running one unnamed thread."""
+    sim = Simulator()
+    node = Node(sim, "n0")
+
+    def body():
+        yield Compute(100)
+        yield Sleep(50)
+        yield Compute(20)
+
+    node.spawn(body())
+    sim.run()
+    return [str(entry) for entry in node.tracer]
+
+
 class TestThreadsBasic:
+    def test_unnamed_threads_are_numbered_per_node(self):
+        # Built one after the other in one process, as a serial
+        # campaign, a forked worker or a shard replica would build them.
+        first = unnamed_thread_trace()
+        second = unnamed_thread_trace()
+        assert first == second
+        assert any("thread=thread-1" in line for line in first)
+
     def test_compute_consumes_time(self, sim, node):
         def body():
             yield Compute(100)

@@ -3,12 +3,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro import EUAttributes, HadesSystem, Task
+from repro import DispatcherCosts, EUAttributes, HadesSystem, Task
 from repro.core.resources import AccessMode, Resource
 from repro.network.link import OmissionFault, PerformanceFault
 from repro.obs.forensics import analyze_miss, forensics_report
 from repro.obs.spans import (
+    CpuSlice,
+    SpanForest,
     critical_path,
     decompose,
     reconstruct,
@@ -275,3 +278,98 @@ class TestForensics:
         system.activate(task.validate())
         system.run(until=1_000)
         assert "no deadline misses." in forensics_report(system.tracer)
+
+
+def scan_slices_in(forest, node, t0, t1):
+    """The linear scan ``cpu_slices_in`` must agree with: every slice of
+    the node, in list order, that starts before t1 and ends after t0."""
+    out = []
+    for sl in forest.cpu_slices.get(node, ()):
+        end = sl.end if sl.end is not None else forest.t_end
+        if sl.start < t1 and end > t0:
+            out.append(sl)
+    return out
+
+
+def assert_same_slices(forest, node, t0, t1):
+    got = forest.cpu_slices_in(node, t0, t1)
+    assert [id(sl) for sl in got] == [
+        id(sl) for sl in scan_slices_in(forest, node, t0, t1)]
+
+
+_UNITS = ("cpu", "gpu0", "dsp0")
+
+
+class TestCpuSlicesIn:
+    """The per-node chain index against the linear scan."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(runs=st.lists(st.tuples(st.sampled_from(_UNITS),
+                                   st.integers(0, 30), st.integers(1, 30)),
+                         max_size=40),
+           strays=st.lists(st.tuples(st.sampled_from(_UNITS),
+                                     st.integers(0, 400),
+                                     st.integers(1, 60)), max_size=6),
+           open_units=st.sets(st.sampled_from(_UNITS)),
+           shuffled=st.booleans(), split=st.integers(0, 50),
+           t_end_pad=st.integers(-10, 10), rng=st.randoms(),
+           windows=st.lists(st.tuples(st.integers(-10, 450),
+                                      st.integers(-20, 120)),
+                            min_size=1, max_size=8))
+    def test_matches_linear_scan(self, runs, strays, open_units, shuffled,
+                                 split, t_end_pad, rng, windows):
+        # Each unit runs one slice at a time; the units overlap.
+        cursor = dict.fromkeys(_UNITS, 0)
+        closed = []
+        for unit, gap, length in runs:
+            start = cursor[unit] + gap
+            cursor[unit] = start + length
+            closed.append(CpuSlice("n0", f"{unit}-{len(closed)}", start,
+                                   start + length, engine=unit))
+        closed.sort(key=lambda sl: sl.end)       # the builder's close order
+        if shuffled:                             # a non-monotone trace
+            rng.shuffle(closed)
+        for unit, start, length in strays:       # overlaps its own unit
+            closed.insert(rng.randrange(len(closed) + 1),
+                          CpuSlice("n0", "stray", start, start + length,
+                                   engine=unit))
+        opened = [CpuSlice("n0", f"open-{unit}", cursor[unit] + 1,
+                           engine=unit) for unit in sorted(open_units)]
+        slices = closed + opened
+        forest = SpanForest()
+        forest.t_end = max([cursor[unit] + 1 for unit in _UNITS]
+                           + [sl.end for sl in closed]) + t_end_pad
+        forest.cpu_slices["n0"] = slices[:split]
+        for t0, width in windows:
+            assert_same_slices(forest, "n0", t0, t0 + width)
+        # The index notices a list that grew after a query.
+        forest.cpu_slices["n0"].extend(slices[split:])
+        for t0, width in windows:
+            assert_same_slices(forest, "n0", t0, t0 + width)
+        assert forest.cpu_slices_in("n1", 0, 1_000) == []
+
+    def test_matches_linear_scan_on_engine_trace(self):
+        system = HadesSystem(node_ids=["n0"], costs=DispatcherCosts.zero(),
+                             engines={"n0": {"gpu": 2}})
+        for k in range(4):
+            task = Task(f"t{k}", deadline=20_000, node_id="n0")
+            head = task.code_eu("head", wcet=300 + 100 * k)
+            infer = task.code_eu("infer", wcet=6_000,
+                                 variants={"gpu": 700 + 300 * k},
+                                 engine="gpu")
+            tail = task.code_eu("tail", wcet=200)
+            task.precede(head, infer)
+            task.precede(infer, tail)
+            system.activate(task.validate())
+        system.run()
+        forest = reconstruct(system.tracer)
+        slices = forest.cpu_slices["n0"]
+        assert {sl.engine for sl in slices} == {"cpu", "gpu0", "gpu1"}
+        # Close order is not start order once engine units overlap.
+        assert [sl.start for sl in slices] != sorted(sl.start
+                                                    for sl in slices)
+        rng = random.Random(5)
+        for _ in range(200):
+            t0 = rng.randrange(-100, forest.t_end + 100)
+            assert_same_slices(forest, "n0", t0,
+                               t0 + rng.randrange(0, 3_000))

@@ -6,14 +6,19 @@ Covers the trace-layer groundwork the forensics stack sits on:
   the caller's object afterwards cannot rewrite recorded history;
 * ``JsonlStream`` exposes filtered/dropped counters scoped to its own
   lifetime and can append them as a footer metadata line;
-* ``select``/``count`` accept ``t_min``/``t_max`` time windows, with
-  early exit on monotone traces and a correct fallback on
-  non-monotone ones.
+* ``select``/``count`` accept ``t_min``/``t_max`` time windows, found
+  by binary search on monotone traces and by a scan on non-monotone
+  ones;
+* the per-key query buckets answer exactly what the linear scan of
+  ``Tracer(index=False)`` answers, for any interleaving of records,
+  queries and ring-buffer evictions;
+* listeners may (un)subscribe while a record is being dispatched.
 """
 
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.trace import JsonlStream, Tracer, load_trace
 
@@ -166,3 +171,106 @@ class TestTimeWindowSelect:
         tracer = self._tracer()
         with pytest.raises(TypeError):
             tracer.select("cat", "ev0", t_min="soon")
+
+
+_CATEGORIES = ("a", "b")
+_EVENTS = ("x", "y")
+_windows = st.none() | st.integers(0, 60)
+_keys = st.tuples(st.sampled_from(_CATEGORIES + (None,)),
+                  st.sampled_from(_EVENTS + (None,)))
+_operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("record"), st.sampled_from(_CATEGORIES),
+                  st.sampled_from(_EVENTS), st.integers(0, 20),
+                  st.integers(0, 1)),
+        st.tuples(st.sampled_from(["select", "count"]), _keys, _windows,
+                  _windows, st.none() | st.integers(0, 1))),
+    max_size=80)
+
+
+class TestBucketIndexDifferential:
+    """The per-key buckets against the linear scan of index=False."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(operations=_operations,
+           maxlen=st.sampled_from([None, 1, 2, 3, 5]),
+           monotone=st.booleans())
+    def test_matches_linear_scan(self, operations, maxlen, monotone):
+        indexed = Tracer(clock=lambda: 0, maxlen=maxlen)
+        linear = Tracer(clock=lambda: 0, maxlen=maxlen, index=False)
+        now = 0
+        for i, operation in enumerate(operations):
+            if operation[0] == "record":
+                _, category, event, time, v = operation
+                # Monotone traces advance by the drawn step; the others
+                # jump anywhere in [0, 20].
+                now = now + time if monotone else time
+                for tracer in (indexed, linear):
+                    tracer.record(category, event, time=now, v=v, i=i)
+                continue
+            kind, (category, event), t_min, t_max, v = operation
+            details = {} if v is None else {"v": v}
+            args = (category, event)
+            window = {"t_min": t_min, "t_max": t_max}
+            if kind == "select":
+                assert (indexed.select(*args, **window, **details)
+                        == linear.select(*args, **window, **details))
+            else:
+                assert (indexed.count(*args, **window, **details)
+                        == linear.count(*args, **window, **details))
+        assert indexed.records == linear.records
+        if monotone:  # the windows above went through the bisect path
+            assert indexed._monotonic
+
+    def test_buckets_scan_only_new_records(self):
+        tracer = Tracer(clock=lambda: 0)
+        for i in range(10):
+            tracer.record("a", "x" if i % 2 else "y", time=i)
+        assert tracer._by_cat_event is None
+        assert tracer.count("a", "x") == 5
+        bucket = tracer._by_cat_event[("a", "x")]
+        assert bucket.watermark == 10
+        tracer.record("a", "x", time=10)
+        tracer.record("b", "x", time=11)
+        assert [r.time for r in tracer.select("a", "x", t_min=7)] == [7, 9,
+                                                                      10]
+        assert bucket.watermark == 12
+        assert list(tracer._by_cat_event) == [("a", "x")]
+
+
+class TestListenerDispatch:
+    def test_unsubscribe_during_dispatch_keeps_the_next_listener(self):
+        tracer = Tracer(clock=lambda: 0)
+        seen = []
+
+        def first(entry):
+            seen.append(("first", entry.event))
+            tracer.unsubscribe(first)
+
+        tracer.subscribe(first)
+        tracer.subscribe(lambda entry: seen.append(("second", entry.event)))
+        tracer.record("c", "one")
+        tracer.record("c", "two")
+        assert seen == [("first", "one"), ("second", "one"),
+                        ("second", "two")]
+
+    def test_subscribe_during_dispatch_starts_at_the_next_record(self):
+        tracer = Tracer(clock=lambda: 0)
+        late = []
+
+        def add_late(entry):
+            if entry.event == "one":
+                tracer.subscribe(late.append)
+
+        tracer.subscribe(add_late)
+        tracer.record("c", "one")
+        tracer.record("c", "two")
+        assert [entry.event for entry in late] == ["two"]
+
+    def test_unsubscribe_unknown_listener_is_a_no_op(self):
+        tracer = Tracer(clock=lambda: 0)
+        seen = []
+        tracer.subscribe(seen.append)
+        tracer.unsubscribe(print)
+        tracer.record("c", "one")
+        assert len(seen) == 1
