@@ -49,6 +49,7 @@ from repro.core.dispatcher import Dispatcher, InstanceState, TaskInstance
 from repro.core.heug import Task
 from repro.kernel.priorities import PRIO_SCHEDULER
 from repro.kernel.threads import Compute, WaitEvent
+from repro.obs.metrics import Counter
 
 __all__ = ["AdmissionRequest", "AdmissionController"]
 
@@ -225,16 +226,23 @@ class AdmissionController:
 
         metrics = dispatcher.metrics
         prefix = f"admission.{node_id}."
-        self.c_submitted = metrics.counter(prefix + "submitted")
-        self.c_admitted = metrics.counter(prefix + "admitted")
-        self.c_rejected = metrics.counter(prefix + "rejected")
-        self.c_shed = metrics.counter(prefix + "shed")
-        self.c_skipped = metrics.counter(prefix + "skipped")
-        self.c_forwarded = metrics.counter(prefix + "forwarded")
-        self.c_forward_admitted = metrics.counter(prefix + "forward_admitted")
-        self.c_forward_timeouts = metrics.counter(prefix + "forward_timeouts")
-        self.c_backpressure = metrics.counter(prefix
-                                              + "backpressure_rejected")
+
+        def counter(name: str) -> Counter:
+            # The registry's counter, or with metrics off a private one,
+            # so counts() and repr() tally either way.
+            if metrics.enabled:
+                return metrics.counter(prefix + name)
+            return Counter(prefix + name)
+
+        self.c_submitted = counter("submitted")
+        self.c_admitted = counter("admitted")
+        self.c_rejected = counter("rejected")
+        self.c_shed = counter("shed")
+        self.c_skipped = counter("skipped")
+        self.c_forwarded = counter("forwarded")
+        self.c_forward_admitted = counter("forward_admitted")
+        self.c_forward_timeouts = counter("forward_timeouts")
+        self.c_backpressure = counter("backpressure_rejected")
         self.h_latency = metrics.histogram(prefix + "guarantee_latency_us")
 
         self.interface = None

@@ -55,7 +55,7 @@ from repro.core.notifications import (
 from repro.core.resources import Resource
 from repro.kernel.node import Node
 from repro.kernel.priorities import PRIO_MAX
-from repro.kernel.threads import Compute, KThread, ThreadState, WaitEvent
+from repro.kernel.threads import Compute, KThread, WaitEvent
 from repro.network.network import Network
 from repro.sim.engine import Event, Simulator
 from repro.sim.trace import Tracer
@@ -115,7 +115,6 @@ class EUInstance:
             base + attrs.deadline if attrs.deadline is not None else None)
         self.thread: Optional[KThread] = None
         self.release_time: Optional[int] = None   # became runnable
-        self.start_time: Optional[int] = None     # first got the CPU
         self.finish_time: Optional[int] = None
         self.actual_used: Optional[int] = None
         self.granted = False
@@ -137,6 +136,14 @@ class EUInstance:
     def is_code(self) -> bool:
         """Whether this instance wraps a Code_EU."""
         return isinstance(self.eu, CodeEU)
+
+    @property
+    def start_time(self) -> Optional[int]:
+        """When a Code_EU's thread first got the CPU; ``None`` before
+        that, and always for an Inv_EU."""
+        if self.thread is None or not self.is_code():
+            return None
+        return self.thread.first_run
 
     def waiting_on(self) -> List[Tuple[str, Any]]:
         """What currently prevents this unit from running (for deadlock
@@ -736,27 +743,14 @@ class Dispatcher:
             thread.finished.add_callback(
                 lambda _evt: claimed_pool.release(claimed_unit))
         eui.thread = thread
-        original_hook = thread.on_state_change
-
-        def watch_first_run(t: KThread) -> None:
-            if t.state is ThreadState.RUNNING and eui.start_time is None:
-                eui.start_time = self.sim.now
-            if original_hook is not None:
-                original_hook(t)
-
-        thread.on_state_change = watch_first_run
         node._threads.append(thread)
         thread.finished.add_callback(
             lambda evt: self._on_eu_thread_done(eui, evt))
         thread.start()
-        if eui.engine != "cpu":
-            self.tracer.record("dispatcher", "thread_start",
-                               eu=eui.qualified_name, node=eui.node_id,
-                               priority=eui.priority, engine=eui.engine)
-        else:
-            self.tracer.record("dispatcher", "thread_start",
-                               eu=eui.qualified_name, node=eui.node_id,
-                               priority=eui.priority)
+        engine_kv = {} if eui.engine == "cpu" else {"engine": eui.engine}
+        self.tracer.record("dispatcher", "thread_start",
+                           eu=eui.qualified_name, node=eui.node_id,
+                           priority=eui.priority, **engine_kv)
         self._m_thread_starts.inc()
 
     def _eu_body(self, eui: EUInstance):

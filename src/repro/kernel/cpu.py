@@ -191,7 +191,7 @@ class Cpu:
             preempted = self._running
             self._checkpoint()
             self._running = None
-            preempted._set_state(ThreadState.READY)
+            preempted.state = ThreadState.READY
             self._enqueue(preempted)
             self.tracer.record("cpu", "preempt", node=self.node_id,
                                thread=preempted.name, by=challenger.name,
@@ -209,7 +209,9 @@ class Cpu:
     def _dispatch(self, thread: "KThread") -> None:
         self._running = thread
         thread._pt_boosted = True
-        thread._set_state(ThreadState.RUNNING)
+        thread.state = ThreadState.RUNNING
+        if thread.first_run is None:
+            thread.first_run = self.sim.now
         overhead = 0
         if thread is not self._last_dispatched:
             self._m_context_switches.inc()

@@ -19,7 +19,7 @@ execution times.
 from __future__ import annotations
 
 import enum
-from typing import Any, Callable, Generator, Optional, TYPE_CHECKING
+from typing import Any, Generator, Optional, TYPE_CHECKING
 
 from repro.sim.engine import Event, SimulationError
 
@@ -121,7 +121,8 @@ class KThread:
         self._wait_private = False
         self._started = False
         self._suspended = False
-        self.on_state_change: Optional[Callable[["KThread"], None]] = None
+        #: Instant the thread first got its processor (set by the Cpu).
+        self.first_run: Optional[int] = None
 
     # -- priority management (dispatcher primitive hooks) ---------------
 
@@ -176,7 +177,7 @@ class KThread:
                 and not target.triggered and not target.cancelled):
             target.cancel()
         self._wait_target = None
-        self._set_state(ThreadState.KILLED)
+        self.state = ThreadState.KILLED
         self.body = None
         if not self.finished.triggered:
             self.finished.succeed(None)
@@ -205,7 +206,7 @@ class KThread:
             raise SimulationError(f"cannot suspend dead thread {self.name!r}")
         if self.state in (ThreadState.READY, ThreadState.RUNNING):
             self.cpu.withdraw(self)
-            self._set_state(ThreadState.BLOCKED)
+            self.state = ThreadState.BLOCKED
         # NEW (not yet kicked) or mid-advance: the flag makes the next
         # Compute request park instead of entering the Run Queue.
         self._suspended = True
@@ -224,7 +225,7 @@ class KThread:
                 or self.state is ThreadState.NEW):
             return
         if self._remaining > 0:
-            self._set_state(ThreadState.READY)
+            self.state = ThreadState.READY
             self.cpu.submit(self)
         else:
             # Suspended exactly at a compute boundary: continue the body.
@@ -238,12 +239,12 @@ class KThread:
         try:
             request = self.body.send(value)
         except StopIteration as stop:
-            self._set_state(ThreadState.FINISHED)
+            self.state = ThreadState.FINISHED
             self.body = None
             self.finished.succeed(stop.value)
             return
         except BaseException as error:
-            self._set_state(ThreadState.FINISHED)
+            self.state = ThreadState.FINISHED
             self.body = None
             self.finished.fail(error)
             return
@@ -255,17 +256,17 @@ class KThread:
                 # Park at this compute boundary until resume().
                 self._remaining = request.duration
                 self._category = request.category
-                self._set_state(ThreadState.BLOCKED)
+                self.state = ThreadState.BLOCKED
                 return
             if request.duration == 0:
                 self._advance(None)
                 return
             self._remaining = request.duration
             self._category = request.category
-            self._set_state(ThreadState.READY)
+            self.state = ThreadState.READY
             self.cpu.submit(self)
         elif isinstance(request, Sleep):
-            self._set_state(ThreadState.BLOCKED)
+            self.state = ThreadState.BLOCKED
             target = self.sim.timeout(request.delay)
             self._wait_target = target
             self._wait_private = True
@@ -275,7 +276,7 @@ class KThread:
                                     delay=request.delay)
             target.add_callback(self._on_wait_done)
         elif isinstance(request, WaitEvent):
-            self._set_state(ThreadState.BLOCKED)
+            self.state = ThreadState.BLOCKED
             self._wait_target = request.event
             self._wait_private = False
             self.node.tracer.record("thread", "block",
@@ -306,12 +307,12 @@ class KThread:
         try:
             request = self.body.throw(error)
         except StopIteration as stop:
-            self._set_state(ThreadState.FINISHED)
+            self.state = ThreadState.FINISHED
             self.body = None
             self.finished.succeed(stop.value)
             return
         except BaseException as err:
-            self._set_state(ThreadState.FINISHED)
+            self.state = ThreadState.FINISHED
             self.body = None
             self.finished.fail(err)
             return
@@ -323,11 +324,6 @@ class KThread:
         """Called by the Cpu when the pending compute block completes."""
         self._remaining = 0
         self._advance(None)
-
-    def _set_state(self, state: ThreadState) -> None:
-        self.state = state
-        if self.on_state_change is not None:
-            self.on_state_change(self)
 
     def __repr__(self) -> str:
         return (f"<KThread {self.name!r} prio={self._priority} "

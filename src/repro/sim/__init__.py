@@ -12,10 +12,13 @@ runs produce identical traces.  Ties between events scheduled for the
 same instant are broken by insertion order.
 
 The pending-event set is swappable (:mod:`repro.sim.event_set`):
-``Simulator(backend="heapq")`` is the reference binary-heap core,
-``backend="calendar"`` a calendar-queue core tuned for timeout/cancel
-heavy workloads.  Both are proven observably identical by the
-differential harness in ``tests/test_backend_conformance.py``.
+``Simulator(backend="heapq")`` is the reference binary-heap flavour,
+``backend="calendar"`` a calendar-queue flavour tuned for
+timeout/cancel heavy workloads.  A flavour supplies only its storage,
+push, drain and ``_advance_to``; everything else in
+:mod:`repro.sim.engine` is shared.  Both are proven observably
+identical by the differential harness in
+``tests/test_backend_conformance.py``.
 """
 
 from repro.sim.engine import (
@@ -33,10 +36,8 @@ from repro.sim.engine import (
 from repro.sim.event_set import (
     BACKEND_ENV,
     CalendarEventSet,
-    EventSet,
     HeapEventSet,
     available_backends,
-    make_event_set,
     resolve_backend,
 )
 from repro.sim.trace import TraceRecord, Tracer
@@ -48,7 +49,6 @@ __all__ = [
     "CalendarEventSet",
     "CalendarSimulator",
     "Event",
-    "EventSet",
     "HeapEventSet",
     "Interrupt",
     "Process",
@@ -59,6 +59,5 @@ __all__ = [
     "TraceRecord",
     "Tracer",
     "available_backends",
-    "make_event_set",
     "resolve_backend",
 ]

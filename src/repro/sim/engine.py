@@ -29,12 +29,18 @@ mechanisms keep them down:
   formatted on first access, not at construction, so the million-event
   case never pays string interpolation.
 
-The pending set itself is a swappable backend (:mod:`repro.sim.event_set`):
-``Simulator(backend="heapq")`` is the reference binary-heap core with
-the hot loops below inlined over its storage; ``backend="calendar"``
-selects :class:`CalendarSimulator`, whose loops drain exact-time
-buckets instead.  Both flavours are differential-tested to be
-observably indistinguishable (``tests/test_backend_conformance.py``).
+The pending set itself is a swappable backend (:mod:`repro.sim.event_set`).
+An engine flavour supplies four things: the storage
+(``_bind_event_storage``), the push (``_schedule_event``), the drain
+(``_drain(until)``, the one hot loop behind both ``run()`` and
+``run(until=)``) and ``_advance_to`` (``now`` jumping to a run bound).
+``step()``, ``pending``, ``next_event_time()`` and
+``run(until_event=)`` are written once, on :class:`Simulator`, over the
+event set's own ``pop``, ``peek_time`` and ``len``.
+``Simulator(backend="heapq")`` is the reference binary-heap flavour;
+``backend="calendar"`` selects :class:`CalendarSimulator`, whose drain
+walks exact-time buckets instead.  Both flavours are differential-tested
+to be observably indistinguishable (``tests/test_backend_conformance.py``).
 """
 
 from __future__ import annotations
@@ -74,6 +80,9 @@ class ProcessKilled(Exception):
 
 # Sentinel distinguishing "not yet triggered" from "triggered with None".
 _PENDING = object()
+
+# The bound of an unbounded drain.
+_FOREVER = float("inf")
 
 
 class Event:
@@ -458,8 +467,10 @@ class Simulator:
     create one, or ``None``/``False`` for the no-op default — see
     :func:`repro.obs.resolve_metrics`) enables engine instrumentation:
     events scheduled/fired/cancelled counters and a heap-depth gauge.
-    With metrics disabled the hot path skips the updates entirely
-    behind one cached boolean.
+    Pushes update the first and last behind one cached boolean; the
+    drain tallies fired and cancelled entries in locals and adds them
+    to the counters when it returns or raises, so metrics never select
+    a different loop.
 
     ``backend`` names the pending-event set implementation: ``"heapq"``
     (this class, the reference) or ``"calendar"``
@@ -475,8 +486,9 @@ class Simulator:
     backend_name = "heapq"
 
     def __new__(cls, metrics=None, backend=None):
-        if cls is Simulator:
-            cls = _SIMULATOR_CLASSES[resolve_backend(backend)]
+        if (cls is Simulator and resolve_backend(backend)
+                == CalendarSimulator.backend_name):
+            cls = CalendarSimulator
         return object.__new__(cls)
 
     def __init__(self, metrics=None, backend=None):
@@ -490,14 +502,13 @@ class Simulator:
         self.backend = self.backend_name
         self.now: int = 0
         self._bind_event_storage()
-        self._uncaught: List[BaseException] = []
         self.metrics = resolve_metrics(metrics)
         self._m_scheduled = self.metrics.counter("engine.events_scheduled")
         self._m_fired = self.metrics.counter("engine.events_fired")
         self._m_cancelled_skips = self.metrics.counter(
             "engine.cancelled_skips")
         self._m_heap_depth = self.metrics.gauge("engine.heap_depth")
-        # Cached flag keeping the per-event metric updates off the hot
+        # Cached flag keeping the per-push metric updates off the hot
         # path when metrics are disabled (the default).
         self._instrumented = self.metrics.enabled
 
@@ -549,9 +560,7 @@ class Simulator:
         if time < self.now:
             raise SimulationError(
                 f"call_at({time}) is in the past (now={self.now})")
-        trigger = Timeout(self, time - self.now, name=f"call_at({time})")
-        trigger.add_callback(lambda _evt: callback())
-        return trigger
+        return self.call_in(time - self.now, callback)
 
     def call_in(self, delay: int, callback: Callable[[], None]) -> Event:
         """Run ``callback`` after ``delay`` microseconds."""
@@ -565,10 +574,11 @@ class Simulator:
     def pending(self) -> int:
         """Number of scheduled (not yet dispatched) event triggers.
 
-        Includes cancelled entries whose tombstones have not been
-        popped yet — the heap is never compacted eagerly.
+        Tombstones included (the set is never compacted eagerly), and
+        exact inside callbacks: a drain takes each entry off the set
+        before dispatching it.
         """
-        return len(self._heap)
+        return len(self.events)
 
     def next_event_time(self) -> Optional[int]:
         """Absolute time of the earliest pending entry, or ``None``.
@@ -579,30 +589,28 @@ class Simulator:
         earliest-output-time ingredient the sharded coordinator
         (:mod:`repro.sim.sharded`) synchronizes on.
         """
-        return self._heap[0][0] if self._heap else None
+        return self.events.peek_time()
+
+    def _take(self) -> bool:
+        """Pop one entry and dispatch it unless it is a tombstone (which
+        still advances time to its instant).  Returns whether it fired."""
+        time, event = self.events.pop()
+        if time < self.now:
+            raise SimulationError("event scheduled in the past")
+        self.now = time
+        if event._cancelled:
+            self._m_cancelled_skips.inc()
+            return False
+        self._m_fired.inc()
+        event._dispatch()
+        return True
 
     def step(self) -> bool:
-        """Dispatch the next scheduled event.  Returns False when idle.
-
-        Tombstones (cancelled entries) are skipped: popping one advances
-        virtual time to its instant — timestamps stay monotone exactly
-        as if the entry had fired with no observable effect — but runs
-        no callbacks.
-        """
-        heap = self._heap
-        while heap:
-            time, _seq, event = heapq.heappop(heap)
-            if time < self.now:
-                raise SimulationError("event scheduled in the past")
-            self.now = time
-            if event._cancelled:
-                if self._instrumented:
-                    self._m_cancelled_skips.inc()
-                continue
-            if self._instrumented:
-                self._m_fired.inc()
-            event._dispatch()
-            return True
+        """Dispatch the next scheduled event, skipping tombstones on the
+        way.  Returns False when idle."""
+        while self.events:
+            if self._take():
+                return True
         return False
 
     def run(self, until: Optional[int] = None,
@@ -614,49 +622,55 @@ class Simulator:
         """
         if until is not None and until < self.now:
             raise SimulationError(f"run(until={until}) is in the past")
+        if until_event is None:
+            self._drain(until)
+        else:
+            # One entry per iteration: step() skips tombstones until it
+            # dispatches something, so it could overshoot ``until``.
+            events = self.events
+            while (events and not until_event.triggered
+                   and (until is None or events.peek_time() <= until)):
+                self._take()
+            if until_event.triggered:
+                return until_event.value
+        if until is not None:
+            self._advance_to(until)
+        return None
+
+    def _drain(self, until: Optional[int]) -> None:
+        """Dispatch every entry due by ``until`` (all of them if None).
+
+        The one hot loop behind ``run()`` and ``run(until=)``.  Fired
+        and skipped entries are counted in locals and added to the
+        ``engine.*`` counters on the way out, a raising callback's
+        entry included.
+        """
         heap = self._heap
         heappop = heapq.heappop
-        if until is None and until_event is None:
-            # Tight drain loop: the common benchmark/experiment shape.
-            if self._instrumented:
-                while self._heap:
-                    self.step()
-            else:
-                while heap:
-                    time, _seq, event = heappop(heap)
-                    if time < self.now:
-                        raise SimulationError("event scheduled in the past")
-                    self.now = time
-                    if not event._cancelled:
-                        event._dispatch()
-            return None
-        while heap:
-            if until_event is not None and until_event.triggered:
-                return until_event.value
-            next_time = heap[0][0]
-            if until is not None and next_time > until:
-                self.now = until
-                return None
-            # One heap entry per iteration (not step(), which skips
-            # tombstones until it dispatches something and could
-            # overshoot ``until``): the bound is re-checked against the
-            # new head after every tombstone pop.
-            time, _seq, event = heappop(heap)
-            if time < self.now:
-                raise SimulationError("event scheduled in the past")
-            self.now = time
-            if event._cancelled:
-                if self._instrumented:
-                    self._m_cancelled_skips.inc()
-                continue
-            if self._instrumented:
-                self._m_fired.inc()
-            event._dispatch()
-        if until_event is not None and until_event.triggered:
-            return until_event.value
-        if until is not None:
-            self.now = until
-        return None
+        bound = _FOREVER if until is None else until
+        fired = skipped = 0
+        try:
+            while heap:
+                time, seq, event = heappop(heap)
+                if time > bound:
+                    # Put back the one entry past the bound.
+                    heapq.heappush(heap, (time, seq, event))
+                    break
+                if time < self.now:
+                    raise SimulationError("event scheduled in the past")
+                self.now = time
+                if event._cancelled:
+                    skipped += 1
+                else:
+                    fired += 1
+                    event._dispatch()
+        finally:
+            self._m_fired.inc(fired)
+            self._m_cancelled_skips.inc(skipped)
+
+    def _advance_to(self, until: int) -> None:
+        # Every entry due by ``until`` has been dispatched.
+        self.now = until
 
 
 # Bound C constructor for the calendar flavour's inlined timeout()
@@ -668,16 +682,15 @@ _new_timeout = object.__new__
 class CalendarSimulator(Simulator):
     """Simulator flavour backed by the calendar-queue event set.
 
-    Same observable semantics as the heapq reference — same-instant
-    FIFO, tombstone pops advancing time, ``run(until=)`` bound
-    re-checks, exact ``pending``/``next_event_time()`` inside callbacks
-    — with the drain loop specialized for the ring layout: one slot
-    walk per *instant* instead of one heap operation per event,
-    ``self.now`` written once per instant, no per-event tuple
-    allocation, and no sequence counter for in-window traffic.  See
-    :class:`repro.sim.event_set.CalendarEventSet` for the bucket
-    policy and ``tests/test_backend_conformance.py`` for the
-    differential proof of equivalence.
+    Same observable semantics as the heapq reference.  Only what E17
+    gates is specialized for the ring layout: the push, the
+    ``timeout()`` constructor and the drain, which walks one slot per
+    *instant* instead of one heap operation per event, writes
+    ``self.now`` once per instant, and allocates no per-event tuple or
+    sequence number for in-window traffic.  See
+    :class:`repro.sim.event_set.CalendarEventSet` for the bucket policy
+    and ``tests/test_backend_conformance.py`` for the differential
+    proof of equivalence.
     """
 
     backend_name = "calendar"
@@ -687,8 +700,6 @@ class CalendarSimulator(Simulator):
         # event set's storage directly; ``self.events`` is the shared
         # contract object.
         self.events = CalendarEventSet()
-
-    # -- scheduling -----------------------------------------------------
 
     def _schedule_event(self, event: Event, delay: int = 0) -> None:
         # Inlined CalendarEventSet.push, with two engine liberties the
@@ -752,88 +763,40 @@ class CalendarSimulator(Simulator):
             self._m_heap_depth.set(events._size)
         return event
 
-    # -- execution ------------------------------------------------------
+    def _drain(self, until: Optional[int]) -> None:
+        """Dispatch every entry due at or before ``until`` (all if None).
 
-    @property
-    def pending(self) -> int:
-        """Number of scheduled (not yet dispatched) event triggers.
-
-        Tombstones included, as in the reference backend, and exact
-        inside callbacks too: every drain path takes an entry off the
-        count before dispatching it.
-        """
-        return self.events._size
-
-    def next_event_time(self) -> Optional[int]:
-        """Absolute time of the earliest pending entry, or ``None``.
-
-        Same contract as the reference backend, inside callbacks
-        included: the ring walk starts at the drain cursor, which is
-        written through as each entry is taken.
-        """
-        return self.events.peek_time()
-
-    def step(self) -> bool:
-        """Dispatch the next scheduled event.  Returns False when idle.
-
-        Tombstone semantics match the reference backend: a cancelled
-        entry advances virtual time to its instant but runs nothing.
+        One ring walk per instant, and ``until`` tested once per
+        instant.  The cursor (``_scan_time``, ``_slot_idx``) and both
+        counters are written through as each entry is taken, before it
+        is dispatched, so a callback sees exactly the pending set
+        ``step()`` would leave (``pending``/``next_event_time()`` exact
+        mid-instant), and a dispatch that raises leaves the event set
+        consistent with nothing to replay.  The indexed inner loop
+        picks up appends *at* the instant being drained (immediate
+        events, process starts) in push order, and starts mid-slot when
+        ``step()`` left the instant half-drained.  ``t`` runs ahead of
+        ``_scan_time`` only across empty instants.  Fired and skipped
+        entries are counted as in the reference flavour.
         """
         events = self.events
-        while events._size:
-            time, event = events.pop()
-            if time < self.now:
-                raise SimulationError("event scheduled in the past")
-            self.now = time
-            if event._cancelled:
-                if self._instrumented:
-                    self._m_cancelled_skips.inc()
-                continue
-            if self._instrumented:
-                self._m_fired.inc()
-            event._dispatch()
-            return True
-        return False
-
-    def run(self, until: Optional[int] = None,
-            until_event: Optional[Event] = None) -> Any:
-        """Run until the schedule drains, ``until`` is reached, or
-        ``until_event`` triggers.
-
-        Returns ``until_event``'s value if given and triggered.
-        """
-        if until is not None and until < self.now:
-            raise SimulationError(f"run(until={until}) is in the past")
-        events = self.events
-        if until is None and until_event is None:
-            if self._instrumented:
-                while self.step():
-                    pass
-                return None
-            # Tight drain loop, one ring walk per instant.  The cursor
-            # (``_scan_time``, ``_slot_idx``) and both counters are
-            # written through as each entry is taken, before it is
-            # dispatched, so a callback sees exactly the pending set
-            # ``step()`` would leave (``pending``/``next_event_time()``
-            # exact mid-instant), and a dispatch that raises leaves the
-            # event set consistent with nothing to replay.  The indexed
-            # inner loop picks up appends *at* the instant being
-            # drained (immediate events, process starts) in push order,
-            # and starts mid-slot when step()/run(until=) left the
-            # instant half-drained.  ``t`` runs ahead of ``_scan_time``
-            # only across empty instants.
-            ring = events._ring
-            overflow = events._overflow
-            heappop = heapq.heappop
-            pending_marker = _PENDING
-            timeout_cls = Timeout
-            t = events._scan_time
-            idx = events._slot_idx
+        ring = events._ring
+        overflow = events._overflow
+        heappop = heapq.heappop
+        pending_marker = _PENDING
+        timeout_cls = Timeout
+        bound = _FOREVER if until is None else until
+        fired = skipped = 0
+        t = events._scan_time
+        idx = events._slot_idx
+        try:
             while events._size:
                 if events._wheel_count and not (overflow
                                                 and overflow[0][0] <= t):
                     slot = ring[t & _WHEEL_MASK]
                     if idx < len(slot):
+                        if t > bound:
+                            break
                         if t < self.now:
                             raise SimulationError(
                                 "event scheduled in the past")
@@ -845,7 +808,9 @@ class CalendarSimulator(Simulator):
                             events._size -= 1
                             events._wheel_count -= 1
                             if event._cancelled:
+                                skipped += 1
                                 continue
+                            fired += 1
                             if type(event) is timeout_cls:
                                 # Monomorphic Timeout._dispatch, inlined
                                 # (the dominant event type by far —
@@ -880,40 +845,22 @@ class CalendarSimulator(Simulator):
                 if idx:
                     ring[t & _WHEEL_MASK].clear()
                     idx = events._slot_idx = 0
+                time = overflow[0][0]
+                if time > bound:
+                    break
                 time, _seq, event = heappop(overflow)
                 events._size -= 1
                 if time < self.now:
                     raise SimulationError("event scheduled in the past")
                 self.now = events._scan_time = t = time
-                if not event._cancelled:
+                if event._cancelled:
+                    skipped += 1
+                else:
+                    fired += 1
                     event._dispatch()
-            return None
-        while events._size:
-            if until_event is not None and until_event.triggered:
-                return until_event.value
-            next_time = events.peek_time()
-            if until is not None and next_time > until:
-                self._advance_to(until)
-                return None
-            # One entry per iteration, bound re-checked against the new
-            # head after every tombstone pop — the same edge contract
-            # as the reference backend.
-            time, event = events.pop()
-            if time < self.now:
-                raise SimulationError("event scheduled in the past")
-            self.now = time
-            if event._cancelled:
-                if self._instrumented:
-                    self._m_cancelled_skips.inc()
-                continue
-            if self._instrumented:
-                self._m_fired.inc()
-            event._dispatch()
-        if until_event is not None and until_event.triggered:
-            return until_event.value
-        if until is not None:
-            self._advance_to(until)
-        return None
+        finally:
+            self._m_fired.inc(fired)
+            self._m_cancelled_skips.inc(skipped)
 
     def _advance_to(self, until: int) -> None:
         # ``now`` jumps to the run bound without a pop, so the window
@@ -930,11 +877,3 @@ class CalendarSimulator(Simulator):
             events._slot_idx = 0
         events._scan_time = until
         self.now = until
-
-
-#: backend name -> Simulator flavour; ``Simulator.__new__`` dispatches
-#: through this so ``Simulator(backend=...)`` returns the right class.
-_SIMULATOR_CLASSES = {
-    Simulator.backend_name: Simulator,
-    CalendarSimulator.backend_name: CalendarSimulator,
-}

@@ -2,11 +2,9 @@
 
 The :class:`~repro.sim.engine.Simulator` owns virtual time; *where the
 pending events live* is a backend decision.  Every backend implements
-the same small contract (the :class:`EventSet` interface) so the engine
-core can be swapped without touching the event/process layer, and so a
-differential harness (``tests/test_backend_conformance.py``) can replay
-one operation sequence through two backends and assert identical
-behaviour.
+the same small contract, so a differential harness
+(``tests/test_backend_conformance.py``) can replay one operation
+sequence through two backends and assert identical behaviour.
 
 The contract
 ------------
@@ -24,8 +22,7 @@ The contract
   when empty.  Two entries at the same instant pop in push order —
   this is the engine's determinism guarantee.
 * ``peek_time()`` — the ``time`` the next ``pop()`` would return, or
-  ``None`` when empty.  Used by the bounded ``run(until=...)`` loop to
-  re-check the bound after every pop without committing to it.
+  ``None`` when empty.
 * ``cancel-tombstone`` — cancellation is *not* an event-set operation.
   :meth:`repro.sim.engine.Event.cancel` flags the event; the entry
   stays in the set and still pops in order (the engine skips it at
@@ -33,6 +30,12 @@ The contract
   entries: a tombstone transits the set exactly like a live event.
 * ``__len__`` — number of pushed-but-not-popped entries, tombstones
   included.
+
+``Simulator.step()``, ``pending``, ``next_event_time()`` and
+``run(until_event=)`` use ``pop``, ``peek_time`` and ``len`` as they
+are.  An engine flavour supplies the rest: the storage, an inlined
+push, the drain behind ``run()``/``run(until=)`` and ``_advance_to``
+(see :mod:`repro.sim.engine`).
 
 Backends
 --------
@@ -62,15 +65,6 @@ Backends
     so draining overflow first preserves global push order.  Slots are
     cleared (never freed) when the walk moves past them, keeping the
     steady state allocation-free.
-
-Selection
----------
-
-``Simulator(backend=...)`` / ``HadesSystem(backend=...)`` pick a
-backend by name.  An explicit argument wins over the
-``REPRO_SIM_BACKEND`` environment variable, which wins over the
-default (``"heapq"``).  :func:`resolve_backend` implements that
-precedence and rejects unknown names with the list of valid ones.
 """
 
 from __future__ import annotations
@@ -95,46 +89,13 @@ WHEEL_SPAN = 64
 _WHEEL_MASK = WHEEL_SPAN - 1
 
 
-class EventSet:
-    """Interface for pending-event set backends (see module docstring).
-
-    Concrete backends subclass this for documentation/isinstance
-    purposes only — the engine never dispatches through the base class
-    on its hot paths.
-    """
-
-    #: Registry name of the backend, e.g. ``"heapq"``.
-    name: str = ""
-
-    __slots__ = ()
-
-    def push(self, time: int, event: Any) -> None:
-        """Schedule ``event`` at absolute ``time`` (FIFO within an instant)."""
-        raise NotImplementedError
-
-    def pop(self) -> Tuple[int, Any]:
-        """Remove and return the earliest ``(time, event)``; IndexError if empty."""
-        raise NotImplementedError
-
-    def peek_time(self) -> Optional[int]:
-        """Time of the next entry to pop, or ``None`` when empty."""
-        raise NotImplementedError
-
-    def __len__(self) -> int:
-        raise NotImplementedError
-
-    def __bool__(self) -> bool:
-        return len(self) > 0
-
-
-class HeapEventSet(EventSet):
+class HeapEventSet:
     """Reference backend: a ``heapq`` of ``(time, sequence, event)``.
 
     The sequence number breaks same-instant ties in push order.  The
-    engine's heapq-flavoured ``Simulator`` shares this storage but
-    inlines push/pop in its hot loops (see the hot-path notes in
-    :mod:`repro.sim.engine`); this class is the plain-spoken contract
-    those inlined loops must match.
+    engine's heapq-flavoured ``Simulator`` shares this storage: it
+    inlines the push and its drain's pop (see :mod:`repro.sim.engine`),
+    and this class is the plain-spoken contract they must match.
     """
 
     name = "heapq"
@@ -169,7 +130,7 @@ class HeapEventSet(EventSet):
         return len(self._heap)
 
 
-class CalendarEventSet(EventSet):
+class CalendarEventSet:
     """Calendar-queue backend: a sliding ring of slots + overflow heap.
 
     See the module docstring for the bucket policy.  Internal state:
@@ -293,8 +254,7 @@ class CalendarEventSet(EventSet):
         return self._size
 
 
-#: name -> EventSet class; the engine's Simulator subclasses mirror
-#: this registry (see ``repro.sim.engine._SIMULATOR_CLASSES``).
+#: name -> event-set class: the one registry of backend names.
 EVENT_SET_BACKENDS = {
     HeapEventSet.name: HeapEventSet,
     CalendarEventSet.name: CalendarEventSet,
@@ -332,7 +292,3 @@ def resolve_backend(backend: Optional[str] = None) -> str:
             f"available backends: {', '.join(available_backends())}")
     return backend
 
-
-def make_event_set(backend: Optional[str] = None) -> EventSet:
-    """Instantiate the event set for ``backend`` (resolved per precedence)."""
-    return EVENT_SET_BACKENDS[resolve_backend(backend)]()

@@ -215,6 +215,21 @@ class TestBackpressureAndLatency:
         assert first.decision == "admitted"
         assert adm.counts()["backpressure_rejected"] == 2
 
+    def test_counts_tally_with_metrics_off(self):
+        system = make_system(metrics=False)
+        assert not system.metrics.enabled
+        adm = AdmissionController(system.dispatcher, "n0",
+                                  UtilizationTest(0.6), w_adm=0)
+        adm.drive_arrivals(aperiodic("a", 500, 1000),
+                           [0, 0, 0, 2_000, 2_000])
+        system.run()
+        assert [r.decision for r in adm.decisions] == [
+            "admitted", "rejected", "rejected", "admitted", "rejected"]
+        counts = adm.counts()
+        assert (counts["submitted"], counts["admitted"],
+                counts["rejected"]) == (5, 2, 3)
+        assert "admitted=2/5" in repr(adm)
+
     def test_guarantee_latency_histogram_and_w_adm(self):
         system = make_system()
         adm = AdmissionController(system.dispatcher, "n0",

@@ -1,5 +1,8 @@
 """Edge-case coverage for the simulation engine and kernel corners."""
 
+import itertools
+import random
+
 import pytest
 
 from repro.kernel import Compute, KThread, Node, Sleep, ThreadState
@@ -10,6 +13,9 @@ from repro.sim import (
     SimulationError,
     Simulator,
 )
+from repro.sim.event_set import WHEEL_SPAN
+
+from tests.conftest import BACKENDS
 
 # The ``sim`` fixture comes from tests/conftest.py and parametrizes
 # every test here over all event-set backends.
@@ -253,3 +259,114 @@ class TestScheduledEventTriggering:
             timer.fail(RuntimeError("nope"))
         sim.run()
         assert log == [(30, "tick")]
+
+
+#: Delays on both sides of the calendar window edge, plus same-instant
+#: and far-future ones.
+DRAIN_DELAYS = (0, 0, 1, 3, WHEEL_SPAN - 1, WHEEL_SPAN, WHEEL_SPAN + 1, 200)
+
+
+def _drain_program(sim, seed):
+    """A random schedule/cancel program with cascades.
+
+    Returns the dispatch log (filled as the program runs) and the
+    worker processes, which ``run(until_event=)`` drains towards.
+    """
+    rng = random.Random(seed)
+    log = []
+    budget = [250]
+
+    def fire(tag):
+        log.append(("fire", sim.now, tag))
+        for _ in range(rng.randint(1, 3)):
+            if budget[0] == 0:
+                return
+            budget[0] -= 1
+            timer = sim.call_in(rng.choice(DRAIN_DELAYS),
+                                lambda child=budget[0]: fire(child))
+            if rng.random() < 0.25:
+                timer.cancel()
+
+    def worker(name):
+        for i in range(rng.randint(3, 12)):
+            if rng.random() < 0.4:
+                sim.timeout(rng.choice(DRAIN_DELAYS)).cancel()
+            yield sim.timeout(rng.choice(DRAIN_DELAYS))
+            log.append(("wake", sim.now, name, i))
+
+    workers = [sim.process(worker(f"p{k}")) for k in range(rng.randint(2, 4))]
+    for k in range(rng.randint(3, 8)):
+        sim.call_at(rng.randint(0, 300), lambda k=k: fire(f"root{k}"))
+    return log, workers
+
+
+def _drain_by_run(sim, workers):
+    sim.run()
+
+
+def _drain_in_slices(sim, workers):
+    widths = itertools.cycle((1, 7, WHEEL_SPAN, 150))
+    while sim.next_event_time() is not None:
+        sim.run(until=sim.now + next(widths))
+
+
+def _drain_until_events(sim, workers):
+    for worker in workers:
+        sim.run(until_event=worker)
+    assert sim.run(until_event=sim.event("never")) is None
+
+
+def _drain_by_step(sim, workers):
+    while sim.step():
+        pass
+
+
+DRAINS = {
+    "run": _drain_by_run,
+    "slices": _drain_in_slices,
+    "until_event": _drain_until_events,
+    "step": _drain_by_step,
+}
+
+
+class TestDrainModes:
+    """Every way of draining the schedule, on every backend, dispatches
+    the same entries in the same order and counts them alike."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_drain_modes_agree(self, seed):
+        outcomes = {}
+        for backend in BACKENDS:
+            for mode, drain in DRAINS.items():
+                sim = Simulator(metrics=True, backend=backend)
+                log, workers = _drain_program(sim, seed)
+                drain(sim, workers)
+                assert sim.pending == 0
+                counter = sim.metrics.counter
+                outcomes[backend, mode] = (
+                    log, counter("engine.events_fired").value,
+                    counter("engine.cancelled_skips").value)
+        reference = outcomes[BACKENDS[0], "run"]
+        assert len(reference[0]) > 100 and reference[2] > 0
+        for key, outcome in outcomes.items():
+            assert outcome == reference, key
+
+    @pytest.mark.parametrize("bounded", [False, True])
+    def test_raising_callback_is_counted(self, backend, bounded):
+        sim = Simulator(metrics=True, backend=backend)
+
+        def boom():
+            raise RuntimeError("boom")
+
+        sim.call_at(5, lambda: None)
+        sim.timeout(5).cancel()
+        sim.call_at(5, boom)
+        sim.call_at(7, lambda: None)
+        with pytest.raises(RuntimeError):
+            sim.run(until=10) if bounded else sim.run()
+        counter = sim.metrics.counter
+        assert counter("engine.events_fired").value == 2
+        assert counter("engine.cancelled_skips").value == 1
+        assert (sim.now, sim.pending) == (5, 1)
+        sim.run()
+        assert counter("engine.events_fired").value == 3

@@ -617,7 +617,7 @@ class ListRunQueueCpu(Cpu):
             preempted = self._running
             self._checkpoint()
             self._running = None
-            preempted._set_state(ThreadState.READY)
+            preempted.state = ThreadState.READY
             self._ready.append(preempted)
             self.tracer.record("cpu", "preempt", node=self.node_id,
                                thread=preempted.name, by=challenger.name,
