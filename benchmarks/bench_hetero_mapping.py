@@ -14,12 +14,11 @@ and the EU-to-engine mapping layer):
    Response times are exact microsecond figures and are compared
    **exactly** against the committed baseline.
 2. **Engine-trace determinism** — an engines-enabled, stagger-
-   quantized :class:`repro.Scenario` (two cells, a GPU-backed infer
-   tier, every duration on the mod-50 residue grid) is run serially
-   and sharded on **both** event-set backends; the merged trace —
-   engine-tagged ``cpu`` and ``dispatcher`` records included — must be
-   byte-identical to the serial run, and the engine-record stream's
-   SHA-256 must reproduce the baseline exactly.
+   quantized :class:`repro.Scenario` (four cells, a GPU-backed infer
+   tier, every duration on the mod-50 residue grid) is run once on
+   **each** event-set backend; the engine-tagged ``cpu`` and
+   ``dispatcher`` record streams must agree, and each backend's record
+   count and engine-record SHA-256 must reproduce the baseline exactly.
 3. **Mapped-scenario throughput** — wall-clock requests/sec of the
    hetero scenario, compared baseline-relative after the gate's
    in-process calibration normalization.
@@ -145,9 +144,8 @@ def build_scenario(seed=SEED, backend=None):
     """Engines-enabled four-cell scenario on the mod-50 residue grid.
 
     Every duration (wcets, GPU variant wcets, network latency, stagger
-    quantum) is a multiple of 50 and IRQ / scheduler costs are zeroed
-    — the E22/E23 determinism-probe discipline — so sharded runs stay
-    byte-exact against serial.
+    quantum) is a multiple of 50 and IRQ / scheduler costs are zeroed,
+    so no two cells record at one instant.
     """
     from repro import Scenario
 
@@ -179,13 +177,12 @@ def _engine_digest(records):
     return len(lines), digest
 
 
-def determinism_check(backend, shards=2, horizon=HORIZON):
-    """Serial vs ``shards=N`` byte-identity of the engine-tagged trace."""
-    serial, _ = gate.serial_equals_sharded(
-        lambda: build_scenario(backend=backend), horizon, shards)
-    engine_records, digest = _engine_digest(serial.system.tracer.records)
+def determinism_check(backend, horizon=HORIZON):
+    """Record count and engine-record digest of one scenario run."""
+    result = build_scenario(backend=backend).run(until=horizon)
+    engine_records, digest = _engine_digest(result.system.tracer.records)
     assert engine_records, "hetero scenario must emit engine records"
-    return {"records": len(serial.system.tracer),
+    return {"records": len(result.system.tracer),
             "engine_records": engine_records, "engine_sha256": digest}
 
 
@@ -209,28 +206,26 @@ def throughput_check(horizon=HORIZON, repeats=REPEATS):
             "requests_per_sec": round(best, 1)}
 
 
-def measure(horizon=HORIZON, repeats=REPEATS, shard_counts=(2, 4)):
+def measure(horizon=HORIZON, repeats=REPEATS):
     """All three gates; determinism on both backends."""
     from repro import available_backends
 
     calibration = gate.calibration(2)
     quality = quality_check()
-    determinism = {}
-    for backend in sorted(available_backends(), key=lambda n: n != "heapq"):
-        for shards in shard_counts:
-            determinism[f"{backend}@s{shards}"] = determinism_check(
-                backend, shards=shards, horizon=horizon)
+    determinism = {
+        backend: determinism_check(backend, horizon=horizon)
+        for backend in sorted(available_backends(),
+                              key=lambda n: n != "heapq")}
     digests = {cell["engine_sha256"] for cell in determinism.values()}
     assert len(digests) == 1, \
-        (f"engine record stream differs across backends/shard counts: "
-         f"{determinism}")
+        f"engine record stream differs across backends: {determinism}"
     throughput = throughput_check(horizon=horizon, repeats=repeats)
     throughput["normalized"] = (throughput["requests_per_sec"]
                                 / calibration)
     return {
         "experiment": "E24",
         "description": "heterogeneous engines: auto_map quality vs "
-                       "cpu-only and oracle, engine-trace shard "
+                       "cpu-only and oracle, engine-trace "
                        "determinism, mapped-scenario throughput "
                        "(see benchmarks/bench_hetero_mapping.py)",
         "seed": SEED,
@@ -281,12 +276,11 @@ def _print_results(results, baseline=None):
     rows = []
     for label, entry in results["determinism"].items():
         rows.append([label, entry["records"], entry["engine_records"],
-                     entry["engine_sha256"][:12], "byte-identical"])
+                     entry["engine_sha256"][:12]])
     print_table(
         f"E24 — engine-trace determinism, seed {results['seed']}, "
         f"horizon {results['horizon']:,} us",
-        ["backend@shards", "records", "engine records", "engine sha256",
-         "serial vs sharded"], rows)
+        ["backend", "records", "engine records", "engine sha256"], rows)
     throughput = results["throughput"]
     suffix = ""
     if baseline is not None:
@@ -301,15 +295,14 @@ def _print_results(results, baseline=None):
 
 def smoke():
     """CI-sized sanity run: mapping quality (2x floor, 10% oracle
-    slack) and serial-vs-shards=2 byte-identity of the engines-enabled
-    trace on both backends.  No baseline comparison — containers are
-    too noisy for wall-clock gates, and the quality/determinism
-    asserts are the point."""
-    results = measure(horizon=150_000, repeats=2, shard_counts=(2,))
+    slack) and the engine-record stream identical on both backends.
+    No baseline comparison — containers are too noisy for wall-clock
+    gates, and the quality/determinism asserts are the point."""
+    results = measure(horizon=150_000, repeats=2)
     _print_results(results)
     print("smoke passed: auto_map beats cpu-only >= 2x within 10% of "
-          "the oracle; engines-enabled traces byte-identical "
-          "(serial == shards=2, both backends)")
+          "the oracle; engine-record streams identical on both "
+          "backends")
     return 0
 
 
@@ -317,7 +310,7 @@ def smoke():
 #: ``python -m repro.experiments E24`` regenerate the comparison table.
 def test_hetero_mapping(benchmark):
     results = benchmark.pedantic(
-        lambda: measure(horizon=150_000, repeats=2, shard_counts=(2,)),
+        lambda: measure(horizon=150_000, repeats=2),
         rounds=1, iterations=1)
     _print_results(results)
 

@@ -5,11 +5,9 @@ Three gates over the :mod:`repro.obs.live` monitoring plane:
 1. **Alert-stream determinism** — a monitored, overloaded (3x),
    stagger-quantized scenario (every duration on the mod-50 residue
    grid, burn-rate monitors on two tenants, a closed-loop reaction on
-   one) is run serially and with ``shards=4`` on **both** event-set
-   backends; the merged trace — ``monitor`` and ``alert`` records
-   included — must be byte-identical to the serial run, and the alert
-   stream's SHA-256 must reproduce the committed baseline exactly.
-   The full gate additionally checks ``shards=2``.
+   one) is run once on **each** event-set backend; the alert streams
+   must agree, and each backend's record count and alert-stream
+   SHA-256 must reproduce the committed baseline exactly.
 2. **Detect -> react -> recover** — at 3x overload the optimistic
    utilization admission test lets doomed work through; the gold
    tenant's burn-rate alert raises and its reaction swaps the
@@ -66,9 +64,8 @@ def build_monitored(seed=SEED, react=True, backend=None):
     """The monitored overloaded scenario on the mod-50 residue grid.
 
     Every duration is a multiple of the stagger quantum and IRQ /
-    scheduler costs are zeroed (the E22 determinism-probe discipline),
-    so no two cells record at one instant and the probes tick on each
-    tenant's cell phase: sharding stays byte-exact.
+    scheduler costs are zeroed, so no two cells record at one instant
+    and the probes tick on each tenant's cell phase.
     """
     from repro import Scenario, UtilizationTest
 
@@ -106,13 +103,12 @@ def _alert_digest(records):
     return len(lines), digest
 
 
-def determinism_check(backend, shards=4, horizon=HORIZON):
-    """Serial vs ``shards=N`` byte-identity of the monitored trace."""
-    serial, _ = gate.serial_equals_sharded(
-        lambda: build_monitored(backend=backend), horizon, shards)
-    alerts, digest = _alert_digest(serial.system.tracer.records)
+def determinism_check(backend, horizon=HORIZON):
+    """Record count and alert-stream digest of one monitored run."""
+    result = build_monitored(backend=backend).run(until=horizon)
+    alerts, digest = _alert_digest(result.system.tracer.records)
     assert alerts, "3x overload must raise alerts"
-    return {"records": len(serial.system.tracer), "alerts": alerts,
+    return {"records": len(result.system.tracer), "alerts": alerts,
             "alert_sha256": digest}
 
 
@@ -220,19 +216,18 @@ def overhead_check(horizon=HORIZON, repeats=REPEATS):
     }
 
 
-def measure(horizon=HORIZON, repeats=REPEATS, shard_counts=(2, 4)):
+def measure(horizon=HORIZON, repeats=REPEATS):
     """All three gates; determinism on both backends."""
     from repro import available_backends
 
     calibration = gate.calibration(2)
-    determinism = {}
-    for backend in sorted(available_backends(), key=lambda n: n != "heapq"):
-        for shards in shard_counts:
-            determinism[f"{backend}@s{shards}"] = determinism_check(
-                backend, shards=shards, horizon=horizon)
+    determinism = {
+        backend: determinism_check(backend, horizon=horizon)
+        for backend in sorted(available_backends(),
+                              key=lambda n: n != "heapq")}
     digests = {cell["alert_sha256"] for cell in determinism.values()}
     assert len(digests) == 1, \
-        f"alert stream differs across backends/shard counts: {determinism}"
+        f"alert stream differs across backends: {determinism}"
     reaction = reaction_check(horizon=horizon)
     overhead = overhead_check(horizon=horizon, repeats=repeats)
     overhead["normalized"] = (overhead["monitored_requests_per_sec"]
@@ -283,12 +278,11 @@ def _print_results(results, baseline=None):
     rows = []
     for label, entry in results["determinism"].items():
         rows.append([label, entry["records"], entry["alerts"],
-                     entry["alert_sha256"][:12], "byte-identical"])
+                     entry["alert_sha256"][:12]])
     print_table(
         f"E23 — alert-stream determinism, seed {results['seed']}, "
         f"horizon {results['horizon']:,} us",
-        ["backend@shards", "records", "alerts", "alert sha256",
-         "serial vs sharded"], rows)
+        ["backend", "records", "alerts", "alert sha256"], rows)
     reaction = results["reaction"]
     overhead = results["overhead"]
     rows = [
@@ -315,16 +309,14 @@ def _print_results(results, baseline=None):
 
 
 def smoke():
-    """CI-sized sanity run: serial-vs-shards=4 byte-identity of the
-    monitored trace on both backends, the reaction invariant and the
-    overhead ceiling.  No baseline comparison — containers are too
-    noisy for wall-clock gates, and the determinism asserts are the
-    point."""
-    results = measure(horizon=150_000, repeats=5, shard_counts=(4,))
+    """CI-sized sanity run: the alert stream identical on both
+    backends, the reaction invariant and the overhead ceiling.  No
+    baseline comparison — containers are too noisy for wall-clock
+    gates, and the determinism asserts are the point."""
+    results = measure(horizon=150_000, repeats=5)
     _print_results(results)
-    print("smoke passed: monitored traces byte-identical "
-          "(serial == shards=4, both backends); reaction invariant "
-          "holds; overhead within ceiling")
+    print("smoke passed: alert streams identical on both backends; "
+          "reaction invariant holds; overhead within ceiling")
     return 0
 
 
@@ -334,7 +326,7 @@ def test_live_monitoring(benchmark):
     # repeats=3: the overhead ceiling is a median of per-pair ratios,
     # and a single pair leaves it at the mercy of host noise.
     results = benchmark.pedantic(
-        lambda: measure(horizon=150_000, repeats=3, shard_counts=(4,)),
+        lambda: measure(horizon=150_000, repeats=3),
         rounds=1, iterations=1)
     _print_results(results)
 

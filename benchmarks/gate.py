@@ -1,6 +1,6 @@
 """The one regression-gate harness of the gated experiment scripts.
 
-Five experiments (E17/E20, E21, E22, E23, E24) gate CI against figures
+Four experiments (E17/E20, E22, E23, E24) gate CI against figures
 committed in ``BENCH_engine.json``.  This module holds the decision
 they share — how a gated experiment is timed, stored and compared —
 so each script keeps only its workload builders, ``measure``,
@@ -30,7 +30,6 @@ import gc
 import json
 import pathlib
 import sys
-import tempfile
 import time
 
 BENCH_FILE = pathlib.Path(__file__).resolve().parent.parent / "BENCH_engine.json"
@@ -89,26 +88,6 @@ def floor(label, fresh, base, tolerance):
     if ratio < 1.0 - tolerance:
         return [(label, f"{ratio:.2f}x")]
     return []
-
-
-def serial_equals_sharded(build, until, shards, **run_kwargs):
-    """Run ``build()`` serially and with ``shards``; traces must match.
-
-    Both runs are exported with ``to_jsonl`` and compared byte for
-    byte.  Returns the ``(serial, sharded)`` results.
-    """
-    serial = build().run(until=until, **run_kwargs)
-    sharded = build().run(until=until, shards=shards, **run_kwargs)
-    with tempfile.TemporaryDirectory() as tmp:
-        exported = []
-        for name, result in (("serial", serial), ("sharded", sharded)):
-            path = pathlib.Path(tmp) / f"{name}.jsonl"
-            result.system.tracer.to_jsonl(str(path))
-            exported.append(path.read_bytes())
-    assert exported[0], "empty serial trace"
-    assert exported[0] == exported[1], \
-        f"shards={shards}: trace diverged from serial"
-    return serial, sharded
 
 
 def load():

@@ -41,7 +41,7 @@ builder (see :mod:`repro.scenarios`)::
               .tenant("gold", rate=120, mk=(9, 10), deadline=40_000)
               .admission("mk_firm")
               .load(3.0)
-              .run(until=1_000_000, seed=7, shards=4))
+              .run(until=1_000_000, seed=7))
     print(result.tenant("gold")["p99"])
 
 The engine's pending-event set is swappable: ``HadesSystem(backend=
@@ -135,13 +135,12 @@ from repro.scheduling import (
     SpringScheduler,
 )
 from repro.sim.engine import Simulator
-from repro.sim.sharded import ShardRunResult, auto_partition, run_sharded
 from repro.sim.event_set import available_backends, resolve_backend
 from repro.sim.trace import Tracer, TraceRecord, load_trace
 from repro.system import HadesSystem, RunOptions
 from repro.workloads.arrivals import diurnal_profile, nhpp_arrivals
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     # deployment facade
@@ -219,10 +218,6 @@ __all__ = [
     "react_reconfigure",
     "react_degrade",
     "react_revert",
-    # sharded conservative parallel simulation
-    "ShardRunResult",
-    "auto_partition",
-    "run_sharded",
     # causal spans, forensics, timeline export
     "SpanForest",
     "reconstruct",

@@ -36,7 +36,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    Iterable,
     List,
     Optional,
     Sequence,
@@ -269,8 +268,7 @@ class Dispatcher:
                  on_deadline_miss: str = "record",
                  abort_mode: str = "kill",
                  omission_margin: int = 10,
-                 metrics=None,
-                 owned_nodes: Optional[Iterable[str]] = None):
+                 metrics=None):
         from repro.obs.metrics import resolve_metrics
 
         if on_deadline_miss not in ("record", "abort"):
@@ -295,16 +293,8 @@ class Dispatcher:
         self._instances: Dict[Tuple[str, int], TaskInstance] = {}
         self._seq: Dict[str, int] = {}
         self._last_activation: Dict[str, int] = {}
-        # Sharded execution (repro.sim.sharded): the shard's owned node
-        # set, or None for the normal whole-system dispatcher.  A
-        # foreign task's activations become silent no-ops on this
-        # replica — the owning shard runs them.
-        self.owned: Optional[frozenset] = (
-            None if owned_nodes is None else frozenset(owned_nodes))
-        self._task_locality: Dict[str, bool] = {}
         #: Every task ever registered/activated through this
-        #: dispatcher, by name — the node graph the sharded
-        #: auto-partitioner derives its co-location weights from.
+        #: dispatcher, by name.
         self.known_tasks: Dict[str, Task] = {}
         self._resource_waiters: Dict[Resource, List[EUInstance]] = {}
         self._gated: List[EUInstance] = []
@@ -342,23 +332,7 @@ class Dispatcher:
         self.nodes[node.node_id] = node
 
     def attach_scheduler(self, scheduler) -> None:
-        """Plug in a scheduling policy (a :class:`SchedulerBase`).
-
-        On a shard replica, a scheduler homed on a foreign node is
-        silently skipped (its node's owning shard attaches the real
-        one), so shard-agnostic builders attach every scheduler
-        unconditionally.  Global schedulers (``home_node is None``)
-        observe cross-node state and cannot be sharded.
-        """
-        home = getattr(scheduler, "home_node", None)
-        if self.owned is not None:
-            if home is None:
-                raise ValueError(
-                    "global (home_node=None) schedulers observe every "
-                    "node and cannot run on a shard replica; give each "
-                    "scheduler a home node or run serially")
-            if home not in self.owned:
-                return
+        """Plug in a scheduling policy (a :class:`SchedulerBase`)."""
         self._schedulers.append(scheduler)
         scheduler.attach(self)
 
@@ -374,57 +348,11 @@ class Dispatcher:
 
     # -- activation ------------------------------------------------------------
 
-    def _owns_task(self, task: Task) -> bool:
-        """Whether this dispatcher replica runs ``task``.
-
-        Always true for the normal whole-system dispatcher.  In sharded
-        mode a task is *owned* when every one of its EU nodes belongs
-        to this shard and *foreign* when none does; a task spanning
-        shards raises — remote precedence inside one task needs the
-        shared instance state a single dispatcher holds, so the
-        partitioner must co-locate its nodes (the auto-partitioner's
-        co-location weights do exactly that).
-        """
-        if self.owned is None:
-            return True
-        cached = self._task_locality.get(task.name)
-        if cached is not None:
-            return cached
-        nodes = {task.node_of(eu) for eu in task.eus}
-        nodes.discard(None)
-        if not nodes:
-            raise ValueError(
-                f"task {task.name} has no node assignment; it cannot be "
-                f"placed on a shard")
-        inside = nodes & self.owned
-        if inside and nodes - self.owned:
-            raise ValueError(
-                f"task {task.name} spans shard boundaries (nodes "
-                f"{sorted(nodes)}, shard owns {sorted(self.owned)}); "
-                f"pass a partition= that co-locates its nodes")
-        owns = bool(inside)
-        self._task_locality[task.name] = owns
-        return owns
-
     def activate(self, task: Task, invoked_by: Optional[EUInstance] = None
-                 ) -> Optional[TaskInstance]:
+                 ) -> TaskInstance:
         """Process an activation request for ``task`` (§3.1.2: triggered
-        by an Inv_EU, a timer, or an interrupt).
-
-        In sharded mode an activation of a foreign task returns
-        ``None`` without any side effect — unless it came from a local
-        Inv_EU, which would need a cross-shard synchronous invocation
-        and raises instead.
-        """
+        by an Inv_EU, a timer, or an interrupt)."""
         self.known_tasks.setdefault(task.name, task)
-        if not self._owns_task(task):
-            if invoked_by is not None:
-                raise ValueError(
-                    f"{invoked_by.qualified_name} invokes task "
-                    f"{task.name} on another shard; cross-shard task "
-                    f"invocation is not supported — co-locate the "
-                    f"invoker and its target")
-            return None
         now = self.sim.now
         task.validate()
         previous = self._last_activation.get(task.name)
@@ -489,11 +417,6 @@ class Dispatcher:
                 f"task {task.name} arrival law is not periodic")
         self.known_tasks.setdefault(task.name, task)
         driver = PeriodicDriver(self, task, count)
-        if not self._owns_task(task):
-            # Sharded mode, foreign task: hand back an already-stopped
-            # driver so shard-agnostic builders keep working unchanged.
-            driver.stopped = True
-            return driver
         self.sim.call_at(self.sim.now + task.arrival.phase + jitter,
                          driver._fire)
         return driver
@@ -502,8 +425,6 @@ class Dispatcher:
                           times: Sequence[int]) -> None:
         """Activate ``task`` at each absolute time in ``times``."""
         self.known_tasks.setdefault(task.name, task)
-        if not self._owns_task(task):
-            return
         for when in times:
             self.sim.call_at(when, lambda t=task: self.activate(t))
 

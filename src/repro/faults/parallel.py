@@ -28,7 +28,7 @@ Robustness shapes (the part that matters for long campaigns):
   cannot kill a 10k-seed campaign.
 
 Workers are forked and not daemonic, so closures run in parallel too
-and a seed may itself fork (``HadesSystem.run(shards=N)``).  Without
+and a seed may itself fork processes.  Without
 the fork start method, and for ``jobs <= 1`` or a single seed, the
 campaign runs serially in-process.
 """

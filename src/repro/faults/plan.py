@@ -85,37 +85,17 @@ class FaultPlan:
     _DRAWING_KINDS = frozenset({FaultKind.LINK_OMISSION,
                                 FaultKind.LINK_PERFORMANCE})
 
-    @staticmethod
-    def _event_home(event: FaultEvent) -> Optional[str]:
-        """The node whose shard applies ``event``.
-
-        Node and clock faults live where the node lives; link faults
-        live on the *source* side — every link decision (drops, delays,
-        outages) is taken at transmit time on the sender's replica.
-        """
-        if event.kind in (FaultKind.LINK_DOWN, FaultKind.LINK_UP,
-                          FaultKind.LINK_OMISSION,
-                          FaultKind.LINK_PERFORMANCE):
-            return event.target[0]
-        return event.target
-
     def apply(self, system) -> None:
         """Schedule every event on the system's simulator.
 
-        Fault-RNG sub-seeds are drawn *here*, in event order — not at
-        fire time — so every shard replica of a sharded run
-        (``owned_nodes`` set) derives the identical seed for each event
-        while scheduling only the events homed on its own nodes.  The
-        drawn values match the historical fire-time draws exactly:
+        Fault-RNG sub-seeds are drawn *here*, in event order, not at
+        fire time.  The drawn values match fire-time draws exactly:
         events fire in the same sorted order they are scheduled in.
         """
         rng = random.Random(self.seed)
-        owned = getattr(system, "owned_nodes", None)
         for event in self.events:
             sub_seed = (rng.randrange(2 ** 31)
                         if event.kind in self._DRAWING_KINDS else None)
-            if owned is not None and self._event_home(event) not in owned:
-                continue
             system.sim.call_at(
                 event.time,
                 lambda e=event, s=sub_seed: self._fire(system, e, s))

@@ -13,9 +13,9 @@ with a deterministic ILP-lite heuristic good enough for a middleware:
    estimate: accumulated class load on its node, divided by the number
    of units of that class, plus the variant's WCET.  Integer
    arithmetic only, ties broken on ``(estimate, wcet, class name)`` —
-   the mapping is a pure function of the task and platform, so sharded
-   runs replaying the builder reach the identical assignment and
-   traces stay byte-reproducible.
+   the mapping is a pure function of the task and platform, so
+   rebuilding a system reaches the identical assignment and traces
+   stay byte-reproducible.
 
 Entry points:
 

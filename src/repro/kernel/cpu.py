@@ -83,10 +83,10 @@ class Cpu:
         #: Real time at which the running thread starts making progress
         #: (dispatch time plus any context-switch overhead).
         self._progress_start = 0
-        self._completion_token = 0
-        #: The completion timer of the current compute block; cancelled
-        #: (tombstoned in the event heap) when the block is interrupted,
-        #: so preemption-heavy runs do not drown in stale timer pops.
+        #: The completion timer of the current compute block.
+        #: :meth:`_checkpoint` cancels it (a tombstone in the event heap)
+        #: whenever the running thread loses the CPU, so a timer that
+        #: fires always belongs to the thread still running.
         self._completion_timer = None
         #: Ready seqs and entry stamps; only their order matters.
         self._seq = itertools.count(1)
@@ -221,18 +221,16 @@ class Cpu:
         self._last_dispatched = thread
         self._m_dispatches.inc()
         self._progress_start = self.sim.now + overhead
-        self._completion_token += 1
-        token = self._completion_token
         finish_in = overhead + thread._remaining
         self.tracer.record("cpu", "dispatch", node=self.node_id,
                            thread=thread.name, remaining=thread._remaining,
                            priority=thread.priority, **self._engine_kv)
-        self._completion_timer = self.sim.call_in(
-            finish_in, lambda: self._on_completion(token, thread))
+        self._completion_timer = self.sim.call_in(finish_in,
+                                                  self._on_completion)
 
-    def _on_completion(self, token: int, thread: "KThread") -> None:
-        if token != self._completion_token or thread is not self._running:
-            return  # stale timer: the thread was preempted or withdrawn
+    def _on_completion(self) -> None:
+        thread = self._running
+        assert thread is not None
         self._completion_timer = None
         progressed = self.sim.now - self._progress_start
         self._account(thread._category, progressed)
@@ -250,7 +248,6 @@ class Cpu:
     def _checkpoint(self) -> None:
         """Bank the running thread's progress before it loses the CPU."""
         assert self._running is not None
-        self._completion_token += 1  # invalidate the pending completion
         timer = self._completion_timer
         if timer is not None:
             self._completion_timer = None

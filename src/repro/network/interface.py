@@ -45,12 +45,6 @@ class NetworkInterface:
         """
         if self.node.crashed:
             return None
-        owned = self.network.owned
-        if owned is not None and self.node.node_id not in owned:
-            # Sharded execution: this is a foreign replica of the node;
-            # the owning shard performs the send (and allocates the
-            # message id from this node's lane).
-            return None
         message = Message(src=self.node.node_id, dst=dst, payload=payload,
                           kind=kind, size=size,
                           msg_id=self.network.next_msg_id(self.node.node_id))

@@ -116,10 +116,9 @@ class Link:
     :class:`~repro.network.network.Network` only ``Network._make_link``
     builds links, always with the network-wide parameters, so every
     link of a network shares one bound: ``Network.max_message_delay``
-    and ``Network.min_cross_base_latency`` derive theirs from those
-    parameters without scanning links.  Faults and partitions do not
-    change the bound; :meth:`guaranteed_bound` is what classifies each
-    delivery as on time or late.
+    derives it from those parameters without scanning links.  Faults
+    and partitions do not change the bound; :meth:`guaranteed_bound` is
+    what classifies each delivery as on time or late.
     """
 
     def __init__(self, sim: Simulator, tracer: Tracer, src: str, dst: str,
@@ -148,15 +147,6 @@ class Link:
         self.stats = {outcome: 0 for outcome in DeliveryOutcome}
         self._on_deliver: Optional[Callable[[Message], None]] = None
         self._accepts: Optional[Callable[[], bool]] = None
-        # Sharded execution: when set, a transmitted message is handed
-        # to this callback as ``(message, deliver_at, outcome)`` instead
-        # of being scheduled locally — the destination lives on another
-        # shard, which replays ``_deliver`` at the decided instant.
-        # All send-side decisions (faults, jitter, FIFO push-back, the
-        # LATE classification) still happen here, on the sender's
-        # replica of the link, exactly as in a serial run.
-        self.redirect: Optional[
-            Callable[[Message, int, "DeliveryOutcome"], None]] = None
         self.metrics = resolve_metrics(metrics)
         self._m_sent = self.metrics.counter("network.messages_sent")
         self._m_delivered = self.metrics.counter("network.messages_delivered")
@@ -248,10 +238,6 @@ class Link:
         late = (deliver_at - message.send_time
                 > self.guaranteed_bound(message.size))
         outcome = DeliveryOutcome.LATE if late else DeliveryOutcome.DELIVERED
-        redirect = self.redirect
-        if redirect is not None:
-            redirect(message, deliver_at, outcome)
-            return outcome
         self.sim.call_at(deliver_at, lambda: self._deliver(message, outcome))
         return outcome
 

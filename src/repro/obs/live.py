@@ -33,32 +33,20 @@ Sampling determinism
 --------------------
 The monitor is driven purely by (a) the trace-record stream it
 ingests and (b) probe events scheduled on the simulator, so its
-samples and alerts are byte-reproducible across seeds, event-set
-backends and shard counts, provided the probe instants follow the
-residue-class discipline of the sharded harness: a tenant lives in
-one cell (= one shard), its monitor's home node is the tenant's
-ingress node, and probes tick on the cell's residue class (``phase ≡
-cell's stagger phase (mod quantum)``, interval a multiple of the
-quantum).  Under that discipline the shard that owns the cell sees
-exactly the record substream the serial run would feed the monitor —
-same counts at every probe, hence byte-identical ``monitor``/``alert``
-records in the merged trace.  :meth:`Scenario.monitor
-<repro.scenarios.scenario.Scenario.monitor>` wires all of this
-automatically.
+samples and alerts are byte-reproducible across seeds and event-set
+backends.  :meth:`Scenario.monitor
+<repro.scenarios.scenario.Scenario.monitor>` wires a monitor to a
+tenant's ingress node.
 
 Dashboard
 ---------
 ``python -m repro.obs.live trace.jsonl`` renders the sample series
-and the alert log as a text dashboard; ``--coordinator
-coordinator.jsonl`` renders the sharded coordinator's per-barrier-
-window introspection sidecar (see
-:class:`~repro.sim.sharded.ShardRunResult`).
+and the alert log as a text dashboard.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from collections import deque
 from dataclasses import dataclass, field
@@ -80,7 +68,6 @@ __all__ = [
     "react_degrade",
     "react_reconfigure",
     "react_revert",
-    "render_coordinator",
     "render_dashboard",
     "main",
 ]
@@ -372,11 +359,6 @@ class _TracerHub:
             if monitors:
                 for monitor in monitors:
                     monitor._ingest(entry)
-        elif category == CATEGORY_ALERT:
-            monitors = self._by_tenant.get(entry.details.get("tenant"))
-            if monitors:
-                for monitor in monitors:
-                    monitor._ingest_alert(entry)
 
 
 class LiveMonitor:
@@ -427,7 +409,6 @@ class LiveMonitor:
         self.response_ewma = Ewma()
         self._state: Dict[str, _RuleState] = {r.name: _RuleState()
                                               for r in rules}
-        self._emitting = False
         self._on_alert: Dict[str, List[Callable[[Any, Alert], None]]] = {}
         self._on_clear: Dict[str, List[Callable[[Any, Alert], None]]] = {}
         self._fired: Dict[str, int] = {}
@@ -496,38 +477,6 @@ class LiveMonitor:
                     self._bad.add(entry.time)
                 del self._open[aid]
 
-    def _ingest_alert(self, entry) -> None:
-        """Mirror a replayed ``alert`` record into local state.
-
-        After a sharded run the merged trace is replayed into the
-        parent tracer: the classification counters rebuild through
-        :meth:`_ingest`, and this hook rebuilds :attr:`alerts` and the
-        rule states from the records the worker-side replica of this
-        monitor emitted — so ``result.monitors[i].alerts`` reads the
-        same at any shard count.  The monitor's own live emissions are
-        skipped (``_emitting`` guard), keeping serial runs unaffected.
-        """
-        if self._emitting:
-            return
-        details = entry.details
-        if details.get("node") != self.node:
-            return
-        state = self._state.get(details.get("rule"))
-        if state is None:
-            return
-        self.alerts.append(Alert(entry.time, details["rule"], self.tenant,
-                                 entry.event,
-                                 details.get("burn_fast_milli", 0),
-                                 details.get("burn_slow_milli", 0)))
-        if entry.event == "raise":
-            state.active = True
-            state.below = 0
-            state.raises += 1
-        elif entry.event == "clear":
-            state.active = False
-            state.below = 0
-            state.clears += 1
-
     # -- reactions ---------------------------------------------------------
 
     def on_alert(self, rule: str, callback: Callable[[Any, Alert], None],
@@ -589,18 +538,14 @@ class LiveMonitor:
                     alert = Alert(now, rule.name, self.tenant, "raise",
                                   fast_milli, slow_milli)
                     self.alerts.append(alert)
-                    self._emitting = True
-                    try:
-                        tracer.record(
-                            CATEGORY_ALERT, "raise", node=self.node,
-                            tenant=self.tenant, rule=rule.name,
-                            burn_fast_milli=fast_milli,
-                            burn_slow_milli=slow_milli,
-                            fast_window=rule.fast_window,
-                            slow_window=rule.slow_window,
-                            threshold_milli=rule.threshold_milli)
-                    finally:
-                        self._emitting = False
+                    tracer.record(
+                        CATEGORY_ALERT, "raise", node=self.node,
+                        tenant=self.tenant, rule=rule.name,
+                        burn_fast_milli=fast_milli,
+                        burn_slow_milli=slow_milli,
+                        fast_window=rule.fast_window,
+                        slow_window=rule.slow_window,
+                        threshold_milli=rule.threshold_milli)
                     self._react(self._on_alert, rule.name, alert,
                                 consume=True)
             else:
@@ -615,15 +560,11 @@ class LiveMonitor:
                     alert = Alert(now, rule.name, self.tenant, "clear",
                                   fast_milli, slow_milli)
                     self.alerts.append(alert)
-                    self._emitting = True
-                    try:
-                        tracer.record(
-                            CATEGORY_ALERT, "clear", node=self.node,
-                            tenant=self.tenant, rule=rule.name,
-                            burn_fast_milli=fast_milli,
-                            burn_slow_milli=slow_milli, held=rule.hold)
-                    finally:
-                        self._emitting = False
+                    tracer.record(
+                        CATEGORY_ALERT, "clear", node=self.node,
+                        tenant=self.tenant, rule=rule.name,
+                        burn_fast_milli=fast_milli,
+                        burn_slow_milli=slow_milli, held=rule.hold)
                     self._react(self._on_clear, rule.name, alert,
                                 consume=False)
         self.series.append((now, good_window, bad_window, burns))
@@ -806,66 +747,18 @@ def render_dashboard(trace_path: str,
     return "\n".join(lines) + "\n"
 
 
-def render_coordinator(path: str) -> str:
-    """Render a sharded coordinator introspection sidecar as text."""
-    totals: Dict[int, Dict[str, int]] = {}
-    windows = 0
-    shipped = 0
-    span: Tuple[Optional[int], Optional[int]] = (None, None)
-    with open(path, "r", encoding="utf-8") as handle:
-        rows = [json.loads(line) for line in handle if line.strip()]
-    for raw in rows:
-        windows += 1
-        shipped += raw.get("shipped", 0)
-        start, bound = raw.get("start"), raw.get("bound")
-        span = (start if span[0] is None else min(span[0], start),
-                bound if span[1] is None else max(span[1], bound))
-        for row in raw.get("shards", ()):
-            rank = row["rank"]
-            acc = totals.setdefault(rank, {"stall_us": 0, "out": 0,
-                                           "bytes": 0, "nulls": 0})
-            acc["stall_us"] += row.get("stall_us", 0)
-            acc["out"] += row.get("out", 0)
-            acc["bytes"] += row.get("bytes", 0)
-            if not row.get("out"):
-                acc["nulls"] += 1
-    lines = [f"coordinator: {windows} barrier window(s), "
-             f"{shipped} cross-shard message(s), sim span "
-             f"[{span[0]}, {span[1]}]"]
-    header = (f"{'shard':>5} {'stall_ms':>10} {'null_replies':>12} "
-              f"{'messages_out':>12} {'bytes_out':>10}")
-    lines.append(header)
-    lines.append("-" * len(header))
-    for rank in sorted(totals):
-        acc = totals[rank]
-        lines.append(f"{rank:>5} {acc['stall_us'] / 1000:>10.2f} "
-                     f"{acc['nulls']:>12} {acc['out']:>12} "
-                     f"{acc['bytes']:>10}")
-    return "\n".join(lines) + "\n"
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.live",
         description="Text dashboard for the live monitoring plane: "
-                    "sample series and alert log from a JSONL trace, "
-                    "and/or the sharded coordinator's per-barrier-"
-                    "window introspection sidecar.")
-    parser.add_argument("trace", nargs="?", default=None,
+                    "sample series and alert log from a JSONL trace.")
+    parser.add_argument("trace",
                         help="input trace (JSONL, as written by "
                              "Tracer.to_jsonl / stream_jsonl)")
     parser.add_argument("--tenant", default=None,
                         help="restrict the dashboard to one tenant")
-    parser.add_argument("--coordinator", default=None, metavar="SIDECAR",
-                        help="render a coordinator.jsonl sidecar "
-                             "(ShardRunResult.coordinator_path)")
     args = parser.parse_args(argv)
-    if args.trace is None and args.coordinator is None:
-        parser.error("give a trace, --coordinator SIDECAR, or both")
-    if args.trace is not None:
-        sys.stdout.write(render_dashboard(args.trace, tenant=args.tenant))
-    if args.coordinator is not None:
-        sys.stdout.write(render_coordinator(args.coordinator))
+    sys.stdout.write(render_dashboard(args.trace, tenant=args.tenant))
     return 0
 
 

@@ -50,7 +50,7 @@ def exact_quantile(sample: Sequence[int], q: float) -> Optional[int]:
     reports all call it, so "p99" means the same thing everywhere.
     Nearest-rank (not interpolated) keeps the result an observed value
     — an integer on integer samples — which is what byte-identical
-    cross-shard comparisons need.
+    comparisons across runs need.
     """
     if not sample:
         return None
@@ -164,7 +164,9 @@ class HistogramSnapshot:
 
     def quantile(self, q: float) -> Optional[int]:
         """Upper bound of the bucket holding the q-quantile (None when
-        empty; None also for observations past the last bound)."""
+        empty; None also for observations past the last bound).  Only
+        buckets holding observations are ranked, so ``q = 0`` gives the
+        minimum's bucket."""
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile {q} outside [0, 1]")
         if self.count == 0:
@@ -173,7 +175,7 @@ class HistogramSnapshot:
         seen = 0
         for bound, bucket_count in zip(self.buckets, self.counts):
             seen += bucket_count
-            if seen >= rank:
+            if bucket_count and seen >= rank:
                 return bound
         return None  # falls in the overflow bucket: no finite bound
 
@@ -405,8 +407,8 @@ class RunReport:
     ``to_dict()``/``from_dict()`` round-trip exactly — values, key
     insertion order, and int/float distinctions all survive, including
     through a JSON encode/decode — so a report can be stored as JSON
-    and read back unchanged.  Between processes (parallel campaigns,
-    shard workers) reports travel pickled as they are.
+    and read back unchanged.  Between processes (parallel campaign
+    workers) reports travel pickled as they are.
     """
 
     counters: Dict[str, int] = field(default_factory=dict)

@@ -18,7 +18,7 @@ traffic, SLO accounting) in the chainable :class:`Scenario` builder::
                       deadline=40_000)
               .admission("mk_firm")
               .load(3.0)
-              .run(until=1_000_000, seed=7, shards=4))
+              .run(until=1_000_000, seed=7))
 
 Modules: :mod:`~repro.scenarios.scenario` (the facade),
 :mod:`~repro.scenarios.traffic` (heavy-tailed service-time models),

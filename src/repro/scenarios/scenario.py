@@ -1,7 +1,7 @@
 """The fluent ``Scenario`` facade — one declarative construction path.
 
 Before this module, standing up a workload meant touching four layers
-by hand: ``HadesSystem.scripted`` for the deployment, raw arrival-law
+by hand: ``HadesSystem`` for the deployment, raw arrival-law
 generators for traffic, per-node scheduler construction, and ad-hoc
 ``AdmissionController`` wiring.  ``Scenario`` folds them into one
 chainable builder::
@@ -26,9 +26,7 @@ The same facade also expresses classic paper-shaped workloads (see
 :meth:`Scenario.periodic`, so one API covers both regimes.
 
 Everything composes with the existing execution machinery unchanged:
-the scenario builds a replayable :meth:`~repro.system.HadesSystem.
-scripted` system, so ``run(shards=N)`` forks cell-partitioned workers
-(tenants are pinned to cells; a cell never spans shards) and
+the scenario builds a plain :class:`~repro.system.HadesSystem`, and
 ``backend=`` / ``REPRO_SIM_BACKEND`` select the event-set backend.
 
 **Service request model.**  A request is one activation of a
@@ -130,34 +128,28 @@ class ScenarioResult:
     """Outcome of one :meth:`Scenario.run`."""
 
     def __init__(self, scenario: "Scenario", system: HadesSystem,
-                 scoreboard: Scoreboard, shard_result=None):
+                 scoreboard: Scoreboard):
         #: The scenario that produced this run.
         self.scenario = scenario
         #: The underlying :class:`~repro.system.HadesSystem` (tracer,
         #: metrics, dispatcher, monitor — everything is reachable).
         self.system = system
-        #: Per-tenant / per-tier SLO accounting (trace-reconstructed,
-        #: so identical for serial and sharded runs).
+        #: Per-tenant / per-tier SLO accounting (trace-reconstructed).
         self.scoreboard = scoreboard
-        #: The :class:`~repro.sim.sharded.ShardRunResult` for sharded
-        #: runs, else None.
-        self.shard_result = shard_result
 
     @property
     def schedulers(self) -> List[Any]:
-        """The scheduler instances the builder attached (serial state)."""
+        """The scheduler instances the builder attached."""
         return list(getattr(self.system, "_scenario_schedulers", ()))
 
     @property
     def controllers(self) -> List[AdmissionController]:
-        """Admission controllers of this replica (serial state; under
-        sharding consult the :attr:`scoreboard` instead)."""
+        """The admission controllers the builder attached."""
         return list(getattr(self.system, "_scenario_controllers", ()))
 
     @property
     def monitors(self) -> List[Any]:
-        """Live monitors of this replica (serial state; under sharding
-        read the merged trace's ``monitor``/``alert`` records)."""
+        """The live monitors the builder attached."""
         return list(getattr(self.system, "_scenario_monitors", ()))
 
     @property
@@ -246,8 +238,7 @@ class Scenario:
         declares per-engine-class WCETs for this tier's units
         (``{"gpu": 120}``).  When any tier declares engines, every
         tenant DAG is auto-mapped by the deterministic
-        :func:`repro.hetero.mapping.map_task` heuristic at build time —
-        shard replicas replay the identical mapping (repro.hetero).
+        :func:`repro.hetero.mapping.map_task` heuristic at build time.
         """
         if any(t.name == name for t in self._tiers):
             raise ValueError(f"duplicate tier {name!r}")
@@ -319,9 +310,7 @@ class Scenario:
     def cells(self, count: int) -> "Scenario":
         """Replicate the tier topology into ``count`` independent
         cells; tenants are pinned round-robin (tenant *i* → cell
-        ``i % count``).  Cells are the sharding unit: a request DAG
-        never leaves its cell, so ``run(shards=N)`` partitions whole
-        cells across workers."""
+        ``i % count``).  A request DAG never leaves its cell."""
         if count < 1:
             raise ValueError("cells must be >= 1")
         self._cells = count
@@ -390,14 +379,14 @@ class Scenario:
         A :class:`~repro.obs.live.LiveMonitor` is created on the
         tenant's ingress node with an in-sim probe every ``interval``
         µs (phase-locked to the tenant's cell when :meth:`stagger` is
-        active, keeping sharded runs byte-identical — under stagger,
-        ``interval`` must be a multiple of the quantum).  One burn-rate
-        rule named ``"burn"`` watches the ``objective_ppm`` SLO over
-        ``fast_window`` (default: ``interval``) and ``slow_window``
-        (default: ``5 * interval``), raising at ``threshold_milli``
-        (1000 = burning the error budget exactly at the sustainable
-        rate) and clearing with ``hold``-probe hysteresis below
-        ``clear_milli``.
+        active, so probes tick on the cell's arrival instants; under
+        stagger, ``interval`` must be a multiple of the quantum).  One
+        burn-rate rule named ``"burn"`` watches the ``objective_ppm``
+        SLO over ``fast_window`` (default: ``interval``) and
+        ``slow_window`` (default: ``5 * interval``), raising at
+        ``threshold_milli`` (1000 = burning the error budget exactly at
+        the sustainable rate) and clearing with ``hold``-probe
+        hysteresis below ``clear_milli``.
 
         ``react`` runs when the rule raises (once): ``"conservative"``
         swaps the ingress controller's guarantee test to the
@@ -468,7 +457,7 @@ class Scenario:
         """Pass-through :class:`~repro.system.HadesSystem` constructor
         options (``backend=``, ``metrics=``, ``network_latency=``,
         ``trace_maxlen=`` ...), merged over previous calls."""
-        for forbidden in ("node_ids", "owned_nodes", "costs", "engines"):
+        for forbidden in ("node_ids", "costs", "engines"):
             if forbidden in kwargs:
                 raise ValueError(f"{forbidden}= is managed by the "
                                  "scenario; use its fluent methods")
@@ -505,13 +494,11 @@ class Scenario:
         ``quantum`` (cell *c* arrives at instants ``≡ c * (quantum //
         cells)``).
 
-        This is the residue-class discipline of the sharded
-        determinism harness (``tests/test_sharded_determinism.py``):
-        when every duration is a multiple of the quantum — WCETs,
+        When every duration is a multiple of the quantum — WCETs,
         network latency, zero jitter/costs, no heavy-tailed ``service``
-        models — no two cells ever record at the same instant, and the
-        sharded merge is **byte-identical** to the serial trace, not
-        just scoreboard-identical.  Requires ``cells <= quantum / 2``.
+        models — no two cells ever record at the same instant.  Monitor
+        probes are phase-locked to the same residue classes (see
+        :meth:`monitor`).  Requires ``cells <= quantum / 2``.
         """
         if quantum < 2:
             raise ValueError("quantum must be >= 2")
@@ -535,38 +522,6 @@ class Scenario:
         if not nodes:
             raise ValueError("scenario declares no tiers and no nodes")
         return nodes
-
-    def partition(self, shards: int) -> List[List[str]]:
-        """Cell-aligned node partition for ``run(shards=N)``.
-
-        Cells are split into **contiguous** blocks (cells 0..j to shard
-        0, the next block to shard 1, ...; extra nodes ride on the last
-        shard).  Contiguity matters for byte-identity: construction-
-        time records (thread spawns at t=0) appear in cell order in a
-        serial trace, and the sharded merge key groups same-instant
-        records by shard rank — contiguous blocks make those two
-        orders agree.
-        """
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
-        if shards > self._cells:
-            raise ValueError(
-                f"shards={shards} exceeds cells={self._cells}; a cell "
-                "is the smallest shard unit (declare more cells)")
-        base, extra = divmod(self._cells, shards)
-        groups: List[List[str]] = []
-        cell = 0
-        for rank in range(shards):
-            block = base + (1 if rank < extra else 0)
-            group: List[str] = []
-            for _ in range(block):
-                group.extend(self._node_id(cell, tier.name, replica)
-                             for tier in self._tiers
-                             for replica in range(tier.replicas))
-                cell += 1
-            groups.append(group)
-        groups[-1].extend(self._extra_nodes)
-        return groups
 
     def _ingress_node(self, tenant_index: int) -> str:
         tier0 = self._tiers[0]
@@ -643,8 +598,7 @@ class Scenario:
         engine_map = self._engine_map()
         if engine_map:
             # Deterministic mapping of multi-version units onto the
-            # declared pools: shard replicas replaying this builder
-            # reach the identical assignment (byte-exact traces).
+            # declared pools.
             from repro.hetero.mapping import auto_map
             auto_map(task, engine_map)
         return task.validate()
@@ -735,11 +689,6 @@ class Scenario:
                 by_node.setdefault(node, []).append(spec)
             adm = self._admission
             for node in sorted(by_node):
-                # Shard replicas only run admission for owned nodes —
-                # a foreign controller would re-emit trace records the
-                # owning shard already produces.
-                if not system.owns(node):
-                    continue
                 overrides = {spec.name: spec.mk
                              for spec in by_node[node]
                              if spec.mk is not None}
@@ -762,9 +711,7 @@ class Scenario:
             if self._admission is None:
                 system.dispatcher.register_arrivals(task, times)
                 continue
-            controller = controllers.get(node)
-            if controller is None:
-                continue  # foreign cell on this shard replica
+            controller = controllers[node]
             wcet = self._inflated_wcet(task)
             for when in times:
                 system.sim.call_at(
@@ -778,7 +725,7 @@ class Scenario:
                                            List[int]]],
                          controllers: Dict[str, AdmissionController],
                          ) -> None:
-        """Wire one cell's live monitors (owned ingress nodes only)."""
+        """Wire one cell's live monitors."""
         if not self._monitors:
             return
         from repro.obs.live import (BurnRateRule, LiveMonitor, SloSpec,
@@ -788,8 +735,8 @@ class Scenario:
         index_of = {spec.name: i for i, spec in enumerate(self._tenants)}
         for mon in self._monitors:
             node = by_tenant.get(mon.tenant)
-            if node is None or not system.owns(node):
-                continue  # another cell, or a foreign shard replica
+            if node is None:
+                continue  # another cell
             if self._stagger and mon.interval % self._stagger:
                 raise ValueError(
                     f"monitor interval {mon.interval} must be a "
@@ -846,14 +793,11 @@ class Scenario:
         return restore
 
     def _build_into(self, system: HadesSystem) -> None:
-        """The replayable scripted builder (deterministic and
-        shard-agnostic, as ``HadesSystem.scripted`` requires).
+        """Register the whole workload on a freshly built ``system``.
 
         Construction is **cell-major**: each cell's schedulers,
         controllers and traffic are wired together before the next
-        cell's.  Serial time-0 records (thread spawns) then appear in
-        cell order, matching the sharded merge over the contiguous
-        :meth:`partition` — the remaining ingredient of byte-identity.
+        cell's, so time-0 records (thread spawns) appear in cell order.
         """
         system._scenario_schedulers = []
         system._scenario_controllers = []
@@ -881,7 +825,7 @@ class Scenario:
                 system.dispatcher.known_tasks.setdefault(task.name, task)
 
     def build(self) -> HadesSystem:
-        """Construct the (replayable, un-run) system."""
+        """Construct the (un-run) system."""
         if self._tenants and self._horizon is None:
             raise ValueError(
                 "tenant traffic needs a horizon: run(until=...)")
@@ -890,34 +834,26 @@ class Scenario:
         engine_map = self._engine_map()
         if engine_map:
             kwargs["engines"] = engine_map
-        return HadesSystem.scripted(self._build_into,
-                                    node_ids=self.node_ids(), **kwargs)
+        system = HadesSystem(node_ids=self.node_ids(), **kwargs)
+        self._build_into(system)
+        return system
 
-    def run(self, until: Optional[int] = None, seed: Optional[int] = None,
-            shards: Optional[int] = None) -> ScenarioResult:
+    def run(self, until: Optional[int] = None,
+            seed: Optional[int] = None) -> ScenarioResult:
         """Build and execute; returns a :class:`ScenarioResult`.
 
         ``until`` doubles as the traffic horizon (required when tenants
-        are declared); ``shards=N`` runs the conservative parallel
-        executor over the cell-aligned :meth:`partition` — the merged
-        trace, and therefore the scoreboard, is byte-identical to the
-        serial run.
+        are declared).
         """
         if seed is not None:
             self._seed = int(seed)
         if until is not None:
             self._horizon = until
         system = self.build()
-        shard_result = None
-        if shards is not None and shards > 1:
-            shard_result = system.run(until=self._horizon,
-                                      partition=self.partition(shards))
-        else:
-            system.run(until=self._horizon)
+        system.run(until=self._horizon)
         scoreboard = Scoreboard.from_records(
             system.tracer.records,
             [spec.slo() for spec in self._tenants],
             tiers=[tier.name for tier in self._tiers])
         scoreboard.publish(system.metrics)
-        return ScenarioResult(self, system, scoreboard,
-                              shard_result=shard_result)
+        return ScenarioResult(self, system, scoreboard)

@@ -2,11 +2,8 @@
 
 The scoreboard is deliberately **trace-based**: it consumes the
 dispatcher/admission event stream instead of live controller or
-dispatcher state.  Under sharded execution only the merged trace is
-byte-identical to a serial run (the parent dispatcher never advances),
-so reconstructing from records is what makes the scoreboard itself
-deterministic across ``shards=1/2/4`` and both event-set backends —
-a property the scenario test-suite asserts.
+dispatcher state, so any recorded trace — live or reloaded from JSONL
+— scores the same, on both event-set backends.
 
 Events consumed (all emitted by existing instrumentation):
 
@@ -262,7 +259,7 @@ class Scoreboard:
 
         Tenants are keyed in sorted order; every leaf is an int, a
         rounded float, a string, or None — safe to compare or JSON-dump
-        byte-for-byte across runs, shard counts and backends.
+        byte-for-byte across runs and backends.
         """
         return {name: self.tenant_stats(name)
                 for name in sorted(self.tenants)}

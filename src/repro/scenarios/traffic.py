@@ -11,9 +11,8 @@ hard bound — the tail mass above it models work the designer budgeted
 for; admission reasons about the WCET, the simulation burns the sample).
 
 Determinism: each sampler owns a private :class:`random.Random` seeded
-at construction, and each EU gets its own sampler.  An EU executes on
-exactly one node — hence, under sharding, in exactly one worker — so the
-per-EU draw sequence is identical between serial and sharded runs.
+at construction, and each EU gets its own sampler, so an EU's draw
+sequence does not depend on what other EUs draw.
 """
 
 from __future__ import annotations
@@ -31,8 +30,7 @@ def derive_seed(*parts: Any) -> int:
     """A stable 32-bit sub-seed from string-able parts.
 
     ``hash()`` is per-process randomized; CRC32 over the joined repr is
-    not, so builders replayed inside shard workers derive identical
-    seeds.
+    not, so every process derives identical seeds.
     """
     return zlib.crc32(":".join(str(p) for p in parts).encode())
 

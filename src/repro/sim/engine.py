@@ -585,9 +585,7 @@ class Simulator:
 
         Tombstones count: a cancelled entry still advances virtual time
         when popped, so its instant is a faithful (conservative) lower
-        bound on when this simulator next does *anything*.  This is the
-        earliest-output-time ingredient the sharded coordinator
-        (:mod:`repro.sim.sharded`) synchronizes on.
+        bound on when this simulator next does *anything*.
         """
         return self.events.peek_time()
 

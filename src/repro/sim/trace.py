@@ -39,9 +39,8 @@ obvious way: a record dropped by ``categories=`` is never created, so
 it never reaches any stream either — the stream sees exactly what
 :meth:`record` returns.  Pass ``footer=True`` to append a final
 metadata line counting what the stream did (and did not) capture.
-:func:`read_jsonl` is the one decoder of that format: :func:`load_trace`,
-the ``repro.obs`` consumers and the sharded coordinator's merged-trace
-reload all read trace files through it.
+:func:`read_jsonl` is the one decoder of that format: :func:`load_trace`
+and the ``repro.obs`` consumers read trace files through it.
 """
 
 from __future__ import annotations

@@ -15,8 +15,7 @@ benchmarks start with::
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, \
-    Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.costs import DispatcherCosts, KernelActivity
 from repro.core.dispatcher import Dispatcher
@@ -34,15 +33,15 @@ from repro.sim.trace import Tracer
 class RunOptions:
     """The observability/engine options a run is configured with.
 
-    One resolved bundle shared by every construction path —
-    ``HadesSystem(...)``, :meth:`HadesSystem.scripted`, and the sharded
-    executor's worker replicas — instead of each re-plumbing
-    ``metrics=`` / ``trace_categories=`` / ``backend=`` separately.
+    ``HadesSystem(...)`` resolves its ``metrics=`` /
+    ``trace_maxlen=`` / ``trace_categories=`` / ``backend=`` arguments
+    into one bundle and keeps it as :attr:`HadesSystem.options`.
     ``metrics`` holds the caller's *spec* (None/True/registry, see
     :func:`repro.obs.resolve_metrics`), not the resolved registry, so
     the bundle stays replayable; ``backend`` is pinned to the resolved
-    name once the engine exists (:meth:`pinned`), so worker processes
-    cannot re-resolve ``REPRO_SIM_BACKEND`` differently.
+    name once the engine exists (:meth:`pinned`), so a system rebuilt
+    from :meth:`to_kwargs` cannot re-resolve ``REPRO_SIM_BACKEND``
+    differently.
     """
 
     metrics: Any = None
@@ -92,8 +91,6 @@ class HadesSystem:
                  trace_maxlen: Optional[int] = None,
                  trace_categories: Optional[Iterable[str]] = None,
                  backend: Optional[str] = None,
-                 owned_nodes: Optional[Iterable[str]] = None,
-                 lazy_links: bool = False,
                  engines: Optional[Dict[str, Dict[str, int]]] = None):
         # ``metrics`` accepts a MetricsRegistry, True (create one), or
         # None/False (disabled — the near-zero-cost default); see
@@ -103,12 +100,6 @@ class HadesSystem:
         # REPRO_SIM_BACKEND environment variable, which wins over the
         # heapq default.  Both backends produce byte-identical traces
         # (tests/test_backend_conformance.py).
-        # ``owned_nodes`` turns this instance into one shard's replica
-        # of the deployment (repro.sim.sharded): every node is built —
-        # foreign nodes are inert stand-ins for link endpoints — but
-        # only the owned subset activates tasks, sends messages or runs
-        # background activity.  ``lazy_links`` defers full-mesh link
-        # construction to first use (see :class:`repro.network.Network`).
         options = RunOptions.resolve(
             metrics=metrics, trace_maxlen=trace_maxlen,
             trace_categories=trace_categories, backend=backend)
@@ -121,23 +112,15 @@ class HadesSystem:
                              categories=options.trace_categories)
         self.monitor = ExecutionMonitor()
         node_ids = list(node_ids)
-        self.owned_nodes: Optional[frozenset] = None
-        if owned_nodes is not None:
-            self.owned_nodes = frozenset(owned_nodes)
-            unknown = self.owned_nodes - set(node_ids)
-            if unknown:
-                raise ValueError(
-                    f"owned_nodes {sorted(unknown)} are not in node_ids")
         self.network = Network(self.sim, self.tracer,
                                base_latency=network_latency,
                                jitter_bound=network_jitter, seed=seed,
-                               metrics=self.metrics, lazy_links=lazy_links)
+                               metrics=self.metrics)
         self.nodes: Dict[str, Node] = {}
         drifts = clock_drifts or {}
         extra = node_kwargs or {}
         # ``engines`` declares heterogeneous accelerator pools per node:
-        # {"n0": {"gpu": 2}} (repro.hetero).  It is part of the scripted
-        # kwargs, so shard replicas rebuild identical pools.
+        # {"n0": {"gpu": 2}} (repro.hetero).
         engine_specs = engines or {}
         unknown_engine_nodes = set(engine_specs) - set(node_ids)
         if unknown_engine_nodes:
@@ -153,65 +136,20 @@ class HadesSystem:
                         engines=engine_specs.get(node_id), **extra)
             self.nodes[node_id] = node
             self.network.add_node(node)
-            if background_activities and self.owns(node_id):
+            if background_activities:
                 node.start_background_activities()
-        if self.owned_nodes is not None:
-            self.network.set_shard_owner(self.owned_nodes)
         self.network.connect_all()
         self.dispatcher = Dispatcher(self.sim, network=self.network,
                                      costs=costs, tracer=self.tracer,
                                      monitor=self.monitor,
                                      on_deadline_miss=on_deadline_miss,
                                      abort_mode=abort_mode,
-                                     metrics=self.metrics,
-                                     owned_nodes=owned_nodes)
+                                     metrics=self.metrics)
         for node in self.nodes.values():
             self.dispatcher.register_node(node)
         if with_tnetwork:
             for node_id, node in self.nodes.items():
-                if self.owns(node_id):
-                    install_tnetwork(node, self.network.interfaces[node_id])
-        # Set by :meth:`scripted`; required for ``run(shards=N)``.
-        self._builder: Optional[Callable[["HadesSystem"], Any]] = None
-        self._scripted_kwargs: Optional[Dict[str, Any]] = None
-
-    def owns(self, node_id: str) -> bool:
-        """Whether this (possibly shard-replica) system owns ``node_id``.
-
-        Always true for a whole-system instance.  Scripted builders that
-        construct per-node *services* (admission controllers, T_network
-        managers, custom monitors) should gate on this so a shard
-        replica only runs services for its own nodes.
-        """
-        return self.owned_nodes is None or node_id in self.owned_nodes
-
-    @classmethod
-    def scripted(cls, build: Callable[["HadesSystem"], Any],
-                 **kwargs: Any) -> "HadesSystem":
-        """Create a system from a replayable builder function.
-
-        ``build(system)`` receives the freshly constructed system and
-        registers the whole workload — tasks, schedulers, fault plans,
-        message scripts.  The builder must be deterministic and
-        shard-agnostic: sharded execution (``run(shards=N)``) replays
-        it inside every worker against that worker's shard replica,
-        where activity on foreign nodes silently becomes a no-op.
-        Constructor ``kwargs`` are replayed too, so they must not
-        include ``owned_nodes`` (the sharder assigns it).
-
-        For service-shaped workloads (tiers, tenants, SLOs), prefer the
-        fluent :class:`repro.scenarios.Scenario` facade — it builds a
-        scripted system like this one underneath, so everything here
-        (sharding, backends, determinism) applies to it unchanged.
-        """
-        if "owned_nodes" in kwargs:
-            raise ValueError("scripted() builds whole systems; "
-                             "owned_nodes is assigned by run(shards=N)")
-        system = cls(**kwargs)
-        system._builder = build
-        system._scripted_kwargs = dict(kwargs)
-        build(system)
-        return system
+                install_tnetwork(node, self.network.interfaces[node_id])
 
     # -- delegation helpers ------------------------------------------------
 
@@ -233,27 +171,9 @@ class HadesSystem:
         returns the :class:`~repro.core.dispatcher.PeriodicDriver`."""
         return self.dispatcher.register_periodic(task, **kwargs)
 
-    def run(self, until: Optional[int] = None,
-            shards: Optional[int] = None,
-            partition: Optional[Sequence[Sequence[str]]] = None) -> Any:
-        """Advance simulated time (to ``until``, or until idle).
-
-        With ``shards=N`` (or an explicit ``partition=`` — a list of
-        node-id groups) the run executes as a conservative parallel
-        simulation: nodes are partitioned across N worker processes
-        that synchronize on the network's guaranteed delivery bounds
-        (see :mod:`repro.sim.sharded`).  Requires a system built with
-        :meth:`scripted`.  Returns the
-        :class:`~repro.sim.sharded.ShardRunResult` (with the merged,
-        serial-identical trace loaded back into :attr:`tracer`), or
-        ``None`` for a plain serial run.
-        """
-        if shards is None and partition is None:
-            self.sim.run(until=until)
-            return None
-        from repro.sim.sharded import run_sharded
-        return run_sharded(self, until=until, shards=shards,
-                           partition=partition)
+    def run(self, until: Optional[int] = None) -> None:
+        """Advance simulated time (to ``until``, or until idle)."""
+        self.sim.run(until=until)
 
     def run_report(self, **meta: Any) -> RunReport:
         """Snapshot this deployment's metrics as a structured report.

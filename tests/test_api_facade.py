@@ -154,9 +154,9 @@ class TestBackendSelection:
         assert set(responses.values()) == {10}
 
     def test_version_bumped_for_backend_surface(self):
-        # 2.0.0: the deprecated categories= spelling is gone and
-        # resolve_metrics rejects objects that are not registries.
-        assert repro.__version__ == "2.0.0"
+        # 3.0.0: the sharded executor and its names (run_sharded,
+        # ShardRunResult, auto_partition) left the facade.
+        assert repro.__version__ == "3.0.0"
 
 
 class TestResolveMetrics:

@@ -405,23 +405,19 @@ class TestEngineObservability:
         assert json.loads(json.dumps(doc)) == doc
 
 
-def _hetero_scenario(backend=None, **tier_kwargs):
-    builder = (Scenario()
-               .tier("edge", replicas=1, wcet=200)
-               .tier("infer", fan_out=2, wcet=8_000,
-                     engines={"gpu": 2}, variants={"gpu": 900},
-                     **tier_kwargs)
-               .cells(2)
-               .tenant("gold", rate=20, deadline=50_000)
-               .policy("edf", w_sched=0)
-               .load(0.5)
-               .stagger(50)
-               .options(network_latency=50, network_jitter=0,
-                        node_kwargs={"net_irq_wcet": 0})
-               .seed(3))
-    if backend is not None:
-        builder.options(backend=backend)
-    return builder
+def _hetero_scenario():
+    return (Scenario()
+            .tier("edge", replicas=1, wcet=200)
+            .tier("infer", fan_out=2, wcet=8_000,
+                  engines={"gpu": 2}, variants={"gpu": 900})
+            .cells(2)
+            .tenant("gold", rate=20, deadline=50_000)
+            .policy("edf", w_sched=0)
+            .load(0.5)
+            .stagger(50)
+            .options(network_latency=50, network_jitter=0,
+                     node_kwargs={"net_irq_wcet": 0})
+            .seed(3))
 
 
 class TestScenarioEngines:
@@ -455,16 +451,3 @@ class TestScenarioEngines:
             Scenario().engines({"n0": {}})
         with pytest.raises(ValueError):
             Scenario().options(engines={"n0": {"gpu": 1}})
-
-    @pytest.mark.parametrize("backend", ["heapq", "calendar"])
-    def test_sharded_trace_byte_identity(self, backend, tmp_path):
-        serial = _hetero_scenario(backend=backend).run(until=200_000)
-        sharded = _hetero_scenario(backend=backend).run(until=200_000,
-                                                        shards=2)
-        a, b = tmp_path / "serial.jsonl", tmp_path / "sharded.jsonl"
-        serial.system.tracer.to_jsonl(str(a))
-        sharded.system.tracer.to_jsonl(str(b))
-        assert a.read_bytes(), "empty serial trace"
-        assert a.read_bytes() == b.read_bytes()
-        assert any("engine" in r.details
-                   for r in serial.system.tracer.records)

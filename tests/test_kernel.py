@@ -48,7 +48,7 @@ def unnamed_thread_trace():
 class TestThreadsBasic:
     def test_unnamed_threads_are_numbered_per_node(self):
         # Built one after the other in one process, as a serial
-        # campaign, a forked worker or a shard replica would build them.
+        # campaign or a forked worker would build them.
         first = unnamed_thread_trace()
         second = unnamed_thread_trace()
         assert first == second

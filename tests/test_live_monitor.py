@@ -15,7 +15,7 @@ from repro.core.heug import Task
 from repro.obs.live import (Alert, BurnRateRule, Ewma, LiveMonitor,
                             RollingCounter, SloSpec, TumblingHistogram,
                             react_degrade, react_revert,
-                            render_coordinator, render_dashboard)
+                            render_dashboard)
 from repro.obs.metrics import DEFAULT_BUCKETS, HistogramSnapshot
 from repro.services.modes import ModeManager
 
@@ -371,19 +371,6 @@ class TestScenarioMonitor:
             and r.details.get("activation_id") in admitted_after]
         assert late_misses == []
 
-    def test_sharded_monitor_rehydrates_from_merged_trace(self):
-        # Under shards=N the probes fire in the worker that owns the
-        # tenant's cell; the parent's monitor object must rebuild its
-        # alert log and counters from the merged-trace replay so
-        # ``result.monitors[i]`` reads the same at any shard count.
-        serial = _overloaded().run(until=300_000, seed=7)
-        sharded = _overloaded().run(until=300_000, seed=7, shards=2)
-        a, b = serial.monitors[0], sharded.monitors[0]
-        assert a.alerts, "3x overload must raise the burn alert"
-        assert a.alerts == b.alerts
-        assert a.counts() == b.counts()
-        assert a.active_alerts() == b.active_alerts()
-
     def test_monitor_validation(self):
         with pytest.raises(ValueError, match="undeclared tenant"):
             Scenario().monitor("ghost", interval=100)
@@ -492,18 +479,3 @@ class TestAlertWiring:
         assert main([str(trace), "--tenant", "gold"]) == 0
         out = capsys.readouterr().out
         assert "tenant gold" in out
-
-    def test_coordinator_dashboard(self, tmp_path, capsys):
-        from repro.obs.live import main
-        result = _overloaded().run(until=100_000, seed=7, shards=2)
-        sidecar = result.shard_result.coordinator_path
-        assert sidecar is not None
-        text = render_coordinator(sidecar)
-        assert "barrier window" in text
-        assert "stall_ms" in text
-        assert main(["--coordinator", sidecar]) == 0
-        assert "coordinator:" in capsys.readouterr().out
-        # per-shard stats mirror the sidecar
-        stats = result.shard_result.shard_stats
-        assert len(stats) == 2
-        assert all(s["windows"] >= 1 for s in stats)

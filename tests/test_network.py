@@ -102,6 +102,9 @@ class TestBasicDelivery:
         net.interfaces["n0"].send("ghost", "x")
         sim.run()
         assert net.lost_no_route == 1
+        assert [r.event for r in net.tracer.records] == ["no_route"]
+        with pytest.raises(KeyError):
+            net.link("n0", "ghost")
 
     def test_full_mesh_topology(self, sim):
         net = make_net(sim, n=4)
@@ -248,24 +251,16 @@ class TestMessage:
         net = make_net(sim, n=3, base_latency=40, jitter_bound=0)
         assert net.max_message_delay(0) == 40
 
-    @pytest.mark.parametrize("lazy_links", [False, True])
-    def test_cached_max_message_delay_equals_a_fresh_scan(self, sim,
-                                                          lazy_links):
-        def scanned(size):
-            bound = max((link.guaranteed_bound(size)
-                         for link in net.links.values()), default=0)
-            if lazy_links and len(net.nodes) > 1:
-                bound = max(bound, net.base_latency + net.jitter_bound
-                            + net.size_cost_per_byte * size)
-            return bound
-
+    def test_cached_max_message_delay_equals_a_fresh_scan(self, sim):
         def check():
             for size in (0, 64, 64, 1500):
-                assert net.max_message_delay(size) == scanned(size)
+                assert net.max_message_delay(size) == max(
+                    (link.guaranteed_bound(size)
+                     for link in net.links.values()), default=0)
 
         tracer = Tracer(lambda: sim.now)
         net = Network(sim, tracer, base_latency=40, size_cost_per_byte=2,
-                      jitter_bound=5, lazy_links=lazy_links)
+                      jitter_bound=5)
         net.add_node(Node(sim, "n0", tracer=tracer))
         check()
         assert net.max_message_delay(64) == 0
@@ -273,29 +268,28 @@ class TestMessage:
             net.add_node(Node(sim, f"n{i}", tracer=tracer))
             check()
         assert net.max_message_delay(64) == 40 + 2 * 64 + 5
-        net.link("n0", "n1")
-        check()
         net.partition(["n0", "n1"], ["n2", "n3"])
         check()
         net.heal()
         check()
-        assert len(net.links) == (12 if not lazy_links else 9)
+        assert len(net.links) == 12
 
-    @pytest.mark.parametrize("lazy_links", [False, True])
-    def test_min_cross_base_latency(self, sim, lazy_links):
-        # The sharded engine's lookahead: base_latency as soon as two
-        # nodes map to different owners, None while all share one.
-        net = make_net(sim, n=4, base_latency=40, jitter_bound=5,
-                       lazy_links=lazy_links)
-        one_owner = {f"n{i}": 0 for i in range(4)}
-        two_owners = {"n0": 0, "n1": 1, "n2": 0, "n3": 1}
-        assert len(net.links) == (0 if lazy_links else 12)
-        assert net.min_cross_base_latency(one_owner) is None
-        assert net.min_cross_base_latency(two_owners) == 40
-        net.link("n0", "n1")
-        net.link("n0", "n2")
-        assert net.min_cross_base_latency(one_owner) is None
-        assert net.min_cross_base_latency(two_owners) == 40
+
+class TestMessageIdLanes:
+    def test_per_src_lane_independent_of_interleaving(self):
+        def ids(order):
+            net = make_net(Simulator())
+            out = {}
+            for src in order:
+                dst = "n1" if src == "n0" else "n0"
+                out[src] = net.interfaces[src].send(dst, "x").msg_id
+            return out
+
+        assert ids(["n0", "n1"]) == ids(["n1", "n0"])
+
+    def test_global_lane_below_node_lanes(self, sim):
+        net = make_net(sim)
+        assert net.next_msg_id() < net.next_msg_id("n0")
 
 
 class _FixedRng:

@@ -180,6 +180,16 @@ class TestRunReport:
         assert snap.quantile(0.5) == 10
         assert snap.quantile(1.0) is None
 
+        # Empty buckets below the minimum hold no rank: q = 0 is the
+        # bucket of the smallest observation, not the first bound.
+        high = MetricsRegistry().histogram("h")
+        for _ in range(3):
+            high.observe(3000)
+        snap = high.snapshot()
+        assert snap.min_value == 3000
+        assert snap.quantile(0.0) == 5000
+        assert snap.quantile(1.0) == 5000
+
         with pytest.raises(ValueError):
             snap.quantile(-0.1)
         with pytest.raises(ValueError):

@@ -18,7 +18,6 @@ import repro
 from repro.core import DispatcherCosts, Periodic, Task
 from repro.faults import Campaign, CampaignTimeoutError, run_parallel
 from repro.obs.metrics import MetricsRegistry
-from repro.sim.sharded import run_sharded
 from repro.system import HadesSystem
 
 
@@ -85,34 +84,6 @@ def marking_crash_scenario(marker_dir, seed):
     if seed == 2:
         os._exit(13)
     return {"value": seed}
-
-
-def sharded_scenario(seed):
-    """A seed that forks processes of its own: a scripted two-node run,
-    one periodic task per node and messages from a to b, on two
-    shards."""
-    def build(system):
-        for index, node_id in enumerate(("a", "b")):
-            task = Task(f"t{node_id}", deadline=5_000,
-                        arrival=Periodic(period=10_000,
-                                         phase=1_000 + 2_300 * index),
-                        node_id=node_id)
-            task.code_eu("eu", wcet=200 + 10 * seed)
-            system.register_periodic(task, count=3)
-        iface = system.network.interfaces["a"]
-        for k in range(3):
-            system.sim.call_at(700 + 10_000 * k,
-                               lambda k=k: iface.send("b", {"k": k},
-                                                      size=64))
-
-    system = HadesSystem.scripted(build, node_ids=["a", "b"],
-                                  costs=DispatcherCosts.zero(), seed=seed,
-                                  metrics=True)
-    with tempfile.TemporaryDirectory() as trace_dir:
-        result = run_sharded(system, until=40_000, shards=2,
-                             trace_dir=trace_dir)
-    return {"windows": result.windows, "messages": result.messages,
-            "records": len(system.tracer), "report": result.reports[0]}
 
 
 def assert_identical(serial, parallel):
@@ -188,12 +159,6 @@ class TestForkedWorkers:
                           seeds=range(4)).run(jobs=2)
         assert len(result.per_run) == 4
         assert all(run["pid"] != parent for run in result.per_run)
-
-    def test_seed_that_forks_shards_matches_serial(self):
-        campaign = Campaign(sharded_scenario, seeds=range(3))
-        serial = campaign.run()
-        assert all(run["messages"] > 0 for run in serial.per_run)
-        assert_identical(serial, campaign.run(jobs=2))
 
     def test_import_loads_no_process_machinery(self):
         src = os.path.dirname(os.path.dirname(repro.__file__))

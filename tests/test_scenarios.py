@@ -83,7 +83,7 @@ class TestDeclarations:
             Scenario().tier("edge").tenant("gold", rate=10).build()
 
     def test_options_forbids_managed_kwargs(self):
-        for key in ("node_ids", "owned_nodes", "costs"):
+        for key in ("node_ids", "costs"):
             with pytest.raises(ValueError, match="managed"):
                 Scenario().options(**{key: None})
 
@@ -119,21 +119,6 @@ class TestDerivedStructure:
             "c1.edge0", "c1.edge1", "c1.svc0",
             "c2.edge0", "c2.edge1", "c2.svc0",
             "aux0"]
-
-    def test_partition_contiguous_with_extras_on_last_shard(self):
-        groups = self.build().partition(2)
-        assert groups[0] == ["c0.edge0", "c0.edge1", "c0.svc0",
-                             "c1.edge0", "c1.edge1", "c1.svc0"]
-        assert groups[1] == ["c2.edge0", "c2.edge1", "c2.svc0", "aux0"]
-
-    def test_partition_rejects_more_shards_than_cells(self):
-        with pytest.raises(ValueError, match="smallest shard unit"):
-            self.build().partition(4)
-
-    def test_partition_covers_every_node_exactly_once(self):
-        builder = self.build()
-        flat = [n for group in builder.partition(3) for n in group]
-        assert sorted(flat) == sorted(builder.node_ids())
 
 
 class TestTrafficGeneration:
@@ -254,12 +239,6 @@ class TestRunOptions:
         with pytest.raises(TypeError, match="categories"):
             HadesSystem(node_ids=["n0"], categories=["dispatcher"])
 
-    def test_owns_is_public_with_compat_alias(self):
-        whole = HadesSystem(node_ids=["n0"])
-        assert whole.owns("n0") and whole.owns("n1")  # owns everything
-        replica = HadesSystem(node_ids=["n0", "n1"], owned_nodes=["n0"])
-        assert replica.owns("n0") and not replica.owns("n1")
-
 
 class TestGenericWorkloads:
     def test_scenario_matches_handwired_system(self):
@@ -320,6 +299,32 @@ class TestServiceScenarios:
             == gold["submitted"]
         assert set(gold["tiers"]) == {"edge", "svc"}
         assert result.accrued_value() >= gold["value"]
+
+    def test_run_builds_once_then_runs_the_built_system(self):
+        # benchmarks/e2e/workloads.py wraps an instance's build() and
+        # the built system's run() to time setup and run apart, so
+        # Scenario.run must call exactly these, once each, in order.
+        builder = self.build()
+        calls, built = [], []
+        build = builder.build
+
+        def tracked_build():
+            calls.append("build")
+            system = build()
+            run = system.run
+
+            def tracked_run(*args, **kwargs):
+                calls.append(("run", args, kwargs))
+                return run(*args, **kwargs)
+
+            system.run = tracked_run
+            built.append(system)
+            return system
+
+        builder.build = tracked_build
+        result = builder.run(until=60_000, seed=3)
+        assert calls == ["build", ("run", (), {"until": 60_000})]
+        assert result.system is built[0]
 
     def test_admission_controllers_respect_tenant_mk(self):
         result = self.build().run(until=60_000, seed=3)
