@@ -289,6 +289,10 @@ class Dispatcher:
         self.ledger = CostLedger()
         self.nodes: Dict[str, Node] = {}
         self._schedulers: List[Any] = []  # SchedulerBase, avoid import cycle
+        # node id -> the attached schedulers whose scope is None or that
+        # node, in attach order; filled lazily by _notify, cleared by
+        # attach_scheduler.
+        self._schedulers_of: Dict[str, Tuple[Any, ...]] = {}
         self._start_gates: List[StartGate] = []
         self._instances: Dict[Tuple[str, int], TaskInstance] = {}
         self._seq: Dict[str, int] = {}
@@ -334,6 +338,7 @@ class Dispatcher:
     def attach_scheduler(self, scheduler) -> None:
         """Plug in a scheduling policy (a :class:`SchedulerBase`)."""
         self._schedulers.append(scheduler)
+        self._schedulers_of.clear()
         scheduler.attach(self)
 
     def add_start_gate(self, gate: StartGate) -> None:
@@ -367,9 +372,10 @@ class Dispatcher:
         self._seq[task.name] = seq
         instance = TaskInstance(task, seq, now, self, invoked_by)
         self._instances[instance.key] = instance
-        self.tracer.record("dispatcher", "activate", task=task.name, seq=seq,
-                           activation_id=instance.qualified_name,
-                           deadline=instance.abs_deadline)
+        self.tracer.emit("dispatcher", "activate", {
+            "task": task.name, "seq": seq,
+            "activation_id": instance.qualified_name,
+            "deadline": instance.abs_deadline})
         self._m_activations.inc()
 
         if instance.abs_deadline is not None:
@@ -502,9 +508,9 @@ class Dispatcher:
                                  lambda e=eui: self._maybe_resume(e))
             elif eui.state is EUState.WAITING and eui.preds_remaining == 0:
                 self._evaluate(eui)
-        self.tracer.record("dispatcher", "set_params",
-                           eu=eui.qualified_name, priority=eui.priority,
-                           earliest=eui.earliest)
+        self.tracer.emit("dispatcher", "set_params", {
+            "eu": eui.qualified_name, "priority": eui.priority,
+            "earliest": eui.earliest})
 
     def _maybe_resume(self, eui: EUInstance) -> None:
         if eui.state is not EUState.SUSPENDED:
@@ -549,7 +555,13 @@ class Dispatcher:
     def _notify(self, kind: NotificationKind, eui: EUInstance,
                 **details: Any) -> None:
         notification = Notification(kind, eui, self.sim.now, details)
-        for scheduler in self._schedulers:
+        node_id = eui.node_id
+        candidates = self._schedulers_of.get(node_id)
+        if candidates is None:
+            candidates = self._schedulers_of[node_id] = tuple(
+                scheduler for scheduler in self._schedulers
+                if scheduler.scope is None or scheduler.scope == node_id)
+        for scheduler in candidates:
             if scheduler.manages(eui):
                 scheduler.queue.put(notification)
 
@@ -668,10 +680,11 @@ class Dispatcher:
         thread.finished.add_callback(
             lambda evt: self._on_eu_thread_done(eui, evt))
         thread.start()
-        engine_kv = {} if eui.engine == "cpu" else {"engine": eui.engine}
-        self.tracer.record("dispatcher", "thread_start",
-                           eu=eui.qualified_name, node=eui.node_id,
-                           priority=eui.priority, **engine_kv)
+        details = {"eu": eui.qualified_name, "node": node.node_id,
+                   "priority": eui.priority}
+        if eui.engine != "cpu":
+            details["engine"] = eui.engine
+        self.tracer.emit("dispatcher", "thread_start", details)
         self._m_thread_starts.inc()
 
     def _eu_body(self, eui: EUInstance):
@@ -772,7 +785,7 @@ class Dispatcher:
 
         self._release_resources(eui)
         self._notify(NotificationKind.TRM, eui)
-        self.tracer.record("dispatcher", "eu_done", eu=eui.qualified_name)
+        self.tracer.emit("dispatcher", "eu_done", {"eu": eui.qualified_name})
         self._m_eu_completions.inc()
         self._propagate(eui, context)
         self._count_down(eui.instance)
@@ -827,11 +840,11 @@ class Dispatcher:
         dst.preds_remaining -= 1
         # The causal record of the HEUG DAG: span reconstruction reads
         # the per-activation precedence structure out of these.
-        self.tracer.record("dispatcher", "edge_satisfied",
-                           activation_id=instance.qualified_name,
-                           edge=instance.task.edge_index(edge),
-                           src=edge.src.name, dst=edge.dst.name,
-                           remaining=dst.preds_remaining)
+        self.tracer.emit("dispatcher", "edge_satisfied", {
+            "activation_id": instance.qualified_name,
+            "edge": instance.task.edge_index(edge),
+            "src": edge.src.name, "dst": edge.dst.name,
+            "remaining": dst.preds_remaining})
         if dst.preds_remaining == 0:
             self._evaluate(dst)
 
@@ -858,10 +871,9 @@ class Dispatcher:
             tnet.send(dst_node, payload, kind="heug-edge")
         else:
             interface.send(dst_node, payload, kind="heug-edge")
-        self.tracer.record("dispatcher", "remote_edge_sent",
-                           eu=eui.qualified_name, dst=dst_node,
-                           activation_id=instance.qualified_name,
-                           edge=edge_index)
+        self.tracer.emit("dispatcher", "remote_edge_sent", {
+            "eu": eui.qualified_name, "dst": dst_node,
+            "activation_id": instance.qualified_name, "edge": edge_index})
         # §3.2.1 event (v): watch for network omission failures by
         # observing the remote precedence constraint.
         bound = (self.network.max_message_delay(64)
@@ -893,9 +905,9 @@ class Dispatcher:
                                 cause="remote_edge_to_dead_instance")
             return
         edge = instance.task.edges[payload["edge"]]
-        self.tracer.record("dispatcher", "remote_edge_recv",
-                           task=payload["task"], seq=payload["seq"],
-                           edge=payload["edge"])
+        self.tracer.emit("dispatcher", "remote_edge_recv", {
+            "task": payload["task"], "seq": payload["seq"],
+            "edge": payload["edge"]})
         self._satisfy_edge(instance, edge, payload["value"])
 
     # -- Inv_EU execution ----------------------------------------------------------------
@@ -987,11 +999,11 @@ class Dispatcher:
                                 instance.task.name, instance.seq,
                                 deadline=instance.abs_deadline,
                                 remaining_eus=0)
-        self.tracer.record("dispatcher", "instance_done",
-                           task=instance.task.name, seq=instance.seq,
-                           activation_id=instance.qualified_name,
-                           response=instance.response_time,
-                           missed=instance.missed_deadline)
+        self.tracer.emit("dispatcher", "instance_done", {
+            "task": instance.task.name, "seq": instance.seq,
+            "activation_id": instance.qualified_name,
+            "response": instance.response_time,
+            "missed": instance.missed_deadline})
         self._m_instances_done.inc()
         if not instance.done_event.triggered:
             instance.done_event.succeed("done")

@@ -62,8 +62,6 @@ class Cpu:
         self.engine_label = engine_label
         #: Non-CPU engine classes run every compute block to completion.
         self.preemptive = engine_class == "cpu"
-        self._engine_kv = (
-            {} if engine_label is None else {"engine": engine_label})
         self.context_switch_cost = int(context_switch_cost)
         self.metrics = resolve_metrics(metrics)
         self._m_dispatches = self.metrics.counter("cpu.dispatches")
@@ -112,8 +110,8 @@ class Cpu:
         if thread is self._running:
             self._checkpoint()
             self._running = None
-            self.tracer.record("cpu", "withdraw", node=self.node_id,
-                               thread=thread.name, **self._engine_kv)
+            self._trace("withdraw", {"node": self.node_id,
+                                     "thread": thread.name})
             self._schedule()
         elif thread._ready_entry is not None:
             self._discard(thread)
@@ -150,7 +148,7 @@ class Cpu:
         ahead of equal-threshold newcomers instead of being overtaken.
         """
         if thread._pt_boosted:
-            return thread.effective_threshold
+            return thread._effective_threshold
         return thread._priority
 
     def _enqueue(self, thread: "KThread") -> None:
@@ -185,7 +183,7 @@ class Cpu:
                 # completion; the dispatcher accounts for the blocking.
                 return
             if (not queue or
-                    -queue[0][0] <= self._running.effective_threshold):
+                    -queue[0][0] <= self._running._effective_threshold):
                 return
             challenger = queue[0][3]
             preempted = self._running
@@ -193,10 +191,10 @@ class Cpu:
             self._running = None
             preempted.state = ThreadState.READY
             self._enqueue(preempted)
-            self.tracer.record("cpu", "preempt", node=self.node_id,
-                               thread=preempted.name, by=challenger.name,
-                               by_priority=challenger.priority,
-                               **self._engine_kv)
+            self._trace("preempt", {"node": self.node_id,
+                                    "thread": preempted.name,
+                                    "by": challenger.name,
+                                    "by_priority": challenger._priority})
             self._m_preemptions.inc()
         if not queue:
             return
@@ -222,9 +220,9 @@ class Cpu:
         self._m_dispatches.inc()
         self._progress_start = self.sim.now + overhead
         finish_in = overhead + thread._remaining
-        self.tracer.record("cpu", "dispatch", node=self.node_id,
-                           thread=thread.name, remaining=thread._remaining,
-                           priority=thread.priority, **self._engine_kv)
+        self._trace("dispatch", {"node": self.node_id, "thread": thread.name,
+                                 "remaining": thread._remaining,
+                                 "priority": thread._priority})
         self._completion_timer = self.sim.call_in(finish_in,
                                                   self._on_completion)
 
@@ -237,13 +235,19 @@ class Cpu:
         thread.cpu_time += progressed
         thread._pt_boosted = False
         self._running = None
-        self.tracer.record("cpu", "complete", node=self.node_id,
-                           thread=thread.name, **self._engine_kv)
+        self._trace("complete", {"node": self.node_id,
+                                 "thread": thread.name})
         thread._compute_finished()
         # The thread's _advance may have resubmitted work already; only
         # re-dispatch if the CPU is still idle.
         if self._running is None:
             self._schedule()
+
+    def _trace(self, event: str, details: Dict[str, object]) -> None:
+        """Emit a ``cpu`` record; an engine unit's label comes last."""
+        if self.engine_label is not None:
+            details["engine"] = self.engine_label
+        self.tracer.emit("cpu", event, details)
 
     def _checkpoint(self) -> None:
         """Bank the running thread's progress before it loses the CPU."""

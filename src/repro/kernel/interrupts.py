@@ -70,8 +70,9 @@ class InterruptSource:
     def _service(self, payload: Any) -> None:
         sim = self.node.sim
         self.fire_count += 1
-        self.node.tracer.record("kernel", "interrupt", node=self.node.node_id,
-                                source=self.name, seq=self.fire_count)
+        self.node.tracer.emit("kernel", "interrupt", {
+            "node": self.node.node_id, "source": self.name,
+            "seq": self.fire_count})
 
         def handler_body():
             if self.wcet:

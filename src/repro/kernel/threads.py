@@ -99,6 +99,9 @@ class KThread:
         self._priority = priority
         self._preemption_threshold = (
             priority if preemption_threshold is None else preemption_threshold)
+        #: max(priority, threshold), kept by the two writers of either
+        #: (here and set_priority); the Cpu reads it on every re-key.
+        self._effective_threshold = max(priority, self._preemption_threshold)
         self.state = ThreadState.NEW
         self.body = body
         #: Triggers with the body's return value when the thread ends.
@@ -143,7 +146,7 @@ class KThread:
         A thread can never be preempted by priorities at or below its own
         priority, so the effective threshold is at least the priority.
         """
-        return max(self._priority, self._preemption_threshold)
+        return self._effective_threshold
 
     def set_priority(self, priority: int,
                      preemption_threshold: Optional[int] = None) -> None:
@@ -151,6 +154,7 @@ class KThread:
         self._priority = priority
         if preemption_threshold is not None:
             self._preemption_threshold = preemption_threshold
+        self._effective_threshold = max(priority, self._preemption_threshold)
         if self.state in (ThreadState.READY, ThreadState.RUNNING):
             self.cpu.priorities_changed(self)
 
@@ -270,19 +274,17 @@ class KThread:
             target = self.sim.timeout(request.delay)
             self._wait_target = target
             self._wait_private = True
-            self.node.tracer.record("thread", "block",
-                                    node=self.node.node_id,
-                                    thread=self.name, reason="sleep",
-                                    delay=request.delay)
+            self.node.tracer.emit("thread", "block", {
+                "node": self.node.node_id, "thread": self.name,
+                "reason": "sleep", "delay": request.delay})
             target.add_callback(self._on_wait_done)
         elif isinstance(request, WaitEvent):
             self.state = ThreadState.BLOCKED
             self._wait_target = request.event
             self._wait_private = False
-            self.node.tracer.record("thread", "block",
-                                    node=self.node.node_id,
-                                    thread=self.name, reason="event",
-                                    target=request.event.name)
+            self.node.tracer.emit("thread", "block", {
+                "node": self.node.node_id, "thread": self.name,
+                "reason": "event", "target": request.event.name})
             request.event.add_callback(self._on_wait_done)
         elif isinstance(request, Event):
             # Yielding a bare engine event is allowed as shorthand.

@@ -207,7 +207,7 @@ class Link:
                                              f"#{payload['seq']}")
             if "edge" in payload:
                 send_details["edge"] = payload["edge"]
-        self.tracer.record("network", "send", **send_details)
+        self.tracer.emit("network", "send", send_details)
         if not self.up:
             self.stats[DeliveryOutcome.DROPPED] += 1
             self._m_dropped.inc()
@@ -255,12 +255,11 @@ class Link:
         self.stats[outcome] += 1
         self._m_delivered.inc()
         self._h_latency.observe(message.latency)
-        self.tracer.record("network", "deliver",
-                           link=f"{self.src}->{self.dst}",
-                           msg=message.msg_id, kind=message.kind,
-                           latency=message.latency,
-                           outcome=outcome.value,
-                           bound=self.guaranteed_bound(message.size))
+        self.tracer.emit("network", "deliver", {
+            "link": f"{self.src}->{self.dst}", "msg": message.msg_id,
+            "kind": message.kind, "latency": message.latency,
+            "outcome": outcome.value,
+            "bound": self.guaranteed_bound(message.size)})
         self._on_deliver(message)
 
     def __repr__(self) -> str:

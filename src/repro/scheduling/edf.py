@@ -6,12 +6,24 @@ uses the dispatcher primitive to give the earliest deadline the highest
 priority; ``Trm`` removes the finished thread from the live set (the
 figure shows EDF ignoring it, because nothing needs reordering — we do
 the same unless priorities must be compacted).
+
+**Keyed order.**  The live units are kept sorted by the key
+(absolute deadline, ``Atv`` order), fixed once when the unit's ``Atv``
+is handled: an ``Atv`` inserts by bisection and then walks the ranks,
+with no filtered copy and no sort.  That is the order a stable sort by
+deadline of the units in ``Atv`` order gives — ties keep activation
+order — and the key cannot go stale, because nothing writes a unit's
+``deadline`` or its instance's ``abs_deadline`` after construction.
+Rank r gets priority ``PRIO_MAX_APPL - r``, clamped at
+``PRIO_MIN_APPL``; past that band the tail shares the lowest priority.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from bisect import bisect_right
+from typing import List, Optional, Tuple
 
+from repro.core.dispatcher import EUState
 from repro.core.notifications import Notification, NotificationKind
 from repro.core.scheduler_api import SchedulerBase
 from repro.kernel.priorities import PRIO_MAX_APPL, PRIO_MIN_APPL
@@ -19,6 +31,9 @@ from repro.kernel.priorities import PRIO_MAX_APPL, PRIO_MIN_APPL
 #: Deadline used for units whose task declares none (runs at background
 #: priority under EDF).
 _NO_DEADLINE = 2 ** 62
+
+_DONE = EUState.DONE
+_ABORTED = EUState.ABORTED
 
 
 class EDFScheduler(SchedulerBase):
@@ -30,7 +45,10 @@ class EDFScheduler(SchedulerBase):
                  home_node: Optional[str] = None, manage_only=None):
         super().__init__(scope=scope, home_node=home_node, w_sched=w_sched,
                          manage_only=manage_only)
-        self._live: List = []  # EUInstance, insertion ordered
+        #: Live EUInstances in key order, and their keys, in step.
+        self._live: List = []
+        self._keys: List[Tuple[int, int]] = []
+        self._atv_count = 0
 
     @staticmethod
     def _deadline_of(eui) -> int:
@@ -44,23 +62,37 @@ class EDFScheduler(SchedulerBase):
         """Reorder live units by absolute deadline (Atv) / retire (Trm)."""
         eui = notification.eu_instance
         if notification.kind is NotificationKind.ATV:
-            self._live.append(eui)
+            self._atv_count += 1
+            key = (self._deadline_of(eui), self._atv_count)
+            # The count is unique, so no existing key equals this one.
+            index = bisect_right(self._keys, key)
+            self._keys.insert(index, key)
+            self._live.insert(index, eui)
             self._reassign()
         elif notification.kind is NotificationKind.TRM:
-            if eui in self._live:
-                self._live.remove(eui)
+            try:
+                index = self._live.index(eui)
+            except ValueError:
+                return
+            del self._live[index], self._keys[index]
         # Rac/Rre are ignored by plain EDF (Figure 2's behaviour); pair
         # with SRPProtocol for resource-sharing workloads.
 
     def _reassign(self) -> None:
         """Map deadline order onto the application priority band."""
-        from repro.core.dispatcher import EUState
-
-        self._live = [eui for eui in self._live
-                      if eui.state not in (EUState.DONE, EUState.ABORTED)]
-        # Stable sort: ties keep activation order.
-        ordered = sorted(self._live, key=self._deadline_of)
-        for rank, eui in enumerate(ordered):
-            priority = max(PRIO_MIN_APPL, PRIO_MAX_APPL - rank)
+        live = self._live
+        for eui in live:
+            state = eui.state
+            if state is _DONE or state is _ABORTED:
+                keep = [index for index, unit in enumerate(live)
+                        if unit.state is not _DONE
+                        and unit.state is not _ABORTED]
+                self._live = live = [live[index] for index in keep]
+                self._keys = [self._keys[index] for index in keep]
+                break
+        priority = PRIO_MAX_APPL
+        for eui in live:
             if eui.priority != priority:
                 self.set_priority(eui, priority)
+            if priority > PRIO_MIN_APPL:
+                priority -= 1

@@ -6,11 +6,19 @@ and the invariant checks in the test suite: rather than trusting the
 dispatcher's own bookkeeping, tests replay the trace and verify the
 paper's runnable/running rules against it.
 
-The tracer scales to long runs four ways:
+The tracer scales to long runs in these ways:
 
 * **Deferred formatting** — :meth:`record` stores the raw fields of a
   slotted :class:`TraceRecord`; all string interpolation (human dump,
   JSONL encoding) happens at render/export time, never on the hot path.
+* **One storage path** — :meth:`emit` stores every record.
+  :meth:`record` takes the details as keywords, snapshots any plain
+  container among them, and ends in :meth:`emit`.  A hot record site
+  calls :meth:`emit` itself with a dict literal made for the call and
+  holding only scalars: the dict becomes the record's payload as is,
+  with no keyword re-packing and no snapshot loop.  Filter, clock,
+  ring buffer, listeners and return value are the same either way,
+  and so are the exported bytes.
 * **Category filtering** — ``Tracer(categories={...})`` restricts
   recording to the named categories; a filtered call pays one frozenset
   membership test and returns ``None`` (``filtered`` counts the drops).
@@ -373,7 +381,27 @@ class Tracer:
 
         Detail values that are plain containers (list/dict/set/tuple)
         are snapshotted at record time: mutating the caller's object
-        afterwards does not rewrite the recorded history.
+        afterwards does not rewrite the recorded history.  The record
+        is then stored by :meth:`emit`.
+        """
+        allowed = self._categories
+        if allowed is not None and category not in allowed:
+            self.filtered += 1
+            return None
+        for key, value in details.items():
+            if type(value) in _MUTABLE_CONTAINERS:
+                details[key] = _own(value)
+        return self.emit(category, event, details, time)
+
+    def emit(self, category: str, event: str, details: Dict[str, Any],
+             time: Optional[int] = None) -> Optional[TraceRecord]:
+        """Append a record whose payload is ``details``, as given.
+
+        The storage path of every record (:meth:`record` ends here).
+        The tracer keeps ``details`` — and any container in it — as the
+        record's payload without copying, so pass a dict made for this
+        call and do not touch it afterwards.  Filter, clock, ring
+        buffer, listeners and return value behave as in :meth:`record`.
         """
         allowed = self._categories
         if allowed is not None and category not in allowed:
@@ -387,9 +415,6 @@ class Tracer:
         if last is not None and time < last:
             self._monotonic = False
         self._last_time = time
-        for key, value in details.items():
-            if type(value) in _MUTABLE_CONTAINERS:
-                details[key] = _own(value)
         entry = TraceRecord(time, category, event, details)
         if self.maxlen is not None and len(self._records) == self.maxlen:
             self.dropped += 1
@@ -555,6 +580,5 @@ def load_trace(path: str, maxlen: Optional[int] = None) -> "Tracer":
     :meth:`Tracer.stream_jsonl` (see :func:`read_jsonl`)."""
     tracer = Tracer(clock=lambda: 0, maxlen=maxlen)
     for entry in read_jsonl(path):
-        tracer.record(entry.category, entry.event, time=entry.time,
-                      **entry.details)
+        tracer.emit(entry.category, entry.event, entry.details, entry.time)
     return tracer

@@ -1,5 +1,7 @@
 """Integration tests for the generic dispatcher (paper §3.2.1)."""
 
+import random
+
 import pytest
 
 from repro.core import (
@@ -14,6 +16,9 @@ from repro.core import (
 )
 from repro.core.dispatcher import EUState, InstanceState, NEVER
 from repro.core.monitoring import ViolationKind
+from repro.core.notifications import Notification
+from repro.core.scheduler_api import SchedulerBase
+from repro.scheduling import EDFScheduler, FIFOScheduler
 from repro.system import HadesSystem
 
 
@@ -563,3 +568,88 @@ class TestDispatcherPrimitive:
             eui, priority=700))
         system.run(until=20)
         assert eui.thread.priority == 700
+
+
+class _Listener(SchedulerBase):
+    """A policy that only receives notifications."""
+
+    policy_name = "listener"
+
+    def handle(self, notification):
+        pass
+
+
+def scan_notify(dispatcher, kind, eui, **details):
+    """Reference delivery: ask every attached scheduler ``manages()``."""
+    notification = Notification(kind, eui, dispatcher.sim.now, details)
+    for scheduler in dispatcher._schedulers:
+        if scheduler.manages(eui):
+            scheduler.queue.put(notification)
+
+
+class TestNotificationRouting:
+    """``_notify`` reaches exactly the schedulers, in exactly the order,
+    that a scan of every attached scheduler reaches."""
+
+    NODES = ("n0", "n1", "n2", "n3")
+
+    def run_program(self, seed, scan):
+        rng = random.Random(seed)
+        system = make_system(node_ids=list(self.NODES))
+        dispatcher = system.dispatcher
+        if scan:
+            dispatcher._notify = (
+                lambda kind, eui, **details:
+                scan_notify(dispatcher, kind, eui, **details))
+        deliveries = []
+
+        def attach(scheduler):
+            system.attach_scheduler(scheduler)
+            index, put = len(dispatcher._schedulers) - 1, scheduler.queue.put
+
+            def logged(notification):
+                deliveries.append((index, notification.kind.value,
+                                   notification.eu_instance.qualified_name,
+                                   notification.time))
+                put(notification)
+
+            scheduler.queue.put = logged
+
+        lock = Resource("lock")
+        tasks = []
+        for t in range(6):
+            task = Task(f"t{t}", deadline=rng.randrange(2_000, 20_000),
+                        node_id=rng.choice(self.NODES))
+            for e in range(rng.randint(2, 3)):
+                task.code_eu(f"e{e}", wcet=rng.randrange(10, 200),
+                             node_id=self.NODES[(t + e) % len(self.NODES)],
+                             resources=([(lock, AccessMode.EXCLUSIVE)]
+                                        if t % 3 == e else []))
+            tasks.append(task)
+            system.dispatcher.register_arrivals(
+                task, sorted(rng.randrange(0, 25_000) for _ in range(2))
+                + [rng.randrange(25_000, 30_000)])
+        # Mixed scopes: a node policy, two cohabiting ones (manage_only),
+        # a global instant listener and a global one with a home node.
+        attach(EDFScheduler(scope="n0", w_sched=rng.randrange(3)))
+        attach(FIFOScheduler(scope="n1", manage_only={"t0", "t1", "t2"}))
+        attach(EDFScheduler(scope="n1", manage_only={"t3", "t4"}))
+        attach(_Listener(scope=None))
+        attach(_Listener(scope=None, home_node="n2", w_sched=1))
+        # Attached after activations began: later notifications for the
+        # nodes seen so far must reach them too.
+        system.sim.call_at(rng.randrange(5_000, 15_000),
+                           lambda: attach(EDFScheduler(scope="n2")))
+        system.sim.call_at(rng.randrange(10_000, 25_000),
+                           lambda: attach(_Listener(
+                               scope=None, manage_only={"t5", "t1"})))
+        system.run()
+        return deliveries, system.tracer.records
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_the_all_scheduler_scan(self, seed):
+        deliveries, records = self.run_program(seed, scan=False)
+        assert (deliveries, records) == self.run_program(seed, scan=True)
+        assert {index for index, *_ in deliveries} == set(range(7))
+        assert {kind for _i, kind, *_ in deliveries} == {"Atv", "Trm",
+                                                         "Rac", "Rre"}

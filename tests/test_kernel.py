@@ -247,6 +247,36 @@ class TestPreemptiveScheduling:
         sim.run()
         assert log == [("urgent", 15), ("shielded", 110)]
 
+    def test_threshold_changes_apply_to_the_running_thread(self, sim, node):
+        log = []
+
+        def worker(name, amount):
+            yield Compute(amount)
+            log.append((name, sim.now))
+
+        runner = node.spawn(worker("runner", 100), priority=1)
+        # Shield the running thread, then lower the shield below the
+        # waiting challenger's priority: it preempts only then.
+        sim.call_in(5, lambda: runner.set_priority(1, preemption_threshold=8))
+        sim.call_in(10, lambda: node.spawn(worker("mid", 10), priority=5))
+        sim.call_in(20, lambda: runner.set_priority(1, preemption_threshold=2))
+        sim.run()
+        assert log == [("mid", 30), ("runner", 110)]
+
+    @given(changes=st.lists(st.tuples(st.integers(1, 9),
+                                      st.none() | st.integers(1, 9)),
+                            max_size=8),
+           threshold=st.none() | st.integers(1, 9))
+    def test_effective_threshold_is_max_of_priority_and_threshold(
+            self, changes, threshold):
+        node = Node(Simulator(), "n0")
+        thread = KThread(node, iter(()), priority=4,
+                         preemption_threshold=threshold)
+        for priority, new_threshold in [(4, None)] + changes:
+            thread.set_priority(priority, new_threshold)
+            assert thread.effective_threshold == max(
+                thread.priority, thread.preemption_threshold)
+
     def test_dynamic_priority_raise_triggers_preemption(self, sim, node):
         log = []
 
@@ -619,10 +649,11 @@ class ListRunQueueCpu(Cpu):
             self._running = None
             preempted.state = ThreadState.READY
             self._ready.append(preempted)
+            engine = ({} if self.engine_label is None
+                      else {"engine": self.engine_label})
             self.tracer.record("cpu", "preempt", node=self.node_id,
                                thread=preempted.name, by=challenger.name,
-                               by_priority=challenger.priority,
-                               **self._engine_kv)
+                               by_priority=challenger.priority, **engine)
             self._m_preemptions.inc()
         nxt = self._top_thread()
         if nxt is not None:

@@ -8,6 +8,7 @@ generator correctness, and feasibility-test safety.
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import (
@@ -217,8 +218,30 @@ class TestEDFEquivalence:
             wcet = rng.randrange(5, 60)
             deadline = t + wcet + rng.randrange(10, 400)
             jobs.append((t, wcet, deadline))
-        reference = self.reference_edf(jobs)
+        self.check_against_reference(jobs)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_reference_at_depth(self, seed):
+        """300 jobs on one node, 0-9 us apart: the live set peaks near
+        260 units, deep in the ranks but inside the 998-wide band."""
+        rng = random.Random(seed)
+        jobs = []
+        t = 0
+        for _ in range(300):
+            t += rng.randrange(0, 10)
+            wcet = rng.randrange(5, 60)
+            deadline = t + wcet + rng.randrange(10, 400)
+            jobs.append((t, wcet, deadline))
+        reference = self.check_against_reference(jobs)
+        peak = max(sum(1 for index, (arrival, _w, _d) in enumerate(jobs)
+                       if arrival <= at < reference[index])
+                   for at, _w, _d in jobs)
+        assert 200 <= peak < 998
+
+    def check_against_reference(self, jobs):
+        """Run ``jobs`` under EDFScheduler on one node and assert every
+        finish time equals the reference's; returns the reference."""
+        reference = self.reference_edf(jobs)
         system = HadesSystem(node_ids=["n0"], costs=DispatcherCosts.zero())
         system.attach_scheduler(EDFScheduler(scope="n0", w_sched=0))
         instances = []
@@ -231,9 +254,10 @@ class TestEDFEquivalence:
         system.run()
         finish_by_name = {name: inst.finish_time
                           for name, inst in instances}
-        for index in range(n_jobs):
+        for index in range(len(jobs)):
             assert finish_by_name[f"j{index}"] == reference[index], \
                 (jobs, finish_by_name, reference)
+        return reference
 
 
 class TestGeneratorProperties:

@@ -1,6 +1,9 @@
 """Tests for the scheduling policies built over the dispatcher."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     AccessMode,
@@ -11,8 +14,11 @@ from repro.core import (
     Sporadic,
     Task,
 )
-from repro.core.dispatcher import InstanceState
+from repro.core.dispatcher import EUState, InstanceState
 from repro.core.monitoring import ViolationKind
+from repro.core.notifications import Notification, NotificationKind
+from repro.core.scheduler_api import SchedulerBase
+from repro.kernel.priorities import PRIO_MAX_APPL, PRIO_MIN_APPL
 from repro.scheduling import (
     DMScheduler,
     EDFScheduler,
@@ -97,6 +103,157 @@ class TestEDF:
         system.activate(simple_task("t", wcet=100, deadline=1000))
         system.run()
         assert system.nodes["n0"].cpu.busy_time.get("scheduler", 0) >= 5
+
+
+# -- EDF's keyed order against the sort it replaced ---------------------------
+
+class SortingEDF(SchedulerBase):
+    """Reference ranking: on every Atv, drop the DONE/ABORTED units and
+    stably re-sort the live ones (kept in Atv order) by deadline."""
+
+    def __init__(self):
+        super().__init__(scope="n0")
+        self._live = []
+
+    @staticmethod
+    def deadline_of(eui):
+        if eui.deadline is not None:
+            return eui.deadline
+        if eui.instance.abs_deadline is not None:
+            return eui.instance.abs_deadline
+        return 2 ** 62
+
+    def handle(self, notification):
+        eui = notification.eu_instance
+        if notification.kind is NotificationKind.ATV:
+            self._live.append(eui)
+            self._live = [unit for unit in self._live
+                          if unit.state not in (EUState.DONE,
+                                                EUState.ABORTED)]
+            ordered = sorted(self._live, key=self.deadline_of)
+            for rank, unit in enumerate(ordered):
+                priority = max(PRIO_MIN_APPL, PRIO_MAX_APPL - rank)
+                if unit.priority != priority:
+                    self.set_priority(unit, priority)
+        elif notification.kind is NotificationKind.TRM:
+            if eui in self._live:
+                self._live.remove(eui)
+
+
+class _Instance:
+    def __init__(self, abs_deadline):
+        self.abs_deadline = abs_deadline
+
+
+class _Unit:
+    """The EUInstance fields EDF reads."""
+
+    def __init__(self, name, deadline, abs_deadline, priority):
+        self.qualified_name = name
+        self.deadline = deadline
+        self.instance = _Instance(abs_deadline)
+        self.priority = priority
+        self.state = EUState.WAITING
+
+
+class _PrimitiveLog:
+    """Stands in for the dispatcher: logs and applies each priority
+    change, as ``set_thread_params`` does."""
+
+    def __init__(self):
+        self.calls = []
+
+    def set_thread_params(self, eui, priority=None,
+                          preemption_threshold=None, earliest=None):
+        self.calls.append((eui.qualified_name, priority,
+                           preemption_threshold, earliest))
+        eui.priority = priority
+
+
+def replay_edf(scheduler, program):
+    """Run an Atv/Trm/done/abort/poke program; returns the primitive
+    calls and the final priority of every unit."""
+    scheduler.dispatcher = log = _PrimitiveLog()
+    units = []
+    for op in program:
+        if op[0] == "atv":
+            _kind, deadline, abs_deadline, priority = op
+            unit = _Unit(f"u{len(units)}", deadline, abs_deadline, priority)
+            units.append(unit)
+            scheduler.handle(Notification(NotificationKind.ATV, unit, 0))
+            continue
+        if not units:
+            continue
+        kind, pick = op[0], op[1]
+        unit = units[pick % len(units)]
+        if kind == "trm":
+            if unit.state is not EUState.ABORTED:
+                unit.state = EUState.DONE
+            scheduler.handle(Notification(NotificationKind.TRM, unit, 0))
+        elif kind == "done":
+            unit.state = EUState.DONE      # its Trm comes later, or never
+        elif kind == "abort":
+            unit.state = EUState.ABORTED   # aborts send no Trm
+        else:                              # another writer moves it
+            unit.priority = op[2]
+    return log.calls, [unit.priority for unit in units]
+
+
+def _atv(rng, deadline_range):
+    """An Atv with a tied, spread, EU-level or missing deadline."""
+    shape = rng.randrange(4)
+    tied = rng.choice((100, 200, 300))
+    spread = rng.randrange(deadline_range)
+    if shape == 0:
+        deadline, abs_deadline = None, tied
+    elif shape == 1:
+        deadline, abs_deadline = None, spread
+    elif shape == 2:
+        deadline, abs_deadline = rng.choice((tied, spread)), rng.choice(
+            (None, spread + 7))
+    else:
+        deadline, abs_deadline = None, None
+    return ("atv", deadline, abs_deadline,
+            rng.choice((1, 5, PRIO_MAX_APPL, rng.randrange(1, 999))))
+
+
+def edf_program(seed, n_ops, atv_share=0.5, deadline_range=2_000):
+    rng = random.Random(seed)
+    program = []
+    for _ in range(n_ops):
+        if rng.random() < atv_share:
+            program.append(_atv(rng, deadline_range))
+        else:
+            program.append((rng.choice(("trm", "trm", "done", "abort",
+                                        "poke")),
+                            rng.randrange(10 ** 6),
+                            rng.randrange(1, 999)))
+    return program
+
+
+class TestEDFKeyedOrder:
+    """EDFScheduler makes exactly the sort-based ranking's primitive
+    calls, in the same order."""
+
+    @given(seed=st.integers(0, 10 ** 6), n_ops=st.integers(1, 120))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_sorting_reference(self, seed, n_ops):
+        program = edf_program(seed, n_ops)
+        assert (replay_edf(EDFScheduler(scope="n0"), program)
+                == replay_edf(SortingEDF(), program))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_past_the_priority_band(self, seed):
+        """More than 998 live units: the tail is clamped at
+        PRIO_MIN_APPL and still ranked the same way."""
+        rng = random.Random(seed)
+        program = [("atv", None, 10_000 + k, rng.randrange(1, 999))
+                   for k in range(1_050)]
+        program += edf_program(seed, 150, atv_share=0.7,
+                               deadline_range=12_000)
+        calls, priorities = replay_edf(EDFScheduler(scope="n0"), program)
+        assert (calls, priorities) == replay_edf(SortingEDF(), program)
+        assert priorities.count(PRIO_MIN_APPL) > 50
 
 
 class TestFixedPriority:

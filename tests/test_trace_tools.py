@@ -12,7 +12,14 @@ Covers the trace-layer groundwork the forensics stack sits on:
 * the per-key query buckets answer exactly what the linear scan of
   ``Tracer(index=False)`` answers, for any interleaving of records,
   queries and ring-buffer evictions;
-* listeners may (un)subscribe while a record is being dispatched.
+* listeners may (un)subscribe while a record is being dispatched;
+* ``emit()`` stores the given dict as the payload and otherwise
+  behaves as ``record()``, which ends in it;
+* ``load_trace`` reads back details whose keys are named like the
+  record's own fields (``time``, ``category``, ``event``);
+* the hot record sites that call ``emit()`` directly hand it a fresh
+  dict of scalars, on the random harness, an E22 cell and an avionics
+  mission.
 """
 
 import json
@@ -20,7 +27,12 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from benchmarks.bench_service_scenarios import build_scenario
+from repro import (DispatcherCosts, EDFScheduler, FaultPlan, HadesSystem,
+                   Periodic, Task)
+from repro.services import ActiveReplication, ClockSyncService
 from repro.sim.trace import JsonlStream, Tracer, load_trace
+from tests.test_trace_invariants_random import build_workload
 
 
 class TestDetailSnapshotting:
@@ -274,3 +286,205 @@ class TestListenerDispatch:
         tracer.unsubscribe(print)
         tracer.record("c", "one")
         assert len(seen) == 1
+
+
+_emit_ops = st.lists(
+    st.tuples(st.sampled_from(["a", "b", "c"]), st.sampled_from(["x", "y"]),
+              st.none() | st.integers(0, 20), st.integers(0, 5)),
+    max_size=40)
+
+
+class TestEmit:
+    def test_keeps_the_given_dict_as_payload(self):
+        tracer = Tracer(clock=lambda: 5)
+        details = {"n": 1, "holders": ["a"]}
+        entry = tracer.emit("cat", "ev", details)
+        assert entry.details is details
+        assert (entry.time, entry.category, entry.event) == (5, "cat", "ev")
+        assert tracer.records == (entry,)
+
+    def test_explicit_time_and_unbound_clock(self):
+        tracer = Tracer()
+        assert tracer.emit("cat", "ev", {}, time=3).time == 3
+        with pytest.raises(RuntimeError):
+            tracer.emit("cat", "ev", {})
+
+    @given(ops=_emit_ops, maxlen=st.none() | st.integers(1, 6),
+           allowed=st.none() | st.sets(st.sampled_from(["a", "b", "c"])))
+    @settings(max_examples=60, deadline=None)
+    def test_behaves_as_record(self, ops, maxlen, allowed):
+        """Same records, counters, monotone flag, listener calls and
+        return values as record() for scalar details."""
+        clock = [0]
+        tracers = [Tracer(clock=lambda: clock[0], maxlen=maxlen,
+                          categories=allowed) for _ in range(2)]
+        seen = ([], [])
+        for tracer, log in zip(tracers, seen):
+            tracer.subscribe(log.append)
+        returned = ([], [])
+        for category, event, time, value in ops:
+            clock[0] += 1
+            returned[0].append(tracers[0].record(category, event,
+                                                 time=time, v=value))
+            returned[1].append(tracers[1].emit(category, event,
+                                               {"v": value}, time))
+        record_side, emit_side = tracers
+        assert emit_side.records == record_side.records
+        assert returned[1] == returned[0]
+        assert seen[1] == seen[0]
+        assert (emit_side.filtered, emit_side.dropped) == (
+            record_side.filtered, record_side.dropped)
+        assert emit_side._monotonic == record_side._monotonic
+        assert emit_side.select("a", t_min=5) == record_side.select(
+            "a", t_min=5)
+
+
+class TestLoadTraceReservedKeys:
+    """A record's details may hold keys named like its own fields."""
+
+    RESERVED = {"time": 3, "category": "inner", "event": "nested", "n": 1}
+
+    def test_reads_back_a_one_line_file(self, tmp_path):
+        path = tmp_path / "reserved.jsonl"
+        path.write_text(json.dumps({"time": 7, "category": "c",
+                                    "event": "e",
+                                    "details": self.RESERVED}) + "\n")
+        (entry,) = load_trace(str(path)).records
+        assert (entry.time, entry.category, entry.event) == (7, "c", "e")
+        assert entry.details == self.RESERVED
+
+    def test_round_trips_byte_for_byte(self, tmp_path):
+        tracer = Tracer(clock=lambda: 0)
+        tracer.emit("c", "e", dict(self.RESERVED), time=7)
+        tracer.record("c", "plain", time=9, n=2)
+        first = tmp_path / "first.jsonl"
+        second = tmp_path / "second.jsonl"
+        tracer.to_jsonl(str(first))
+        reloaded = load_trace(str(first))
+        assert reloaded.records == tracer.records
+        reloaded.to_jsonl(str(second))
+        assert second.read_bytes() == first.read_bytes()
+
+
+#: The record sites that hand ``emit()`` their details directly.
+EMIT_SITES = frozenset([
+    ("cpu", "dispatch"), ("cpu", "complete"), ("cpu", "preempt"),
+    ("cpu", "withdraw"), ("thread", "block"), ("kernel", "interrupt"),
+    ("dispatcher", "activate"), ("dispatcher", "set_params"),
+    ("dispatcher", "thread_start"), ("dispatcher", "eu_done"),
+    ("dispatcher", "edge_satisfied"), ("dispatcher", "remote_edge_sent"),
+    ("dispatcher", "remote_edge_recv"), ("dispatcher", "instance_done"),
+    ("network", "send"), ("network", "deliver"),
+])
+_SCALARS = (int, float, str, bool, type(None))
+
+
+@pytest.fixture
+def direct_emits(monkeypatch):
+    """Checks every ``emit()`` call not made by ``record()``: each one
+    passes a dict of scalars.  Returns a list of ((category, event),
+    details, snapshot) for those calls, to compare once the run is
+    over."""
+    record, emit = Tracer.record, Tracer.emit
+    inside_record = [0]
+    payloads = []
+
+    def checking_record(self, *args, **kwargs):
+        inside_record[0] += 1
+        try:
+            return record(self, *args, **kwargs)
+        finally:
+            inside_record[0] -= 1
+
+    def checking_emit(self, category, event, details, time=None):
+        if not inside_record[0]:
+            assert type(details) is dict, (category, event, details)
+            bad = {key: value for key, value in details.items()
+                   if type(value) not in _SCALARS}
+            assert not bad, (category, event, bad)
+            payloads.append(((category, event), details, dict(details)))
+        return emit(self, category, event, details, time)
+
+    monkeypatch.setattr(Tracer, "record", checking_record)
+    monkeypatch.setattr(Tracer, "emit", checking_emit)
+    return payloads
+
+
+def avionics_mission(until=1_000_000):
+    """Four drifting-clock nodes with background activities, clock sync,
+    a replicated flight plan, periodic HEUGs with remote precedence and
+    a lossy link, as in benchmarks/e2e's avionics workload."""
+    nodes = ("sensor", "flight", "actuator", "fms")
+    system = HadesSystem(node_ids=nodes, costs=DispatcherCosts(),
+                         network_latency=150, network_jitter=30, seed=7,
+                         background_activities=True,
+                         clock_drifts={"sensor": 60e-6, "flight": -40e-6,
+                                       "actuator": 25e-6, "fms": -70e-6})
+    for node in nodes:
+        system.attach_scheduler(EDFScheduler(scope=node, w_sched=2))
+        ClockSyncService(system.network, system.nodes[node], nodes, f=1,
+                         resync_period=250_000)
+    plan = ActiveReplication(system.network, "fms", nodes[:3])
+    cycle = Task("cycle", deadline=15_000, arrival=Periodic(period=20_000),
+                 node_id="sensor")
+    stages = [cycle.code_eu(name, wcet=wcet, node_id=node)
+              for name, wcet, node in (("acquire", 800, "sensor"),
+                                       ("law", 2_500, "flight"),
+                                       ("actuate", 600, "actuator"))]
+    cycle.precede(stages[0], stages[1])
+    cycle.precede(stages[1], stages[2])
+    system.register_periodic(cycle, count=until // 20_000)
+    system.sim.call_at(until // 2,
+                       lambda: plan.submit(("set", "waypoint", 1)))
+    FaultPlan(seed=7).link_omission(until // 3, "sensor", "flight",
+                                    probability=0.05).apply(system)
+    system.run(until=until)
+    return system
+
+
+def running_abort():
+    """A unit killed while it holds the CPU (the cpu/withdraw site)."""
+    system = HadesSystem(node_ids=["n0"], costs=DispatcherCosts.zero(),
+                         on_deadline_miss="abort")
+    late = Task("late", deadline=100, node_id="n0")
+    late.code_eu("a", wcet=500)
+    system.activate(late)
+    system.run()
+    return system
+
+
+class TestEmitSites:
+    """The converted sites pass only scalars, in a dict of their own."""
+
+    def check(self, direct_emits, tracers):
+        """No payload shared or touched after its emit; only the listed
+        sites emit directly, and every record of theirs came that way.
+        Returns the sites seen."""
+        assert len({id(details) for _key, details, _ in direct_emits}) == (
+            len(direct_emits))
+        for _key, details, snapshot in direct_emits:
+            assert details == snapshot
+        sites = {key for key, _details, _snapshot in direct_emits}
+        assert sites <= EMIT_SITES
+        assert len(direct_emits) == sum(
+            1 for tracer in tracers for entry in tracer
+            if (entry.category, entry.event) in EMIT_SITES)
+        return sites
+
+    def test_random_harness_and_running_abort(self, direct_emits):
+        systems = [build_workload(seed)[0] for seed in range(24)]
+        for system in systems:
+            system.run()
+        systems.append(running_abort())
+        sites = self.check(direct_emits, [s.tracer for s in systems])
+        assert ("cpu", "withdraw") in sites
+
+    def test_edf_overload_cell(self, direct_emits):
+        result = build_scenario("edf", 10, 60_000).run(until=60_000)
+        assert self.check(direct_emits, [result.system.tracer]) == (
+            EMIT_SITES - {("cpu", "withdraw")})
+
+    def test_avionics_mission(self, direct_emits):
+        system = avionics_mission()
+        assert self.check(direct_emits, [system.tracer]) == (
+            EMIT_SITES - {("cpu", "withdraw")})
