@@ -13,10 +13,9 @@ and the EU-to-engine mapping layer):
    while staying within :data:`ORACLE_SLACK` (10%) of the oracle.
    Response times are exact microsecond figures and are compared
    **exactly** against the committed baseline.
-2. **Engine-trace determinism** — an engines-enabled, stagger-
-   quantized :class:`repro.Scenario` (four cells, a GPU-backed infer
-   tier, every duration on the mod-50 residue grid) is run once on
-   **each** event-set backend; the engine-tagged ``cpu`` and
+2. **Engine-trace determinism** — an engines-enabled
+   :class:`repro.Scenario` (four cells, a GPU-backed infer tier) is
+   run once on **each** event-set backend; the engine-tagged ``cpu`` and
    ``dispatcher`` record streams must agree, and each backend's record
    count and engine-record SHA-256 must reproduce the baseline exactly.
 3. **Mapped-scenario throughput** — wall-clock requests/sec of the
@@ -62,6 +61,9 @@ ORACLE_SLACK = 0.10
 #: per-run wall-clock noise dominates, and the exact quality and
 #: digest comparisons above carry the semantic regression load.
 REGRESSION_TOLERANCE = 0.5
+
+#: Seeded figures of each per-backend determinism cell, compared exactly.
+DETERMINISM_KEYS = ("records", "engine_records", "engine_sha256")
 
 SHARD_UNITS = 4
 CPU_WCET = 8_000
@@ -141,12 +143,8 @@ def quality_check():
 
 
 def build_scenario(seed=SEED, backend=None):
-    """Engines-enabled four-cell scenario on the mod-50 residue grid.
-
-    Every duration (wcets, GPU variant wcets, network latency, stagger
-    quantum) is a multiple of 50 and IRQ / scheduler costs are zeroed,
-    so no two cells record at one instant.
-    """
+    """Engines-enabled four-cell scenario with IRQ and scheduler costs
+    zeroed."""
     from repro import Scenario
 
     builder = (Scenario()
@@ -158,7 +156,6 @@ def build_scenario(seed=SEED, backend=None):
                .tenant("bronze", rate=150, deadline=50_000)
                .policy("edf", w_sched=0)
                .load(1.0)
-               .stagger(50)
                .options(network_latency=50, network_jitter=0,
                         node_kwargs={"net_irq_wcet": 0})
                .seed(seed))
@@ -251,7 +248,7 @@ def check(results, baseline):
             failures.append((f"determinism[{label}]", "missing"))
             continue
         failures += gate.exact(f"determinism[{label}]", fresh, entry,
-                               ("records", "engine_records", "engine_sha256"))
+                               DETERMINISM_KEYS)
     failures += gate.floor("throughput", results["throughput"]["normalized"],
                            baseline["throughput"]["normalized"], tolerance)
     return failures

@@ -2,12 +2,12 @@
 
 Three gates over the :mod:`repro.obs.live` monitoring plane:
 
-1. **Alert-stream determinism** — a monitored, overloaded (3x),
-   stagger-quantized scenario (every duration on the mod-50 residue
-   grid, burn-rate monitors on two tenants, a closed-loop reaction on
-   one) is run once on **each** event-set backend; the alert streams
-   must agree, and each backend's record count and alert-stream
-   SHA-256 must reproduce the committed baseline exactly.
+1. **Alert-stream determinism** — a monitored, overloaded (3x)
+   four-cell scenario (burn-rate monitors on two tenants, a
+   closed-loop reaction on one) is run once on **each** event-set
+   backend; the alert streams must agree, and each backend's record
+   count and alert-stream SHA-256 must reproduce the committed
+   baseline exactly.
 2. **Detect -> react -> recover** — at 3x overload the optimistic
    utilization admission test lets doomed work through; the gold
    tenant's burn-rate alert raises and its reaction swaps the
@@ -59,14 +59,17 @@ OVERHEAD_LIMIT = 0.10
 #: that fails the gate (alert figures are compared exactly instead).
 REGRESSION_TOLERANCE = 0.35
 
+#: Seeded figures compared exactly: per-backend determinism cells ...
+DETERMINISM_KEYS = ("records", "alerts", "alert_sha256")
+#: ... and the reaction counters.
+REACTION_KEYS = ("raise_time", "raises", "clears", "reacted_misses_after",
+                 "unreacted_misses_after", "submitted", "admitted", "good",
+                 "bad")
+
 
 def build_monitored(seed=SEED, react=True, backend=None):
-    """The monitored overloaded scenario on the mod-50 residue grid.
-
-    Every duration is a multiple of the stagger quantum and IRQ /
-    scheduler costs are zeroed, so no two cells record at one instant
-    and the probes tick on each tenant's cell phase.
-    """
+    """The monitored overloaded scenario: four cells, IRQ and scheduler
+    costs zeroed, burn-rate probes every 20 ms on two tenants."""
     from repro import Scenario, UtilizationTest
 
     builder = (Scenario()
@@ -81,7 +84,6 @@ def build_monitored(seed=SEED, react=True, backend=None):
                .admission("reject", test=UtilizationTest(8.0))
                .policy("edf", w_sched=0)
                .load(3.0)
-               .stagger(50)
                .options(network_latency=50, network_jitter=0,
                         node_kwargs={"net_irq_wcet": 0})
                .seed(seed)
@@ -257,11 +259,9 @@ def check(results, baseline):
             failures.append((f"determinism[{label}]", "missing"))
             continue
         failures += gate.exact(f"determinism[{label}]", fresh, entry,
-                               ("records", "alerts", "alert_sha256"))
-    failures += gate.exact(
-        "reaction", results["reaction"], baseline["reaction"],
-        ("raise_time", "raises", "clears", "reacted_misses_after",
-         "unreacted_misses_after", "submitted", "admitted", "good", "bad"))
+                               DETERMINISM_KEYS)
+    failures += gate.exact("reaction", results["reaction"],
+                           baseline["reaction"], REACTION_KEYS)
     if results["overhead"]["overhead_pct"] >= OVERHEAD_LIMIT * 100:
         failures.append(("overhead",
                          f"{results['overhead']['overhead_pct']:.1f}% >= "

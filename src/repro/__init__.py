@@ -124,7 +124,6 @@ from repro.scenarios import (
     Scoreboard,
     ServiceTimeModel,
     TenantSLO,
-    scenario,
 )
 from repro.scheduling import (
     DMScheduler,
@@ -137,20 +136,18 @@ from repro.scheduling import (
 from repro.sim.engine import Simulator
 from repro.sim.event_set import available_backends, resolve_backend
 from repro.sim.trace import Tracer, TraceRecord, load_trace
-from repro.system import HadesSystem, RunOptions
+from repro.system import HadesSystem
 from repro.workloads.arrivals import diurnal_profile, nhpp_arrivals
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     # deployment facade
     "HadesSystem",
-    "RunOptions",
     "Simulator",
     # production traffic scenarios (fluent builder)
     "Scenario",
     "ScenarioResult",
-    "scenario",
     "Scoreboard",
     "TenantSLO",
     "ServiceTimeModel",

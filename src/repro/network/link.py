@@ -22,7 +22,7 @@ from typing import Callable, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.network.messages import Message
 from repro.sim.engine import Simulator
-from repro.sim.trace import Tracer
+from repro.sim.trace import Tracer, snapshot
 
 if TYPE_CHECKING:
     from repro.network.interface import NetworkInterface
@@ -206,7 +206,9 @@ class Link:
             send_details["activation_id"] = (f"{payload['task']}"
                                              f"#{payload['seq']}")
             if "edge" in payload:
-                send_details["edge"] = payload["edge"]
+                # The dispatcher's edges are ints; an application's
+                # container edge stays the caller's to mutate.
+                send_details["edge"] = snapshot(payload["edge"])
         self.tracer.emit("network", "send", send_details)
         if not self.up:
             self.stats[DeliveryOutcome.DROPPED] += 1

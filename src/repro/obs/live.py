@@ -95,16 +95,13 @@ class RollingCounter:
     sliding-window primitive burn-rate rules query at probe instants.
     """
 
-    __slots__ = ("max_window", "quantum", "phase", "_bins", "cumulative")
+    __slots__ = ("max_window", "quantum", "_bins", "cumulative")
 
-    def __init__(self, max_window: int, quantum: int = 1, phase: int = 0):
+    def __init__(self, max_window: int, quantum: int = 1):
         if max_window < 1 or quantum < 1:
             raise ValueError("max_window and quantum must be >= 1")
         self.max_window = max_window
         self.quantum = quantum
-        # Bin boundaries sit at ``phase (mod quantum)`` so windows
-        # queried at probe instants on that residue class are exact.
-        self.phase = phase % quantum
         self._bins: Deque[Tuple[int, int]] = deque()  # (bin_start, count)
         #: All-time event total (not windowed).
         self.cumulative = 0
@@ -112,7 +109,7 @@ class RollingCounter:
     def add(self, time: int, count: int = 1) -> None:
         """Record ``count`` events at ``time`` (non-decreasing)."""
         self.cumulative += count
-        bin_start = time - (time - self.phase) % self.quantum
+        bin_start = time - time % self.quantum
         if self._bins and self._bins[-1][0] == bin_start:
             start, held = self._bins[-1]
             self._bins[-1] = (start, held + count)
@@ -376,13 +373,11 @@ class LiveMonitor:
 
     def __init__(self, system, tenant: str, slo: SloSpec,
                  rules: Sequence[BurnRateRule], *,
-                 interval: int, horizon: int, phase: int = 0,
+                 interval: int, horizon: int,
                  node: Optional[str] = None, samples: bool = True,
                  response_buckets: Sequence[int] = DEFAULT_BUCKETS):
         if interval < 1:
             raise ValueError("interval must be >= 1")
-        if phase < 0:
-            raise ValueError("phase must be >= 0")
         if not rules:
             raise ValueError("a monitor needs at least one rule")
         names = [rule.name for rule in rules]
@@ -394,14 +389,11 @@ class LiveMonitor:
         self.rules = tuple(rules)
         self.interval = interval
         self.horizon = horizon
-        self.phase = phase
         self.node = node
         self.samples = samples
         max_window = max(rule.slow_window for rule in rules)
-        self._good = RollingCounter(max_window, quantum=interval,
-                                    phase=phase)
-        self._bad = RollingCounter(max_window, quantum=interval,
-                                   phase=phase)
+        self._good = RollingCounter(max_window, quantum=interval)
+        self._bad = RollingCounter(max_window, quantum=interval)
         self._submitted = 0
         self._admitted = 0
         self._open: Dict[str, str] = {}      # activation_id -> "open"|"counted"
@@ -423,10 +415,7 @@ class LiveMonitor:
             hub = system._live_hub = _TracerHub(system.tracer)
         hub.add(self)
         self._hub = hub
-        first = phase + interval
-        while first <= system.sim.now:
-            first += interval
-        probe_time = first
+        probe_time = (system.sim.now // interval + 1) * interval
         while probe_time <= horizon:
             system.sim.call_at(probe_time, self._probe)
             probe_time += interval

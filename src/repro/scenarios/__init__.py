@@ -29,7 +29,7 @@ admission policies on these scenarios under 1×–10× load.
 """
 
 from repro.obs.metrics import exact_quantile
-from repro.scenarios.scenario import Scenario, ScenarioResult, scenario
+from repro.scenarios.scenario import Scenario, ScenarioResult
 from repro.scenarios.scoreboard import Scoreboard, TenantSLO
 from repro.scenarios.traffic import (
     DeterministicService,
@@ -50,5 +50,4 @@ __all__ = [
     "TenantSLO",
     "derive_seed",
     "exact_quantile",
-    "scenario",
 ]

@@ -22,8 +22,9 @@ chainable builder::
     print(result.scoreboard.to_dict()["gold"]["p99"])
 
 The same facade also expresses classic paper-shaped workloads (see
-``examples/quickstart.py``) through :meth:`Scenario.task` /
-:meth:`Scenario.periodic`, so one API covers both regimes.
+``examples/quickstart.py``) through :meth:`Scenario.task` (a hand-built
+HEUG, driven from its periodic law with ``task(t, periodic=count)``),
+so one API covers both regimes.
 
 Everything composes with the existing execution machinery unchanged:
 the scenario builds a plain :class:`~repro.system.HadesSystem`, and
@@ -67,7 +68,7 @@ from repro.scenarios.traffic import ServiceTimeModel, derive_seed
 from repro.system import HadesSystem
 from repro.workloads.arrivals import nhpp_arrivals
 
-__all__ = ["Scenario", "ScenarioResult", "scenario"]
+__all__ = ["Scenario", "ScenarioResult"]
 
 #: Scheduler policies constructible per node without a task list.
 _DYNAMIC_POLICIES = ("edf", "spring", "fifo")
@@ -75,11 +76,6 @@ _DYNAMIC_POLICIES = ("edf", "spring", "fifo")
 _STATIC_POLICIES = ("rm", "dm")
 
 RateLike = Union[float, int, Callable[[float], float]]
-
-
-def scenario() -> "Scenario":
-    """Start a fresh fluent :class:`Scenario` (readability helper)."""
-    return Scenario()
 
 
 @dataclass(frozen=True)
@@ -208,7 +204,6 @@ class Scenario:
         self._options: Dict[str, Any] = {}
         self._seed = 0
         self._horizon: Optional[int] = None
-        self._stagger: Optional[int] = None
         self._monitors: List[_MonitorSpec] = []
         #: Raw node_id -> {engine class: count} overrides merged over
         #: the per-tier ``engines=`` declarations (repro.hetero).
@@ -377,16 +372,13 @@ class Scenario:
         """Attach a live burn-rate monitor to one (declared) tenant.
 
         A :class:`~repro.obs.live.LiveMonitor` is created on the
-        tenant's ingress node with an in-sim probe every ``interval``
-        µs (phase-locked to the tenant's cell when :meth:`stagger` is
-        active, so probes tick on the cell's arrival instants; under
-        stagger, ``interval`` must be a multiple of the quantum).  One
-        burn-rate rule named ``"burn"`` watches the ``objective_ppm``
-        SLO over ``fast_window`` (default: ``interval``) and
-        ``slow_window`` (default: ``5 * interval``), raising at
-        ``threshold_milli`` (1000 = burning the error budget exactly at
-        the sustainable rate) and clearing with ``hold``-probe
-        hysteresis below ``clear_milli``.
+        tenant's ingress node with an in-sim probe at every multiple
+        of ``interval`` µs.  One burn-rate rule named ``"burn"``
+        watches the ``objective_ppm`` SLO over ``fast_window``
+        (default: ``interval``) and ``slow_window`` (default: ``5 *
+        interval``), raising at ``threshold_milli`` (1000 = burning the
+        error budget exactly at the sustainable rate) and clearing with
+        ``hold``-probe hysteresis below ``clear_milli``.
 
         ``react`` runs when the rule raises (once): ``"conservative"``
         swaps the ingress controller's guarantee test to the
@@ -489,24 +481,6 @@ class Scenario:
         self._seed = int(seed)
         return self
 
-    def stagger(self, quantum: int) -> "Scenario":
-        """Quantize arrivals onto per-cell residue classes mod
-        ``quantum`` (cell *c* arrives at instants ``≡ c * (quantum //
-        cells)``).
-
-        When every duration is a multiple of the quantum — WCETs,
-        network latency, zero jitter/costs, no heavy-tailed ``service``
-        models — no two cells ever record at the same instant.  Monitor
-        probes are phase-locked to the same residue classes (see
-        :meth:`monitor`).  Requires ``cells <= quantum / 2``.
-        """
-        if quantum < 2:
-            raise ValueError("quantum must be >= 2")
-        if self._cells > quantum // 2:
-            raise ValueError("stagger needs cells <= quantum / 2")
-        self._stagger = quantum
-        return self
-
     # -- derived structure -------------------------------------------------
 
     def _node_id(self, cell: int, tier: str, replica: int) -> str:
@@ -603,11 +577,9 @@ class Scenario:
             auto_map(task, engine_map)
         return task.validate()
 
-    def _tenant_arrivals(self, spec: _TenantSpec,
-                         tenant_index: int) -> List[int]:
+    def _tenant_arrivals(self, spec: _TenantSpec) -> List[int]:
         """Absolute request times over the horizon (NHPP, per-second
-        rates scaled by the load multiplier; optionally quantized onto
-        the cell's :meth:`stagger` residue class)."""
+        rates scaled by the load multiplier)."""
         if spec.rate is None:
             return []
         seed = derive_seed(self._seed, spec.name, "arrivals")
@@ -623,19 +595,9 @@ class Scenario:
             def scaled(t: float, _base=base, _scale=scale) -> float:
                 return _base(t) * _scale
 
-            times = nhpp_arrivals(scaled, self._horizon, seed=seed,
-                                  rate_cap=peak * scale)
-        else:
-            times = nhpp_arrivals(spec.rate * scale, self._horizon,
-                                  seed=seed)
-        if self._stagger:
-            quantum = self._stagger
-            if self._cells > quantum // 2:
-                raise ValueError("stagger needs cells <= quantum / 2")
-            phase = (tenant_index % self._cells) * (quantum // self._cells)
-            times = [t - t % quantum + phase for t in times
-                     if t - t % quantum + phase < self._horizon]
-        return times
+            return nhpp_arrivals(scaled, self._horizon, seed=seed,
+                                 rate_cap=peak * scale)
+        return nhpp_arrivals(spec.rate * scale, self._horizon, seed=seed)
 
     def _inflated_wcet(self, task: Task) -> int:
         """Suspension-oblivious submission WCET: total CPU demand plus
@@ -732,19 +694,10 @@ class Scenario:
                                     react_reconfigure)
         from repro.admission.guarantee import ResponseTimeTest
         by_tenant = {spec.name: node for spec, node, _t, _times in plans}
-        index_of = {spec.name: i for i, spec in enumerate(self._tenants)}
         for mon in self._monitors:
             node = by_tenant.get(mon.tenant)
             if node is None:
                 continue  # another cell
-            if self._stagger and mon.interval % self._stagger:
-                raise ValueError(
-                    f"monitor interval {mon.interval} must be a "
-                    f"multiple of the stagger quantum {self._stagger} "
-                    "(probes must tick on the cell's residue class)")
-            cell = index_of[mon.tenant] % self._cells
-            phase = (cell * (self._stagger // self._cells)
-                     if self._stagger else 0)
             rule = BurnRateRule(
                 "burn", fast_window=mon.fast_window,
                 slow_window=mon.slow_window,
@@ -754,7 +707,7 @@ class Scenario:
                 system, mon.tenant,
                 SloSpec(mon.objective_ppm, window=mon.slow_window),
                 [rule], interval=mon.interval, horizon=self._horizon,
-                phase=phase, node=node, samples=mon.samples)
+                node=node, samples=mon.samples)
             controller = controllers.get(node)
             for spec, register in ((mon.react, live.on_alert),
                                    (mon.on_clear, live.on_clear)):
@@ -811,7 +764,7 @@ class Scenario:
                 by_cell.setdefault(index % self._cells, []).append(
                     (spec, self._ingress_node(index),
                      self._tenant_task(spec, index),
-                     self._tenant_arrivals(spec, index)))
+                     self._tenant_arrivals(spec)))
             for cell in range(self._cells):
                 self._attach_schedulers(system, self._cell_nodes(cell))
                 self._build_service_cell(system, by_cell.get(cell, []))

@@ -119,8 +119,12 @@ class TraceRecord:
 _MUTABLE_CONTAINERS = frozenset((list, dict, set, tuple))
 
 
-def _own(value: Any) -> Any:
+def snapshot(value: Any) -> Any:
     """Recursively copy plain containers; scalars pass through.
+
+    :meth:`Tracer.record` applies it to every container detail; a site
+    that calls :meth:`Tracer.emit` applies it to any container it does
+    not own.
 
     Only exact ``list``/``dict``/``set``/``tuple`` instances are
     copied — exotic subclasses and arbitrary objects are stored as
@@ -128,13 +132,13 @@ def _own(value: Any) -> Any:
     """
     t = type(value)
     if t is list:
-        return [_own(item) for item in value]
+        return [snapshot(item) for item in value]
     if t is dict:
-        return {key: _own(item) for key, item in value.items()}
+        return {key: snapshot(item) for key, item in value.items()}
     if t is tuple:
-        return tuple(_own(item) for item in value)
+        return tuple(snapshot(item) for item in value)
     if t is set:
-        return {_own(item) for item in value}
+        return {snapshot(item) for item in value}
     return value
 
 
@@ -390,7 +394,7 @@ class Tracer:
             return None
         for key, value in details.items():
             if type(value) in _MUTABLE_CONTAINERS:
-                details[key] = _own(value)
+                details[key] = snapshot(value)
         return self.emit(category, event, details, time)
 
     def emit(self, category: str, event: str, details: Dict[str, Any],

@@ -14,8 +14,7 @@ benchmarks start with::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.core.costs import DispatcherCosts, KernelActivity
 from repro.core.dispatcher import Dispatcher
@@ -27,49 +26,6 @@ from repro.network.network import Network
 from repro.obs.metrics import RunReport, resolve_metrics
 from repro.sim.engine import Simulator
 from repro.sim.trace import Tracer
-
-
-@dataclass(frozen=True)
-class RunOptions:
-    """The observability/engine options a run is configured with.
-
-    ``HadesSystem(...)`` resolves its ``metrics=`` /
-    ``trace_maxlen=`` / ``trace_categories=`` / ``backend=`` arguments
-    into one bundle and keeps it as :attr:`HadesSystem.options`.
-    ``metrics`` holds the caller's *spec* (None/True/registry, see
-    :func:`repro.obs.resolve_metrics`), not the resolved registry, so
-    the bundle stays replayable; ``backend`` is pinned to the resolved
-    name once the engine exists (:meth:`pinned`), so a system rebuilt
-    from :meth:`to_kwargs` cannot re-resolve ``REPRO_SIM_BACKEND``
-    differently.
-    """
-
-    metrics: Any = None
-    trace_maxlen: Optional[int] = None
-    trace_categories: Optional[Tuple[str, ...]] = None
-    backend: Optional[str] = None
-
-    @classmethod
-    def resolve(cls, metrics: Any = None,
-                trace_maxlen: Optional[int] = None,
-                trace_categories: Optional[Iterable[str]] = None,
-                backend: Optional[str] = None) -> "RunOptions":
-        """Normalize raw constructor kwargs into one options bundle."""
-        if trace_categories is not None:
-            trace_categories = tuple(trace_categories)
-        return cls(metrics=metrics, trace_maxlen=trace_maxlen,
-                   trace_categories=trace_categories, backend=backend)
-
-    def pinned(self, backend: str) -> "RunOptions":
-        """A copy with ``backend`` fixed to the resolved engine name."""
-        return replace(self, backend=backend)
-
-    def to_kwargs(self) -> Dict[str, Any]:
-        """The bundle as ``HadesSystem`` constructor kwargs."""
-        return {"metrics": self.metrics,
-                "trace_maxlen": self.trace_maxlen,
-                "trace_categories": self.trace_categories,
-                "backend": self.backend}
 
 
 class HadesSystem:
@@ -100,16 +56,11 @@ class HadesSystem:
         # REPRO_SIM_BACKEND environment variable, which wins over the
         # heapq default.  Both backends produce byte-identical traces
         # (tests/test_backend_conformance.py).
-        options = RunOptions.resolve(
-            metrics=metrics, trace_maxlen=trace_maxlen,
-            trace_categories=trace_categories, backend=backend)
-        self.metrics = resolve_metrics(options.metrics)
-        self.sim = Simulator(metrics=self.metrics, backend=options.backend)
+        self.metrics = resolve_metrics(metrics)
+        self.sim = Simulator(metrics=self.metrics, backend=backend)
         self.backend = self.sim.backend
-        self.options = options.pinned(self.sim.backend)
-        self.tracer = Tracer(lambda: self.sim.now,
-                             maxlen=options.trace_maxlen,
-                             categories=options.trace_categories)
+        self.tracer = Tracer(lambda: self.sim.now, maxlen=trace_maxlen,
+                             categories=trace_categories)
         self.monitor = ExecutionMonitor()
         node_ids = list(node_ids)
         self.network = Network(self.sim, self.tracer,

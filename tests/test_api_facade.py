@@ -1,8 +1,10 @@
 """The stable public facade, the metrics= contract, trace filtering,
 and the event-set backend selection plumbing."""
 
+import importlib.metadata
 import io
 import json
+import pathlib
 
 import pytest
 
@@ -62,6 +64,19 @@ class TestFacade:
         inst = system.activate(task.validate())
         system.run()
         assert inst.response_time == 10
+
+    def test_package_metadata_agrees_with_version(self):
+        # pyproject.toml reads the version from repro.__version__, so
+        # whatever metadata an install generates carries the same one.
+        root = pathlib.Path(__file__).resolve().parent.parent
+        pyproject = (root / "pyproject.toml").read_text()
+        assert 'dynamic = ["version"]' in pyproject
+        assert 'version = { attr = "repro.__version__" }' in pyproject
+        try:
+            installed = importlib.metadata.version("repro")
+        except importlib.metadata.PackageNotFoundError:
+            return
+        assert installed == repro.__version__
 
 
 class TestBackendSelection:
@@ -154,9 +169,11 @@ class TestBackendSelection:
         assert set(responses.values()) == {10}
 
     def test_version_bumped_for_backend_surface(self):
-        # 3.0.0: the sharded executor and its names (run_sharded,
-        # ShardRunResult, auto_partition) left the facade.
-        assert repro.__version__ == "3.0.0"
+        # 4.0.0: RunOptions and scenario(), the second spelling of
+        # Scenario(), left the facade.
+        assert repro.__version__ == "4.0.0"
+        assert not hasattr(repro, "RunOptions")
+        assert not hasattr(repro, "scenario")
 
 
 class TestResolveMetrics:

@@ -414,7 +414,6 @@ def _hetero_scenario():
             .tenant("gold", rate=20, deadline=50_000)
             .policy("edf", w_sched=0)
             .load(0.5)
-            .stagger(50)
             .options(network_latency=50, network_jitter=0,
                      node_kwargs={"net_irq_wcet": 0})
             .seed(3))

@@ -24,7 +24,6 @@ def monitored(seed):
             .admission("reject", test=UtilizationTest(8.0))
             .policy("edf", w_sched=0)
             .load(3.0)
-            .stagger(50)
             .options(network_latency=50, network_jitter=0,
                      node_kwargs={"net_irq_wcet": 0})
             .seed(seed)

@@ -35,16 +35,6 @@ class TestRollingCounter:
         assert counter.total(200) == 0              # all outside [100,200)
         assert counter.cumulative == 4
 
-    def test_phase_aligned_bins(self):
-        # Bins at phase=30 (mod 100): [30, 130) holds t in 30..129.
-        counter = RollingCounter(max_window=100, quantum=100, phase=30)
-        counter.add(29)
-        counter.add(30)
-        counter.add(129)
-        # queries must be non-decreasing in `now` (probe discipline)
-        assert counter.total(30, window=100) == 1   # only t=29's bin
-        assert counter.total(130, window=100) == 2
-
     def test_window_exceeds_retention(self):
         counter = RollingCounter(max_window=50)
         with pytest.raises(ValueError):
@@ -319,8 +309,7 @@ def _overloaded(react=None, monitor=True):
           .tenant("gold", rate=600, mk=(9, 10), value=5, deadline=3_000)
           .tenant("bronze", rate=900, deadline=3_000)
           .admission("reject", test=UtilizationTest(8.0))
-          .load(3.0)
-          .stagger(100))
+          .load(3.0))
     if monitor:
         sc.monitor("gold", interval=20_000, objective_ppm=990_000,
                    react=react)
@@ -385,11 +374,6 @@ class TestScenarioMonitor:
         sc.monitor("t", interval=100)
         with pytest.raises(ValueError, match="duplicate monitor"):
             sc.monitor("t", interval=100)
-        # stagger quantum must divide the probe interval
-        bad = (Scenario().tier("edge").tenant("t", rate=10)
-               .stagger(64).monitor("t", interval=100))
-        with pytest.raises(ValueError, match="residue class"):
-            bad.run(until=10_000)
 
 
 # ---------------------------------------------------------------------------

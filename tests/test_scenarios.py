@@ -1,9 +1,9 @@
 """The fluent ``Scenario`` facade: declarations, derived structure,
-traffic generation, and the RunOptions plumbing it rides on."""
+traffic generation, and the ``HadesSystem`` keywords it rides on."""
 
 import pytest
 
-from repro import RunOptions, Scenario, scenario
+from repro import Scenario
 from repro.core.attributes import Aperiodic, Periodic, Sporadic
 from repro.core.heug import Task
 from repro.scenarios.traffic import (DeterministicService, LogNormalService,
@@ -22,9 +22,6 @@ def make_periodic(name="t", period=1_000, wcet=100, node_id="n0",
 
 
 class TestDeclarations:
-    def test_scenario_helper_returns_builder(self):
-        assert isinstance(scenario(), Scenario)
-
     def test_duplicate_tier_rejected(self):
         with pytest.raises(ValueError, match="duplicate tier"):
             Scenario().tier("edge").tier("edge")
@@ -93,13 +90,6 @@ class TestDeclarations:
         with pytest.raises(ValueError):
             Scenario().cells(0)
 
-    def test_stagger_validation(self):
-        with pytest.raises(ValueError):
-            Scenario().stagger(1)
-        with pytest.raises(ValueError):
-            Scenario().cells(8).stagger(10)
-        assert Scenario().cells(4).stagger(50)._stagger == 50
-
     def test_empty_scenario_has_no_nodes(self):
         with pytest.raises(ValueError, match="no tiers and no nodes"):
             Scenario().node_ids()
@@ -152,21 +142,23 @@ class TestTrafficGeneration:
         with pytest.raises(ValueError, match="peak"):
             builder.run(until=10_000)
 
-    def test_stagger_quantizes_onto_cell_residues(self):
+    def test_tenant_arrivals_are_the_traffic_model_draws(self):
+        # Each tenant's requests arrive exactly when its NHPP draws
+        # them, whichever cell the tenant is pinned to.
         builder = (Scenario()
                    .tier("edge", wcet=100)
                    .cells(2)
                    .tenant("a", rate=300, deadline=10_000)
                    .tenant("b", rate=300, deadline=10_000)
-                   .stagger(50))
+                   .load(2.0)
+                   .seed(7))
         builder._horizon = 100_000
-        for index, spec in enumerate(builder._tenants):
-            times = builder._tenant_arrivals(spec, index)
-            assert times, "stagger dropped the whole stream"
-            phase = (index % 2) * 25
-            assert all(t % 50 == phase for t in times)
-            assert all(t < 100_000 for t in times)
-            assert times == sorted(times)
+        for spec in builder._tenants:
+            drawn = nhpp_arrivals(
+                300 * (2.0 / 1_000_000), 100_000,
+                seed=derive_seed(7, spec.name, "arrivals"))
+            assert drawn
+            assert builder._tenant_arrivals(spec) == drawn
 
     def test_validate_arrivals_rejects_non_monotone(self):
         # Backwards timestamps are malformed input even under an
@@ -220,22 +212,9 @@ class TestServiceTimeModels:
 
 
 class TestRunOptions:
-    def test_resolve_defaults(self):
-        options = RunOptions.resolve()
-        assert options.metrics is None
-        assert options.trace_categories is None
-        assert options.backend is None
-
-    def test_pinned_round_trip(self):
-        options = RunOptions.resolve(trace_maxlen=10)
-        pinned = options.pinned("heapq")
-        assert pinned.backend == "heapq"
-        assert pinned.trace_maxlen == 10
-        assert "backend" in pinned.to_kwargs()
+    """The observability and engine keywords of ``HadesSystem``."""
 
     def test_removed_categories_spelling_is_rejected(self):
-        with pytest.raises(TypeError, match="categories"):
-            RunOptions.resolve(categories=["dispatcher"])
         with pytest.raises(TypeError, match="categories"):
             HadesSystem(node_ids=["n0"], categories=["dispatcher"])
 

@@ -61,6 +61,19 @@ class TestDetailSnapshotting:
         members.add("y")
         assert entry.details["members"] == {"x"}
 
+    def test_network_send_snapshots_a_container_edge(self):
+        # The link emits its send record directly; a container edge
+        # from an application payload must not stay shared with it.
+        system = HadesSystem(node_ids=["a", "b"])
+        edge = [1, 2]
+        system.network.interfaces["a"].send(
+            "b", {"task": "app", "seq": 1, "edge": edge})
+        edge.append(99)
+        sends = [r for r in system.tracer
+                 if (r.category, r.event) == ("network", "send")]
+        assert [r.details["edge"] for r in sends] == [[1, 2]]
+        assert sends[0].details["activation_id"] == "app#1"
+
     def test_scalars_and_exotic_objects_pass_through(self):
         class Opaque:
             pass
