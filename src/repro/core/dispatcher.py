@@ -57,7 +57,26 @@ from repro.kernel.priorities import PRIO_MAX
 from repro.kernel.threads import Compute, KThread, WaitEvent
 from repro.network.network import Network
 from repro.sim.engine import Event, Simulator
-from repro.sim.trace import Tracer
+from repro.sim.trace import Tracer, layout
+
+#: The layouts of the dispatcher's hot records.
+_ACTIVATE = layout("dispatcher", "activate", "task", "seq", "activation_id",
+                   "deadline")
+_SET_PARAMS = layout("dispatcher", "set_params", "eu", "priority",
+                     "earliest")
+_THREAD_START = layout("dispatcher", "thread_start", "eu", "node",
+                       "priority")
+_THREAD_START_ENGINE = layout("dispatcher", "thread_start", "eu", "node",
+                              "priority", "engine")
+_EU_DONE = layout("dispatcher", "eu_done", "eu")
+_EDGE_SATISFIED = layout("dispatcher", "edge_satisfied", "activation_id",
+                         "edge", "src", "dst", "remaining")
+_REMOTE_EDGE_SENT = layout("dispatcher", "remote_edge_sent", "eu", "dst",
+                           "activation_id", "edge")
+_REMOTE_EDGE_RECV = layout("dispatcher", "remote_edge_recv", "task", "seq",
+                           "edge")
+_INSTANCE_DONE = layout("dispatcher", "instance_done", "task", "seq",
+                        "activation_id", "response", "missed")
 
 #: Sentinel "never" earliest-start value used by schedulers to hold a
 #: thread (e.g. SRP keeping a job from starting while the system
@@ -372,10 +391,8 @@ class Dispatcher:
         self._seq[task.name] = seq
         instance = TaskInstance(task, seq, now, self, invoked_by)
         self._instances[instance.key] = instance
-        self.tracer.emit("dispatcher", "activate", {
-            "task": task.name, "seq": seq,
-            "activation_id": instance.qualified_name,
-            "deadline": instance.abs_deadline})
+        self.tracer.emit(_ACTIVATE, task.name, seq, instance.qualified_name,
+                         instance.abs_deadline)
         self._m_activations.inc()
 
         if instance.abs_deadline is not None:
@@ -508,9 +525,8 @@ class Dispatcher:
                                  lambda e=eui: self._maybe_resume(e))
             elif eui.state is EUState.WAITING and eui.preds_remaining == 0:
                 self._evaluate(eui)
-        self.tracer.emit("dispatcher", "set_params", {
-            "eu": eui.qualified_name, "priority": eui.priority,
-            "earliest": eui.earliest})
+        self.tracer.emit(_SET_PARAMS, eui.qualified_name, eui.priority,
+                         eui.earliest)
 
     def _maybe_resume(self, eui: EUInstance) -> None:
         if eui.state is not EUState.SUSPENDED:
@@ -680,11 +696,12 @@ class Dispatcher:
         thread.finished.add_callback(
             lambda evt: self._on_eu_thread_done(eui, evt))
         thread.start()
-        details = {"eu": eui.qualified_name, "node": node.node_id,
-                   "priority": eui.priority}
-        if eui.engine != "cpu":
-            details["engine"] = eui.engine
-        self.tracer.emit("dispatcher", "thread_start", details)
+        if eui.engine == "cpu":
+            self.tracer.emit(_THREAD_START, eui.qualified_name, node.node_id,
+                             eui.priority)
+        else:
+            self.tracer.emit(_THREAD_START_ENGINE, eui.qualified_name,
+                             node.node_id, eui.priority, eui.engine)
         self._m_thread_starts.inc()
 
     def _eu_body(self, eui: EUInstance):
@@ -785,7 +802,7 @@ class Dispatcher:
 
         self._release_resources(eui)
         self._notify(NotificationKind.TRM, eui)
-        self.tracer.emit("dispatcher", "eu_done", {"eu": eui.qualified_name})
+        self.tracer.emit(_EU_DONE, eui.qualified_name)
         self._m_eu_completions.inc()
         self._propagate(eui, context)
         self._count_down(eui.instance)
@@ -840,11 +857,9 @@ class Dispatcher:
         dst.preds_remaining -= 1
         # The causal record of the HEUG DAG: span reconstruction reads
         # the per-activation precedence structure out of these.
-        self.tracer.emit("dispatcher", "edge_satisfied", {
-            "activation_id": instance.qualified_name,
-            "edge": instance.task.edge_index(edge),
-            "src": edge.src.name, "dst": edge.dst.name,
-            "remaining": dst.preds_remaining})
+        self.tracer.emit(_EDGE_SATISFIED, instance.qualified_name,
+                         instance.task.edge_index(edge), edge.src.name,
+                         edge.dst.name, dst.preds_remaining)
         if dst.preds_remaining == 0:
             self._evaluate(dst)
 
@@ -871,9 +886,8 @@ class Dispatcher:
             tnet.send(dst_node, payload, kind="heug-edge")
         else:
             interface.send(dst_node, payload, kind="heug-edge")
-        self.tracer.emit("dispatcher", "remote_edge_sent", {
-            "eu": eui.qualified_name, "dst": dst_node,
-            "activation_id": instance.qualified_name, "edge": edge_index})
+        self.tracer.emit(_REMOTE_EDGE_SENT, eui.qualified_name, dst_node,
+                         instance.qualified_name, edge_index)
         # §3.2.1 event (v): watch for network omission failures by
         # observing the remote precedence constraint.
         bound = (self.network.max_message_delay(64)
@@ -905,9 +919,8 @@ class Dispatcher:
                                 cause="remote_edge_to_dead_instance")
             return
         edge = instance.task.edges[payload["edge"]]
-        self.tracer.emit("dispatcher", "remote_edge_recv", {
-            "task": payload["task"], "seq": payload["seq"],
-            "edge": payload["edge"]})
+        self.tracer.emit(_REMOTE_EDGE_RECV, payload["task"], payload["seq"],
+                         payload["edge"])
         self._satisfy_edge(instance, edge, payload["value"])
 
     # -- Inv_EU execution ----------------------------------------------------------------
@@ -999,11 +1012,9 @@ class Dispatcher:
                                 instance.task.name, instance.seq,
                                 deadline=instance.abs_deadline,
                                 remaining_eus=0)
-        self.tracer.emit("dispatcher", "instance_done", {
-            "task": instance.task.name, "seq": instance.seq,
-            "activation_id": instance.qualified_name,
-            "response": instance.response_time,
-            "missed": instance.missed_deadline})
+        self.tracer.emit(_INSTANCE_DONE, instance.task.name, instance.seq,
+                         instance.qualified_name, instance.response_time,
+                         instance.missed_deadline)
         self._m_instances_done.inc()
         if not instance.done_event.triggered:
             instance.done_event.succeed("done")

@@ -27,7 +27,17 @@ from typing import Dict, List, Optional
 
 from repro.kernel.threads import KThread, ThreadState
 from repro.sim.engine import Simulator
-from repro.sim.trace import Tracer
+from repro.sim.trace import Tracer, layout
+
+#: The layouts of the ``cpu`` records: (on the CPU, on an engine unit,
+#: whose label comes last).
+_DISPATCH, _COMPLETE, _PREEMPT, _WITHDRAW = (
+    (layout("cpu", event, *fields), layout("cpu", event, *fields, "engine"))
+    for event, fields in (
+        ("dispatch", ("node", "thread", "remaining", "priority")),
+        ("complete", ("node", "thread")),
+        ("preempt", ("node", "thread", "by", "by_priority")),
+        ("withdraw", ("node", "thread"))))
 
 
 class Cpu:
@@ -60,6 +70,14 @@ class Cpu:
         self.node_id = node_id
         self.engine_class = engine_class
         self.engine_label = engine_label
+        # Every record site passes ``engine_label`` after its fields: on
+        # an engine unit it is the engine layout's last field, and on
+        # the CPU it is None, in the position the plain layout leaves
+        # unused.
+        (self._dispatch_layout, self._complete_layout, self._preempt_layout,
+         self._withdraw_layout) = (
+            pair[engine_label is not None]
+            for pair in (_DISPATCH, _COMPLETE, _PREEMPT, _WITHDRAW))
         #: Non-CPU engine classes run every compute block to completion.
         self.preemptive = engine_class == "cpu"
         self.context_switch_cost = int(context_switch_cost)
@@ -110,8 +128,8 @@ class Cpu:
         if thread is self._running:
             self._checkpoint()
             self._running = None
-            self._trace("withdraw", {"node": self.node_id,
-                                     "thread": thread.name})
+            self.tracer.emit(self._withdraw_layout, self.node_id,
+                             thread.name, self.engine_label)
             self._schedule()
         elif thread._ready_entry is not None:
             self._discard(thread)
@@ -191,10 +209,9 @@ class Cpu:
             self._running = None
             preempted.state = ThreadState.READY
             self._enqueue(preempted)
-            self._trace("preempt", {"node": self.node_id,
-                                    "thread": preempted.name,
-                                    "by": challenger.name,
-                                    "by_priority": challenger._priority})
+            self.tracer.emit(self._preempt_layout, self.node_id,
+                             preempted.name, challenger.name,
+                             challenger._priority, self.engine_label)
             self._m_preemptions.inc()
         if not queue:
             return
@@ -220,9 +237,9 @@ class Cpu:
         self._m_dispatches.inc()
         self._progress_start = self.sim.now + overhead
         finish_in = overhead + thread._remaining
-        self._trace("dispatch", {"node": self.node_id, "thread": thread.name,
-                                 "remaining": thread._remaining,
-                                 "priority": thread._priority})
+        self.tracer.emit(self._dispatch_layout, self.node_id, thread.name,
+                         thread._remaining, thread._priority,
+                         self.engine_label)
         self._completion_timer = self.sim.call_in(finish_in,
                                                   self._on_completion)
 
@@ -235,19 +252,13 @@ class Cpu:
         thread.cpu_time += progressed
         thread._pt_boosted = False
         self._running = None
-        self._trace("complete", {"node": self.node_id,
-                                 "thread": thread.name})
+        self.tracer.emit(self._complete_layout, self.node_id, thread.name,
+                         self.engine_label)
         thread._compute_finished()
         # The thread's _advance may have resubmitted work already; only
         # re-dispatch if the CPU is still idle.
         if self._running is None:
             self._schedule()
-
-    def _trace(self, event: str, details: Dict[str, object]) -> None:
-        """Emit a ``cpu`` record; an engine unit's label comes last."""
-        if self.engine_label is not None:
-            details["engine"] = self.engine_label
-        self.tracer.emit("cpu", event, details)
 
     def _checkpoint(self) -> None:
         """Bank the running thread's progress before it loses the CPU."""

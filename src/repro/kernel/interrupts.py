@@ -20,9 +20,12 @@ from typing import Any, Callable, Optional, TYPE_CHECKING
 
 from repro.kernel.priorities import PRIO_MAX
 from repro.kernel.threads import Compute, KThread
+from repro.sim.trace import layout
 
 if TYPE_CHECKING:
     from repro.kernel.node import Node
+
+_INTERRUPT = layout("kernel", "interrupt", "node", "source", "seq")
 
 
 class InterruptSource:
@@ -70,9 +73,8 @@ class InterruptSource:
     def _service(self, payload: Any) -> None:
         sim = self.node.sim
         self.fire_count += 1
-        self.node.tracer.emit("kernel", "interrupt", {
-            "node": self.node.node_id, "source": self.name,
-            "seq": self.fire_count})
+        self.node.tracer.emit(_INTERRUPT, self.node.node_id, self.name,
+                              self.fire_count)
 
         def handler_body():
             if self.wcet:

@@ -22,9 +22,15 @@ import enum
 from typing import Any, Generator, Optional, TYPE_CHECKING
 
 from repro.sim.engine import Event, SimulationError
+from repro.sim.trace import layout
 
 if TYPE_CHECKING:
     from repro.kernel.node import Node
+
+#: The layouts of the ``thread/block`` record: a sleep, a wait.
+_BLOCK_SLEEP = layout("thread", "block", "node", "thread", "reason", "delay")
+_BLOCK_EVENT = layout("thread", "block", "node", "thread", "reason",
+                      "target")
 
 
 class ThreadState(enum.Enum):
@@ -274,17 +280,15 @@ class KThread:
             target = self.sim.timeout(request.delay)
             self._wait_target = target
             self._wait_private = True
-            self.node.tracer.emit("thread", "block", {
-                "node": self.node.node_id, "thread": self.name,
-                "reason": "sleep", "delay": request.delay})
+            self.node.tracer.emit(_BLOCK_SLEEP, self.node.node_id,
+                                  self.name, "sleep", request.delay)
             target.add_callback(self._on_wait_done)
         elif isinstance(request, WaitEvent):
             self.state = ThreadState.BLOCKED
             self._wait_target = request.event
             self._wait_private = False
-            self.node.tracer.emit("thread", "block", {
-                "node": self.node.node_id, "thread": self.name,
-                "reason": "event", "target": request.event.name})
+            self.node.tracer.emit(_BLOCK_EVENT, self.node.node_id,
+                                  self.name, "event", request.event.name)
             request.event.add_callback(self._on_wait_done)
         elif isinstance(request, Event):
             # Yielding a bare engine event is allowed as shorthand.

@@ -22,10 +22,22 @@ from typing import Callable, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.network.messages import Message
 from repro.sim.engine import Simulator
-from repro.sim.trace import Tracer, snapshot
+from repro.sim.trace import Tracer, layout, snapshot
 
 if TYPE_CHECKING:
     from repro.network.interface import NetworkInterface
+
+
+#: The layouts of the ``network/send`` record: a plain message, a message
+#: of an activation, and one carrying a precedence edge; and of
+#: ``network/deliver``.
+_SEND = layout("network", "send", "link", "msg", "kind", "size")
+_SEND_ACTIVATION = layout("network", "send", "link", "msg", "kind", "size",
+                          "activation_id")
+_SEND_EDGE = layout("network", "send", "link", "msg", "kind", "size",
+                    "activation_id", "edge")
+_DELIVER = layout("network", "deliver", "link", "msg", "kind", "latency",
+                  "outcome", "bound")
 
 
 class DeliveryOutcome(enum.Enum):
@@ -136,6 +148,8 @@ class Link:
         self.tracer = tracer
         self.src = src
         self.dst = dst
+        #: ``src->dst``: the ``link`` field of this link's records.
+        self.label = f"{src}->{dst}"
         self.base_latency = int(base_latency)
         self.size_cost_per_byte = int(size_cost_per_byte)
         self.jitter_bound = int(jitter_bound)
@@ -198,22 +212,26 @@ class Link:
         # correlation ids (activation + edge index); forwarding them
         # here lets a span reconstructor tie this msg_id to its
         # activation without guessing from FIFO order.
-        send_details = {"link": f"{self.src}->{self.dst}",
-                        "msg": message.msg_id, "kind": message.kind,
-                        "size": message.size}
         payload = message.payload
         if type(payload) is dict and "task" in payload and "seq" in payload:
-            send_details["activation_id"] = (f"{payload['task']}"
-                                             f"#{payload['seq']}")
+            activation_id = f"{payload['task']}#{payload['seq']}"
             if "edge" in payload:
                 # The dispatcher's edges are ints; an application's
                 # container edge stays the caller's to mutate.
-                send_details["edge"] = snapshot(payload["edge"])
-        self.tracer.emit("network", "send", send_details)
+                self.tracer.emit(_SEND_EDGE, self.label, message.msg_id,
+                                 message.kind, message.size, activation_id,
+                                 snapshot(payload["edge"]))
+            else:
+                self.tracer.emit(_SEND_ACTIVATION, self.label,
+                                 message.msg_id, message.kind, message.size,
+                                 activation_id)
+        else:
+            self.tracer.emit(_SEND, self.label, message.msg_id, message.kind,
+                             message.size)
         if not self.up:
             self.stats[DeliveryOutcome.DROPPED] += 1
             self._m_dropped.inc()
-            self.tracer.record("network", "drop", link=f"{self.src}->{self.dst}",
+            self.tracer.record("network", "drop", link=self.label,
                                msg=message.msg_id, reason="link_down")
             return DeliveryOutcome.DROPPED
 
@@ -223,8 +241,7 @@ class Link:
             if drop:
                 self.stats[DeliveryOutcome.DROPPED] += 1
                 self._m_dropped.inc()
-                self.tracer.record("network", "drop",
-                                   link=f"{self.src}->{self.dst}",
+                self.tracer.record("network", "drop", link=self.label,
                                    msg=message.msg_id, reason="omission")
                 return DeliveryOutcome.DROPPED
             extra += delay
@@ -250,20 +267,17 @@ class Link:
             # No receiver wired, or the receiver is down at delivery
             # time (crash semantics of §2.1): the message is lost.
             self.stats[DeliveryOutcome.DST_CRASHED] += 1
-            self.tracer.record("network", "dst_crashed",
-                               link=f"{self.src}->{self.dst}",
+            self.tracer.record("network", "dst_crashed", link=self.label,
                                msg=message.msg_id, kind=message.kind)
             return
         self.stats[outcome] += 1
         self._m_delivered.inc()
         self._h_latency.observe(message.latency)
-        self.tracer.emit("network", "deliver", {
-            "link": f"{self.src}->{self.dst}", "msg": message.msg_id,
-            "kind": message.kind, "latency": message.latency,
-            "outcome": outcome.value,
-            "bound": self.guaranteed_bound(message.size)})
+        self.tracer.emit(_DELIVER, self.label, message.msg_id, message.kind,
+                         message.latency, outcome.value,
+                         self.guaranteed_bound(message.size))
         self._on_deliver(message)
 
     def __repr__(self) -> str:
-        return (f"<Link {self.src}->{self.dst} "
+        return (f"<Link {self.label} "
                 f"bound={self.guaranteed_bound(0)}+{self.size_cost_per_byte}/B>")

@@ -352,7 +352,7 @@ class _TracerHub:
     def _dispatch(self, entry) -> None:
         category = entry.category
         if category == "dispatcher" or category == "admission":
-            monitors = self._by_tenant.get(entry.details.get("task"))
+            monitors = self._by_tenant.get(entry.get("task"))
             if monitors:
                 for monitor in monitors:
                     monitor._ingest(entry)
@@ -437,12 +437,11 @@ class LiveMonitor:
             # "shed" victims are not double-counted here: the abort of
             # the shed instance lands in the dispatcher stream below.
         elif category == "dispatcher":
-            details = entry.details
             event = entry.event
             if event == "activate":
-                self._open[details["activation_id"]] = "open"
+                self._open[entry.get("activation_id")] = "open"
                 return
-            aid = details.get("activation_id")
+            aid = entry.get("activation_id")
             state = self._open.get(aid)
             if state is None:
                 return
@@ -452,11 +451,11 @@ class LiveMonitor:
                     self._open[aid] = "counted"
             elif event == "instance_done":
                 if state == "open":
-                    if details.get("missed"):
+                    if entry.get("missed"):
                         self._bad.add(entry.time)
                     else:
                         self._good.add(entry.time)
-                        response = details.get("response")
+                        response = entry.get("response")
                         if response is not None:
                             self.response.observe(response)
                             self.response_ewma.update(response)
@@ -667,7 +666,7 @@ def render_dashboard(trace_path: str,
     samples: Dict[str, List[TraceRecord]] = {}
     alerts: List[TraceRecord] = []
     for rec in read_jsonl(trace_path):
-        who = rec.details.get("tenant")
+        who = rec.get("tenant")
         if tenant is not None and who != tenant:
             continue
         if rec.category == CATEGORY_MONITOR and rec.event == "sample":

@@ -44,7 +44,8 @@ from dataclasses import dataclass, field
 from heapq import merge
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.sim.trace import TraceRecord, Tracer, read_jsonl
+from repro.sim.trace import (FIELD_SLOTS, LAYOUTS, FixedRecord, Record,
+                             Tracer, layout, read_jsonl)
 
 __all__ = [
     "Segment",
@@ -409,11 +410,34 @@ class SpanForest:
 # Reconstruction (single pass)
 # ---------------------------------------------------------------------------
 
-TraceSource = Union[Tracer, str, Iterable[TraceRecord]]
+TraceSource = Union[Tracer, str, Iterable[Record]]
+
+
+class _Fields:
+    """A record of a declared key stored with its dict, read as a
+    :class:`~repro.sim.trace.FixedRecord`: the field slots hold the
+    details of the key's longest layout's fields (``None`` if absent)."""
+
+    __slots__ = FIELD_SLOTS + ("details",)
+
+    def __init__(self, details: Dict[str, Any],
+                 fields: Tuple[str, ...]) -> None:
+        self.details = details
+        values = [details.get(name) for name in fields]
+        values += [None] * (len(FIELD_SLOTS) - len(values))
+        for slot, value in zip(FIELD_SLOTS, values):
+            setattr(self, slot, value)
 
 
 class _Builder:
-    """Single-pass state machine folding records into a SpanForest."""
+    """Single-pass state machine folding records into a SpanForest.
+
+    The handlers of the declared keys (:data:`repro.sim.trace.LAYOUTS`)
+    read a fixed-layout record's field slots, so no details dict is
+    built for them; the comment under each names its fields, optional
+    trailing ones in brackets (their slots hold ``None`` when absent).
+    The other handlers read the details dict.
+    """
 
     def __init__(self) -> None:
         self.forest = SpanForest()
@@ -475,17 +499,28 @@ class _Builder:
 
     # -- record handlers -------------------------------------------------
 
-    def feed(self, time: int, category: str, event: str, d: dict) -> None:
+    def feed(self, rec: Record) -> None:
+        time = rec.time
         if time > self.forest.t_end:
             self.forest.t_end = time
-        handler = self._HANDLERS.get((category, event))
+        if rec.__class__ is FixedRecord:
+            handler = self._BY_LAYOUT.get(rec.layout)
+            if handler is not None:
+                handler(self, time, rec)
+            return
+        key = (rec.category, rec.event)
+        handler = self._HANDLERS.get(key)
         if handler is not None:
-            handler(self, time, d)
+            handler(self, time, rec.details)
+        elif key in self._FIELD_HANDLERS:
+            self._FIELD_HANDLERS[key](self, time,
+                                      _Fields(rec.details, LAYOUTS[key][-1]))
 
-    def _on_activate(self, time: int, d: dict) -> None:
-        span = self._activation(d["activation_id"])
+    def _on_activate(self, time: int, r: Any) -> None:
+        # task seq activation_id deadline
+        span = self._activation(r.f2)
         span.activation_time = time
-        span.deadline = d.get("deadline")
+        span.deadline = r.f3
 
     def _on_eu_blocked(self, time: int, d: dict) -> None:
         span = self._eu_span(d["eu"])
@@ -493,19 +528,21 @@ class _Builder:
         detail = {k: v for k, v in d.items() if k not in ("eu", "cause")}
         span.open_segment(f"blocked:{cause}", time, **detail)
 
-    def _on_thread_start(self, time: int, d: dict) -> None:
-        span = self._eu_span(d["eu"])
-        span.node = d.get("node")
-        span.engine = d.get("engine", "cpu")
-        span.priority = d.get("priority")
+    def _on_thread_start(self, time: int, r: Any) -> None:
+        # eu node priority [engine]
+        span = self._eu_span(r.f0)
+        node = span.node = r.f1
+        span.engine = "cpu" if r.f3 is None else r.f3
+        span.priority = r.f2
         span.ready_time = time
-        if d.get("node"):
-            self._note_node(d["node"])
+        if node:
+            self._note_node(node)
         span.open_segment("ready", time)
         self._threads[span.qualified_name] = span
 
-    def _on_eu_done(self, time: int, d: dict) -> None:
-        span = self._eu_span(d["eu"])
+    def _on_eu_done(self, time: int, r: Any) -> None:
+        # eu
+        span = self._eu_span(r.f0)
         span.close_segment(time)
         span.finish_time = time
         self._threads.pop(span.qualified_name, None)
@@ -524,31 +561,34 @@ class _Builder:
         span.error = True
         span.finish_time = time
 
-    def _on_edge_satisfied(self, time: int, d: dict) -> None:
-        activation = self._activation(d["activation_id"])
-        index = d["edge"]
+    def _on_edge_satisfied(self, time: int, r: Any) -> None:
+        # activation_id edge src dst remaining
+        activation_id, index = r.f0, r.f1
+        activation = self._activation(activation_id)
         info = activation.edges.get(index)
         if info is None:
-            info = EdgeInfo(index, d["src"], d["dst"], time)
+            info = EdgeInfo(index, r.f2, r.f3, time)
             activation.edges[index] = info
         else:
             info.satisfied_time = time
-        key = (d["activation_id"], index)
+        key = (activation_id, index)
         if key in self._pending_remote:
             info.send_requested = self._pending_remote.pop(key)
 
-    def _on_remote_edge_sent(self, time: int, d: dict) -> None:
-        self._pending_remote[(d["activation_id"], d["edge"])] = time
-        activation = self._activation(d["activation_id"])
-        index = d["edge"]
+    def _on_remote_edge_sent(self, time: int, r: Any) -> None:
+        # eu dst activation_id edge
+        activation_id, index = r.f2, r.f3
+        self._pending_remote[(activation_id, index)] = time
+        activation = self._activation(activation_id)
         if index in activation.edges:
             activation.edges[index].send_requested = time
 
-    def _on_instance_done(self, time: int, d: dict) -> None:
-        span = self._activation(d["activation_id"])
+    def _on_instance_done(self, time: int, r: Any) -> None:
+        # task seq activation_id response missed
+        span = self._activation(r.f2)
         span.finish_time = time
-        span.response_time = d.get("response")
-        span.missed = bool(d.get("missed"))
+        span.response_time = r.f3
+        span.missed = bool(r.f4)
         for eu in span.eus.values():
             eu.close_segment(time)
 
@@ -567,58 +607,57 @@ class _Builder:
         span.miss_detected_at = time
         span.remaining_at_miss = d.get("remaining_eus")
 
-    def _on_dispatch(self, time: int, d: dict) -> None:
-        node, thread = d["node"], d["thread"]
-        engine = d.get("engine", "cpu")
+    def _on_dispatch(self, time: int, r: Any) -> None:
+        # node thread remaining priority [engine]
+        node, thread = r.f0, r.f1
+        engine = "cpu" if r.f4 is None else r.f4
         self._note_node(node)
         self._close_slice(node, engine, time)
         self._open_slice[(node, engine)] = CpuSlice(
-            node, thread, time, None, d.get("priority"), engine)
+            node, thread, time, None, r.f3, engine)
         span = self._eu_for_thread(thread)
         if span is not None:
             if span.first_run is None:
                 span.first_run = time
             span.open_segment("running", time)
 
-    def _on_preempt(self, time: int, d: dict) -> None:
-        node, thread = d["node"], d["thread"]
-        self._close_slice(node, d.get("engine", "cpu"), time)
-        span = self._eu_for_thread(thread)
+    def _on_preempt(self, time: int, r: Any) -> None:
+        # node thread by by_priority [engine]
+        self._close_slice(r.f0, "cpu" if r.f4 is None else r.f4, time)
+        span = self._eu_for_thread(r.f1)
         if span is not None:
-            span.open_segment("preempted", time, by=d.get("by"),
-                              by_priority=d.get("by_priority"))
+            span.open_segment("preempted", time, by=r.f2,
+                              by_priority=r.f3)
 
-    def _on_complete(self, time: int, d: dict) -> None:
-        node, thread = d["node"], d["thread"]
-        self._close_slice(node, d.get("engine", "cpu"), time)
-        span = self._eu_for_thread(thread)
+    def _on_complete(self, time: int, r: Any) -> None:
+        # node thread [engine]
+        self._close_slice(r.f0, "cpu" if r.f2 is None else r.f2, time)
+        span = self._eu_for_thread(r.f1)
         if span is not None:
             # The body continues at this instant: either more compute
             # (re-dispatch), a block, or eu_done — all close this.
             span.open_segment("ready", time)
 
-    def _on_withdraw(self, time: int, d: dict) -> None:
-        node, thread = d["node"], d["thread"]
-        self._close_slice(node, d.get("engine", "cpu"), time)
-        span = self._eu_for_thread(thread)
+    def _on_withdraw(self, time: int, r: Any) -> None:
+        # node thread [engine]
+        self._close_slice(r.f0, "cpu" if r.f2 is None else r.f2, time)
+        span = self._eu_for_thread(r.f1)
         if span is not None:
             span.open_segment("waiting:withdrawn", time)
 
-    def _on_thread_block(self, time: int, d: dict) -> None:
-        span = self._eu_for_thread(d["thread"])
+    def _on_thread_block(self, time: int, r: Any) -> None:
+        # node thread reason (delay | target)
+        span = self._eu_for_thread(r.f1)
         if span is not None:
-            reason = d.get("reason", "event")
-            detail = {k: v for k, v in d.items()
+            detail = {k: v for k, v in r.details.items()
                       if k not in ("node", "thread", "reason")}
-            span.open_segment(f"waiting:{reason}", time, **detail)
+            span.open_segment(f"waiting:{r.f2}", time, **detail)
 
-    def _on_send(self, time: int, d: dict) -> None:
+    def _on_send(self, time: int, r: Any) -> None:
+        # link msg kind size [activation_id [edge]]
         msg = MessageSpan(norm_id=len(self.forest.messages) + 1,
-                          raw_id=d["msg"], link=d["link"],
-                          kind=d.get("kind", ""), size=d.get("size", 0),
-                          send_time=time,
-                          activation_id=d.get("activation_id"),
-                          edge=d.get("edge"))
+                          raw_id=r.f1, link=r.f0, kind=r.f2, size=r.f3,
+                          send_time=time, activation_id=r.f4, edge=r.f5)
         self.forest.messages.append(msg)
         self._in_flight[(msg.link, msg.raw_id)] = msg
         if msg.activation_id is not None:
@@ -636,14 +675,15 @@ class _Builder:
             if edge.message is None:
                 edge.message = msg
 
-    def _on_deliver(self, time: int, d: dict) -> None:
-        msg = self._in_flight.pop((d["link"], d["msg"]), None)
+    def _on_deliver(self, time: int, r: Any) -> None:
+        # link msg kind latency outcome bound
+        msg = self._in_flight.pop((r.f0, r.f1), None)
         if msg is None:
             return
         msg.deliver_time = time
-        msg.outcome = d.get("outcome", "delivered")
-        msg.latency = d.get("latency")
-        msg.bound = d.get("bound")
+        msg.outcome = r.f4
+        msg.latency = r.f3
+        msg.bound = r.f5
         self._attach_edge_message(msg)
 
     def _on_drop(self, time: int, d: dict) -> None:
@@ -740,18 +780,14 @@ class _Builder:
             self._attach_edge_message(msg)
         return self.forest
 
-    _HANDLERS = {
+    #: Handlers of declared keys, reading the field slots.
+    _FIELD_HANDLERS = {
         ("dispatcher", "activate"): _on_activate,
-        ("dispatcher", "eu_blocked"): _on_eu_blocked,
         ("dispatcher", "thread_start"): _on_thread_start,
         ("dispatcher", "eu_done"): _on_eu_done,
-        ("dispatcher", "inv_done"): _on_inv_done,
-        ("dispatcher", "eu_error"): _on_eu_error,
         ("dispatcher", "edge_satisfied"): _on_edge_satisfied,
         ("dispatcher", "remote_edge_sent"): _on_remote_edge_sent,
         ("dispatcher", "instance_done"): _on_instance_done,
-        ("dispatcher", "instance_abort"): _on_instance_abort,
-        ("dispatcher", "deadline_miss"): _on_deadline_miss,
         ("cpu", "dispatch"): _on_dispatch,
         ("cpu", "preempt"): _on_preempt,
         ("cpu", "complete"): _on_complete,
@@ -759,6 +795,18 @@ class _Builder:
         ("thread", "block"): _on_thread_block,
         ("network", "send"): _on_send,
         ("network", "deliver"): _on_deliver,
+    }
+    #: The same handlers, by declared layout.
+    _BY_LAYOUT = {layout(*key, *fields): handler
+                  for key, handler in _FIELD_HANDLERS.items()
+                  for fields in LAYOUTS[key]}
+    #: Handlers of the other keys, reading the details dict.
+    _HANDLERS = {
+        ("dispatcher", "eu_blocked"): _on_eu_blocked,
+        ("dispatcher", "inv_done"): _on_inv_done,
+        ("dispatcher", "eu_error"): _on_eu_error,
+        ("dispatcher", "instance_abort"): _on_instance_abort,
+        ("dispatcher", "deadline_miss"): _on_deadline_miss,
         ("network", "drop"): _on_drop,
         ("network", "dst_crashed"): _on_dst_crashed,
         ("admission", "submit"): _on_admission_submit,
@@ -785,7 +833,7 @@ def reconstruct(source: TraceSource) -> SpanForest:
         source = read_jsonl(source)
     builder = _Builder()
     for rec in source:
-        builder.feed(rec.time, rec.category, rec.event, rec.details)
+        builder.feed(rec)
     return builder.finish()
 
 

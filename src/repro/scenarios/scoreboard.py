@@ -103,7 +103,9 @@ class Scoreboard:
         return board
 
     def ingest(self, record) -> None:
-        """Feed one :class:`~repro.sim.trace.TraceRecord` (in order)."""
+        """Feed one trace record (:class:`~repro.sim.trace.Record`), in
+        order.  Fields are read with ``record.get``, which builds no
+        details dict."""
         category = record.category
         if category == "admission":
             self._ingest_admission(record)
@@ -111,8 +113,7 @@ class Scoreboard:
             self._ingest_dispatcher(record)
 
     def _ingest_admission(self, record) -> None:
-        details = record.details
-        tenant = details.get("task")
+        tenant = record.get("task")
         if tenant not in self.tenants:
             return
         event = record.event
@@ -121,7 +122,7 @@ class Scoreboard:
             self._had_admission[tenant] = True
         elif event == "admit":
             self._decisions[tenant].append(
-                ("admit", details.get("activation_id")))
+                ("admit", record.get("activation_id")))
         elif event in ("reject", "skip"):
             self._decisions[tenant].append((event, None))
         elif event == "shed":
@@ -131,16 +132,15 @@ class Scoreboard:
             self._decisions[tenant].append(("shed", None))
 
     def _ingest_dispatcher(self, record) -> None:
-        details = record.details
         event = record.event
         if event == "activate":
-            tenant = details.get("task")
+            tenant = record.get("task")
             if tenant in self.tenants:
-                self._activations[details["activation_id"]] = _Activation(
+                self._activations[record.get("activation_id")] = _Activation(
                     tenant=tenant, start=record.time)
             return
         if event == "eu_done":
-            qualified = details.get("eu", "")
+            qualified = record.get("eu", "")
             aid, _, eu_name = qualified.partition("/")
             activation = self._activations.get(aid)
             if activation is not None and ":" in eu_name:
@@ -148,13 +148,15 @@ class Scoreboard:
                 previous = activation.tier_done.get(tier, record.time)
                 activation.tier_done[tier] = max(previous, record.time)
             return
-        activation = self._activations.get(details.get("activation_id"))
+        if event not in ("instance_done", "instance_abort", "deadline_miss"):
+            return
+        activation = self._activations.get(record.get("activation_id"))
         if activation is None:
             return
         if event == "instance_done":
             activation.done = True
-            activation.response = details.get("response")
-            activation.missed = bool(details.get("missed"))
+            activation.response = record.get("response")
+            activation.missed = bool(record.get("missed"))
         elif event == "instance_abort":
             activation.aborted = True
         elif event == "deadline_miss":

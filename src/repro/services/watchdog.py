@@ -58,7 +58,7 @@ class ActivationWatchdog:
 
     def _on_trace(self, record) -> None:
         if record.category == "dispatcher" and record.event == "activate":
-            name = record.details.get("task")
+            name = record.get("task")
             if name in self._last_seen:
                 self._last_seen[name] = record.time
 

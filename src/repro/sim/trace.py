@@ -8,17 +8,29 @@ paper's runnable/running rules against it.
 
 The tracer scales to long runs in these ways:
 
-* **Deferred formatting** — :meth:`record` stores the raw fields of a
-  slotted :class:`TraceRecord`; all string interpolation (human dump,
-  JSONL encoding) happens at render/export time, never on the hot path.
-* **One storage path** — :meth:`emit` stores every record.
-  :meth:`record` takes the details as keywords, snapshots any plain
-  container among them, and ends in :meth:`emit`.  A hot record site
-  calls :meth:`emit` itself with a dict literal made for the call and
-  holding only scalars: the dict becomes the record's payload as is,
-  with no keyword re-packing and no snapshot loop.  Filter, clock,
-  ring buffer, listeners and return value are the same either way,
-  and so are the exported bytes.
+* **Deferred formatting** — a record stores the raw fields; all string
+  interpolation (human dump, JSONL encoding) happens at render/export
+  time, never on the hot path.
+* **Fixed-layout records** — :data:`LAYOUTS` declares the fields of
+  the hottest record keys, in the order their sites pass them; a key
+  with optional trailing fields declares one layout per variant.  A
+  record of a declared layout is one slotted :class:`FixedRecord`
+  holding ``time``, ``category``, ``event``, its :class:`Layout` and one
+  slot per field, with no details dict: its ``details`` is a fresh dict
+  built in declared order each time it is read, so exports, ``repr``,
+  ``str`` and ``==`` are those of the same record stored with a dict.
+  Every other record is a :class:`TraceRecord` with its dict.
+  Consumers that read every record call :meth:`Record.get` (or read a
+  fixed record's slots), which builds nothing.
+* **One storage path** — :meth:`Tracer._store` keeps every record: it
+  sets the monotone flag, applies the ring buffer and calls the
+  listeners.  A hot site calls :meth:`Tracer.emit` with its declared
+  layout and the field values, positionally; :meth:`Tracer.record`
+  takes the details as keywords, snapshots any plain container among
+  them, and stores a fixed-layout record when the keywords are exactly
+  a declared layout's fields, in order.  Both apply the category
+  filter and the clock before building the record, so a filtered call
+  builds nothing.
 * **Category filtering** — ``Tracer(categories={...})`` restricts
   recording to the named categories; a filtered call pays one frozenset
   membership test and returns ``None`` (``filtered`` counts the drops).
@@ -70,32 +82,19 @@ from typing import (
 )
 
 
-class TraceRecord:
-    """One timestamped fact about the execution.
+class Record:
+    """A trace record: a :class:`TraceRecord` or a :class:`FixedRecord`.
 
-    ``category`` is a coarse subsystem tag (``"dispatcher"``,
-    ``"kernel"``, ``"network"``, ...), ``event`` the specific occurrence
-    (``"thread_start"``, ``"deadline_miss"``, ...), and ``details`` a
-    free-form payload.
-
-    Records are created on the simulation hot path, so the class is
-    slotted and its constructor does nothing but store the four fields
-    (it is a tuple with names, not a dataclass).  Treat instances as
-    immutable; formatting is deferred to :meth:`__str__` and the JSONL
-    exporters.
+    Both answer ``time``, ``category``, ``event``, ``details`` and
+    ``get``; equality, ``repr`` and ``str`` are defined here, over
+    (time, category, event, details), so they do not depend on how a
+    record is stored.
     """
 
-    __slots__ = ("time", "category", "event", "details")
-
-    def __init__(self, time: int, category: str, event: str,
-                 details: Optional[Dict[str, Any]] = None):
-        self.time = time
-        self.category = category
-        self.event = event
-        self.details = {} if details is None else details
+    __slots__ = ()
 
     def __eq__(self, other: Any) -> Any:
-        if other.__class__ is TraceRecord:
+        if isinstance(other, Record):
             return (self.time == other.time
                     and self.category == other.category
                     and self.event == other.event
@@ -114,6 +113,183 @@ class TraceRecord:
         return f"[{self.time:>10d}] {self.category}/{self.event} {payload}"
 
 
+class TraceRecord(Record):
+    """One timestamped fact about the execution.
+
+    ``category`` is a coarse subsystem tag (``"dispatcher"``,
+    ``"kernel"``, ``"network"``, ...), ``event`` the specific occurrence
+    (``"thread_start"``, ``"deadline_miss"``, ...), and ``details`` a
+    free-form payload.
+
+    Records are created on the simulation hot path, so the class is
+    slotted and its constructor does nothing but store the four fields
+    (it is a tuple with names, not a dataclass).  Treat instances as
+    immutable; formatting is deferred to :meth:`__str__` and the JSONL
+    exporters.  The tracer stores a record whose details are a declared
+    layout (:data:`LAYOUTS`) as a :class:`FixedRecord` instead, which
+    answers the same.
+    """
+
+    __slots__ = ("time", "category", "event", "details")
+
+    def __init__(self, time: int, category: str, event: str,
+                 details: Optional[Dict[str, Any]] = None):
+        self.time = time
+        self.category = category
+        self.event = event
+        self.details = {} if details is None else details
+
+    def get(self, name: str, default: Any = None) -> Any:
+        """One detail, as ``details.get`` reads it."""
+        return self.details.get(name, default)
+
+
+#: The declared record layouts: (category, event) -> its layouts, each
+#: the names of its fields in the order the record site passes them.  A
+#: key with optional trailing fields declares one layout per variant.
+#: These keys make up 98-100% of every benchmark workload's records.
+#: DESIGN.md (section 11) renders this table.
+LAYOUTS: Dict[Tuple[str, str], Tuple[Tuple[str, ...], ...]] = {
+    key: tuple(tuple(fields.split()) for fields in variants)
+    for key, variants in {
+        ("cpu", "dispatch"): ("node thread remaining priority",
+                              "node thread remaining priority engine"),
+        ("cpu", "complete"): ("node thread", "node thread engine"),
+        ("cpu", "preempt"): ("node thread by by_priority",
+                             "node thread by by_priority engine"),
+        ("cpu", "withdraw"): ("node thread", "node thread engine"),
+        ("thread", "block"): ("node thread reason delay",
+                              "node thread reason target"),
+        ("kernel", "interrupt"): ("node source seq",),
+        ("dispatcher", "activate"): ("task seq activation_id deadline",),
+        ("dispatcher", "set_params"): ("eu priority earliest",),
+        ("dispatcher", "thread_start"): ("eu node priority",
+                                         "eu node priority engine"),
+        ("dispatcher", "eu_done"): ("eu",),
+        ("dispatcher", "edge_satisfied"): (
+            "activation_id edge src dst remaining",),
+        ("dispatcher", "remote_edge_sent"): ("eu dst activation_id edge",),
+        ("dispatcher", "remote_edge_recv"): ("task seq edge",),
+        ("dispatcher", "instance_done"): (
+            "task seq activation_id response missed",),
+        ("network", "send"): ("link msg kind size",
+                              "link msg kind size activation_id",
+                              "link msg kind size activation_id edge"),
+        ("network", "deliver"): ("link msg kind latency outcome bound",),
+    }.items()}
+
+#: The slots that hold a fixed-layout record's fields, in declared order.
+FIELD_SLOTS = ("f0", "f1", "f2", "f3", "f4", "f5")
+
+
+class Layout:
+    """One declared layout: its key and its field names, in order.
+
+    :func:`layout` hands out the one instance of each layout of
+    :data:`LAYOUTS`; a hot site passes it to :meth:`Tracer.emit`.
+    """
+
+    __slots__ = ("category", "event", "fields", "slots")
+
+    def __init__(self, category: str, event: str, fields: Tuple[str, ...]):
+        if not 0 < len(fields) <= len(FIELD_SLOTS):
+            raise ValueError(f"{category}/{event} declares {len(fields)} "
+                             f"fields; a layout holds 1 to "
+                             f"{len(FIELD_SLOTS)}")
+        self.category = category
+        self.event = event
+        self.fields = fields
+        #: Field name -> the :class:`FixedRecord` slot holding it.
+        self.slots: Dict[str, str] = dict(zip(fields, FIELD_SLOTS))
+
+    def __repr__(self) -> str:
+        names = "".join(f", {name!r}" for name in self.fields)
+        return f"layout({self.category!r}, {self.event!r}{names})"
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        return (layout, (self.category, self.event) + self.fields)
+
+
+class FixedRecord(Record):
+    """A record of a declared layout, stored without a details dict.
+
+    It holds ``time``, ``category``, ``event``, its :class:`Layout` and
+    one slot per field, in declared order (``f0``, ``f1``, ...; the
+    slots past the layout's last field hold ``None``).  :attr:`details`
+    builds a fresh dict each time it is read; :meth:`get` and the slots
+    read one field without building anything.
+
+    Every layout shares this one class, so a loop over a trace reads
+    ``time``, ``category`` and ``event`` from one record type: with a
+    class per layout, CPython could not specialize those reads, and
+    counting an avionics trace's records by key took a quarter longer.
+    """
+
+    __slots__ = ("time", "category", "event", "layout") + FIELD_SLOTS
+
+    def __init__(self, time: int, layout: Layout, f0: Any, f1: Any = None,
+                 f2: Any = None, f3: Any = None, f4: Any = None,
+                 f5: Any = None):
+        self.time = time
+        self.category = layout.category
+        self.event = layout.event
+        self.layout = layout
+        self.f0 = f0
+        self.f1 = f1
+        self.f2 = f2
+        self.f3 = f3
+        self.f4 = f4
+        self.f5 = f5
+
+    @property
+    def details(self) -> Dict[str, Any]:
+        """A fresh dict of the fields, in declared order."""
+        return dict(zip(self.layout.fields, (self.f0, self.f1, self.f2,
+                                             self.f3, self.f4, self.f5)))
+
+    def get(self, name: str, default: Any = None) -> Any:
+        """One field, as ``details.get`` reads it, with no dict built."""
+        slot = self.layout.slots.get(name)
+        return default if slot is None else getattr(self, slot)
+
+    def __eq__(self, other: Any) -> Any:
+        if other.__class__ is FixedRecord:
+            return (self.layout is other.layout
+                    and (self.time, self.f0, self.f1, self.f2, self.f3,
+                         self.f4, self.f5)
+                    == (other.time, other.f0, other.f1, other.f2, other.f3,
+                        other.f4, other.f5))
+        return Record.__eq__(self, other)
+
+
+#: (category, event) -> {fields: layout}, for every declared layout.
+_LAYOUTS: Dict[Tuple[str, str], Dict[Tuple[str, ...], Layout]] = {
+    key: {fields: Layout(*key, fields) for fields in variants}
+    for key, variants in LAYOUTS.items()}
+
+
+def layout(category: str, event: str, *fields: str) -> Layout:
+    """The declared layout of these fields, for :meth:`Tracer.emit`.
+
+    Raises ``KeyError`` unless :data:`LAYOUTS` declares exactly
+    ``fields`` for (category, event), so a site that names its fields
+    cannot drift from the table.
+    """
+    return _LAYOUTS[category, event][fields]
+
+
+def _build(time: int, category: str, event: str,
+           details: Optional[Dict[str, Any]]) -> Record:
+    """A fixed-layout record when ``details`` holds exactly the fields
+    of a declared layout of the key, in its order; else a TraceRecord."""
+    variants = _LAYOUTS.get((category, event))
+    if variants is not None and details:
+        declared = variants.get(tuple(details))
+        if declared is not None:
+            return FixedRecord(time, declared, *details.values())
+    return TraceRecord(time, category, event, details)
+
+
 #: Detail value types that are snapshotted on record() so that later
 #: caller-side mutation cannot rewrite already-recorded history.
 _MUTABLE_CONTAINERS = frozenset((list, dict, set, tuple))
@@ -123,8 +299,8 @@ def snapshot(value: Any) -> Any:
     """Recursively copy plain containers; scalars pass through.
 
     :meth:`Tracer.record` applies it to every container detail; a site
-    that calls :meth:`Tracer.emit` applies it to any container it does
-    not own.
+    that calls :meth:`Tracer.emit` applies it to any container field it
+    does not own.
 
     Only exact ``list``/``dict``/``set``/``tuple`` instances are
     copied — exotic subclasses and arbitrary objects are stored as
@@ -167,7 +343,7 @@ def _jsonable(value: Any) -> Any:
     return str(value)
 
 
-def _record_to_json(entry: TraceRecord) -> str:
+def _record_to_json(entry: Record) -> str:
     return json.dumps({
         "time": entry.time,
         "category": entry.category,
@@ -216,7 +392,7 @@ class JsonlStream:
         eviction only affects the in-memory tail)."""
         return self.tracer.dropped - self._dropped_at_open
 
-    def _on_record(self, entry: TraceRecord) -> None:
+    def _on_record(self, entry: Record) -> None:
         if self._handle is not None:
             self._handle.write(_record_to_json(entry))
             self._handle.write("\n")
@@ -267,13 +443,13 @@ class _Bucket:
     def __init__(self) -> None:
         self.seqs: List[int] = []
         self.times: List[int] = []
-        self.records: List[TraceRecord] = []
+        self.records: List[Record] = []
         self.watermark = 0
 
 
-def _scan(records: Iterable[TraceRecord], category: Optional[str],
+def _scan(records: Iterable[Record], category: Optional[str],
           event: Optional[str], t_min: Optional[int], t_max: Optional[int],
-          details: Dict[str, Any]) -> List[TraceRecord]:
+          details: Dict[str, Any]) -> List[Record]:
     """The records that pass every given filter, by one linear pass."""
     found = []
     for entry in records:
@@ -285,7 +461,7 @@ def _scan(records: Iterable[TraceRecord], category: Optional[str],
             continue
         if t_max is not None and entry.time > t_max:
             continue
-        if details and any(entry.details.get(k) != v
+        if details and any(entry.get(k) != v
                            for k, v in details.items()):
             continue
         found.append(entry)
@@ -301,7 +477,7 @@ def _window(times: List[int], t_min: Optional[int],
 
 
 class Tracer:
-    """Collects :class:`TraceRecord` instances in emission order."""
+    """Collects trace records (:class:`Record`) in emission order."""
 
     def __init__(self, clock: Optional[Callable[[], int]] = None,
                  maxlen: Optional[int] = None, index: bool = True,
@@ -314,7 +490,7 @@ class Tracer:
         self._clock = clock
         # Replaced, never mutated, by subscribe/unsubscribe, so record()
         # can iterate it while a listener (un)subscribes.
-        self._listeners: Tuple[Callable[[TraceRecord], None], ...] = ()
+        self._listeners: Tuple[Callable[[Record], None], ...] = ()
         #: Records evicted by the ring buffer so far (also the sequence
         #: number of the oldest held record).
         self.dropped = 0
@@ -355,7 +531,7 @@ class Tracer:
                             else frozenset(categories))
         return self
 
-    def subscribe(self, listener: Callable[[TraceRecord], None]) -> None:
+    def subscribe(self, listener: Callable[[Record], None]) -> None:
         """Invoke ``listener`` synchronously for every new record.
 
         A listener subscribed while a record is being dispatched first
@@ -363,7 +539,7 @@ class Tracer:
         """
         self._listeners = self._listeners + (listener,)
 
-    def unsubscribe(self, listener: Callable[[TraceRecord], None]) -> None:
+    def unsubscribe(self, listener: Callable[[Record], None]) -> None:
         """Remove a previously subscribed listener (no-op if absent).
 
         Removal during dispatch does not disturb it: every listener
@@ -377,7 +553,7 @@ class Tracer:
         self._listeners = tuple(listeners)
 
     def record(self, category: str, event: str, time: Optional[int] = None,
-               **details: Any) -> Optional[TraceRecord]:
+               **details: Any) -> Optional[Record]:
         """Append a record; time defaults to the bound clock's now.
 
         Returns ``None`` (and counts in :attr:`filtered`) when
@@ -385,8 +561,9 @@ class Tracer:
 
         Detail values that are plain containers (list/dict/set/tuple)
         are snapshotted at record time: mutating the caller's object
-        afterwards does not rewrite the recorded history.  The record
-        is then stored by :meth:`emit`.
+        afterwards does not rewrite the recorded history.  When the
+        details are exactly the fields of a declared layout, in order,
+        the record is stored in that layout, as :meth:`emit` stores it.
         """
         allowed = self._categories
         if allowed is not None and category not in allowed:
@@ -395,31 +572,44 @@ class Tracer:
         for key, value in details.items():
             if type(value) in _MUTABLE_CONTAINERS:
                 details[key] = snapshot(value)
-        return self.emit(category, event, details, time)
-
-    def emit(self, category: str, event: str, details: Dict[str, Any],
-             time: Optional[int] = None) -> Optional[TraceRecord]:
-        """Append a record whose payload is ``details``, as given.
-
-        The storage path of every record (:meth:`record` ends here).
-        The tracer keeps ``details`` — and any container in it — as the
-        record's payload without copying, so pass a dict made for this
-        call and do not touch it afterwards.  Filter, clock, ring
-        buffer, listeners and return value behave as in :meth:`record`.
-        """
-        allowed = self._categories
-        if allowed is not None and category not in allowed:
-            self.filtered += 1
-            return None
         if time is None:
             if self._clock is None:
                 raise RuntimeError("tracer has no bound clock")
             time = self._clock()
+        return self._store(_build(time, category, event, details))
+
+    def emit(self, record_layout: Layout, f0: Any, f1: Any = None,
+             f2: Any = None, f3: Any = None, f4: Any = None,
+             f5: Any = None) -> Optional[Record]:
+        """Append a record of a declared layout, at the clock's now.
+
+        ``record_layout`` comes from :func:`layout`; ``f0``, ``f1``, ...
+        are its fields, positionally and in declared order, and any
+        position past its last field is left ``None``.  The tracer keeps
+        the values as given, so a container among them must be the
+        site's own (see :func:`snapshot`).  Filter, clock, ring buffer,
+        listeners and return value behave as in :meth:`record`.
+
+        The signature is fixed, not ``*values``: a call with plain
+        positional arguments is the cheapest one CPython makes, and this
+        runs for nearly every record.
+        """
+        allowed = self._categories
+        if allowed is not None and record_layout.category not in allowed:
+            self.filtered += 1
+            return None
+        if self._clock is None:
+            raise RuntimeError("tracer has no bound clock")
+        return self._store(FixedRecord(self._clock(), record_layout, f0, f1,
+                                       f2, f3, f4, f5))
+
+    def _store(self, entry: Record) -> Record:
+        """The one storage path: monotone flag, ring buffer, listeners."""
+        time = entry.time
         last = self._last_time
         if last is not None and time < last:
             self._monotonic = False
         self._last_time = time
-        entry = TraceRecord(time, category, event, details)
         if self.maxlen is not None and len(self._records) == self.maxlen:
             self.dropped += 1
         self._records.append(entry)
@@ -431,11 +621,11 @@ class Tracer:
     def __len__(self) -> int:
         return len(self._records)
 
-    def __iter__(self) -> Iterator[TraceRecord]:
+    def __iter__(self) -> Iterator[Record]:
         return iter(self._records)
 
     @property
-    def records(self) -> Tuple[TraceRecord, ...]:
+    def records(self) -> Tuple[Record, ...]:
         """All records in emission order (immutable view)."""
         return tuple(self._records)
 
@@ -480,7 +670,7 @@ class Tracer:
                event: Optional[str] = None,
                t_min: Optional[int] = None,
                t_max: Optional[int] = None,
-               **details: Any) -> List[TraceRecord]:
+               **details: Any) -> List[Record]:
         """Records matching the given category/event/detail filters.
 
         With a ``category`` filter this runs over the key's bucket —
@@ -562,12 +752,14 @@ class Tracer:
         return JsonlStream(self, path, footer=footer)
 
 
-def read_jsonl(path: str) -> Iterator[TraceRecord]:
+def read_jsonl(path: str) -> Iterator[Record]:
     """Yield the records of a JSONL trace in file order.
 
     Reads what :meth:`Tracer.to_jsonl` and :meth:`Tracer.stream_jsonl`
     write; blank lines and metadata lines without a ``time`` (the
-    stream ``footer``) are skipped.
+    stream ``footer``) are skipped.  A record whose details are a
+    declared layout's fields, in order, loads in that layout, as the
+    tracer stored it live.
     """
     with open(path, encoding="utf-8") as handle:
         for line in handle:
@@ -575,8 +767,8 @@ def read_jsonl(path: str) -> Iterator[TraceRecord]:
                 continue
             raw = json.loads(line)
             if "time" in raw:
-                yield TraceRecord(raw["time"], raw["category"],
-                                  raw["event"], raw.get("details"))
+                yield _build(raw["time"], raw["category"], raw["event"],
+                             raw.get("details"))
 
 
 def load_trace(path: str, maxlen: Optional[int] = None) -> "Tracer":
@@ -584,5 +776,5 @@ def load_trace(path: str, maxlen: Optional[int] = None) -> "Tracer":
     :meth:`Tracer.stream_jsonl` (see :func:`read_jsonl`)."""
     tracer = Tracer(clock=lambda: 0, maxlen=maxlen)
     for entry in read_jsonl(path):
-        tracer.emit(entry.category, entry.event, entry.details, entry.time)
+        tracer._store(entry)
     return tracer

@@ -13,16 +13,26 @@ Covers the trace-layer groundwork the forensics stack sits on:
   ``Tracer(index=False)`` answers, for any interleaving of records,
   queries and ring-buffer evictions;
 * listeners may (un)subscribe while a record is being dispatched;
-* ``emit()`` stores the given dict as the payload and otherwise
-  behaves as ``record()``, which ends in it;
+* ``emit()`` stores a declared layout's field values as given and
+  otherwise behaves as ``record()``;
 * ``load_trace`` reads back details whose keys are named like the
   record's own fields (``time``, ``category``, ``event``);
-* the hot record sites that call ``emit()`` directly hand it a fresh
-  dict of scalars, on the random harness, an E22 cell and an avionics
-  mission.
+* the hot record sites call ``emit()`` with a declared layout and
+  scalar fields, on the random harness, an E22 cell and an avionics
+  mission, and they are the only source of those keys' records;
+* a record of every declared layout answers the same whether a site
+  emitted it, ``record()`` stored it or ``load_trace`` read it back,
+  and the same as a ``TraceRecord`` holding its details dict;
+* an avionics mission's held records own fewer than 180 bytes each;
+* DESIGN.md renders the layout table that ``repro.sim.trace`` declares.
 """
 
+import gc
 import json
+import pathlib
+import pickle
+import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,8 +40,11 @@ from hypothesis import given, settings, strategies as st
 from benchmarks.bench_service_scenarios import build_scenario
 from repro import (DispatcherCosts, EDFScheduler, FaultPlan, HadesSystem,
                    Periodic, Task)
+from repro.obs.timeline import timeline_bytes
 from repro.services import ActiveReplication, ClockSyncService
-from repro.sim.trace import JsonlStream, Tracer, load_trace
+from repro.sim.trace import (LAYOUTS, FixedRecord, JsonlStream, TraceRecord,
+                             Tracer, layout, load_trace)
+from tests.test_hetero import _hetero_scenario
 from tests.test_trace_invariants_random import build_workload
 
 
@@ -301,33 +314,55 @@ class TestListenerDispatch:
         assert len(seen) == 1
 
 
+#: Every declared layout, as (category, event, fields).
+ALL_LAYOUTS = [(category, event, fields)
+               for (category, event), variants in LAYOUTS.items()
+               for fields in variants]
+_SEND_EDGE = layout("network", "send", "link", "msg", "kind", "size",
+                    "activation_id", "edge")
+_INTERRUPT = layout("kernel", "interrupt", "node", "source", "seq")
+
 _emit_ops = st.lists(
-    st.tuples(st.sampled_from(["a", "b", "c"]), st.sampled_from(["x", "y"]),
-              st.none() | st.integers(0, 20), st.integers(0, 5)),
+    st.tuples(st.sampled_from(ALL_LAYOUTS), st.integers(0, 20),
+              st.integers(0, 5)),
     max_size=40)
 
 
 class TestEmit:
     def test_keeps_the_given_dict_as_payload(self):
+        # Positional form: the values become the record's fields as
+        # given, a container included, and nothing else is stored.
         tracer = Tracer(clock=lambda: 5)
-        details = {"n": 1, "holders": ["a"]}
-        entry = tracer.emit("cat", "ev", details)
-        assert entry.details is details
-        assert (entry.time, entry.category, entry.event) == (5, "cat", "ev")
+        holders = ["a"]
+        entry = tracer.emit(_SEND_EDGE, "a->b", 1, "heug-edge", 64, "t#1",
+                            holders)
+        assert entry.get("edge") is holders
+        assert entry.details == {"link": "a->b", "msg": 1,
+                                 "kind": "heug-edge", "size": 64,
+                                 "activation_id": "t#1", "edge": ["a"]}
+        assert (entry.time, entry.category, entry.event) == (5, "network",
+                                                             "send")
+        assert not hasattr(entry, "__dict__")
         assert tracer.records == (entry,)
 
     def test_explicit_time_and_unbound_clock(self):
         tracer = Tracer()
-        assert tracer.emit("cat", "ev", {}, time=3).time == 3
+        entry = tracer.record("kernel", "interrupt", time=3, node="n0",
+                              source="clock", seq=1)
+        assert entry.layout is _INTERRUPT and entry.time == 3
         with pytest.raises(RuntimeError):
-            tracer.emit("cat", "ev", {})
+            tracer.emit(_INTERRUPT, "n0", "clock", 2)
+        with pytest.raises(RuntimeError):
+            tracer.record("kernel", "interrupt", node="n0", source="clock",
+                          seq=2)
 
     @given(ops=_emit_ops, maxlen=st.none() | st.integers(1, 6),
-           allowed=st.none() | st.sets(st.sampled_from(["a", "b", "c"])))
+           allowed=st.none() | st.sets(st.sampled_from(
+               ["cpu", "thread", "kernel", "dispatcher", "network"])))
     @settings(max_examples=60, deadline=None)
     def test_behaves_as_record(self, ops, maxlen, allowed):
         """Same records, counters, monotone flag, listener calls and
-        return values as record() for scalar details."""
+        return values as record() with the same fields as keywords."""
         clock = [0]
         tracers = [Tracer(clock=lambda: clock[0], maxlen=maxlen,
                           categories=allowed) for _ in range(2)]
@@ -335,21 +370,23 @@ class TestEmit:
         for tracer, log in zip(tracers, seen):
             tracer.subscribe(log.append)
         returned = ([], [])
-        for category, event, time, value in ops:
-            clock[0] += 1
-            returned[0].append(tracers[0].record(category, event,
-                                                 time=time, v=value))
-            returned[1].append(tracers[1].emit(category, event,
-                                               {"v": value}, time))
+        for (category, event, fields), time, value in ops:
+            clock[0] = time  # the clock may go back: non-monotone traces
+            values = [value] * len(fields)
+            returned[0].append(tracers[0].record(
+                category, event, **dict(zip(fields, values))))
+            returned[1].append(tracers[1].emit(
+                layout(category, event, *fields), *values))
         record_side, emit_side = tracers
         assert emit_side.records == record_side.records
+        assert [r.layout for r in emit_side] == [r.layout for r in record_side]
         assert returned[1] == returned[0]
         assert seen[1] == seen[0]
         assert (emit_side.filtered, emit_side.dropped) == (
             record_side.filtered, record_side.dropped)
         assert emit_side._monotonic == record_side._monotonic
-        assert emit_side.select("a", t_min=5) == record_side.select(
-            "a", t_min=5)
+        assert emit_side.select("cpu", t_min=5) == record_side.select(
+            "cpu", t_min=5)
 
 
 class TestLoadTraceReservedKeys:
@@ -367,19 +404,22 @@ class TestLoadTraceReservedKeys:
         assert entry.details == self.RESERVED
 
     def test_round_trips_byte_for_byte(self, tmp_path):
-        tracer = Tracer(clock=lambda: 0)
-        tracer.emit("c", "e", dict(self.RESERVED), time=7)
-        tracer.record("c", "plain", time=9, n=2)
+        # record() cannot take these keys as keywords, so the first
+        # file is written out in the exporter's format.
         first = tmp_path / "first.jsonl"
         second = tmp_path / "second.jsonl"
-        tracer.to_jsonl(str(first))
-        reloaded = load_trace(str(first))
-        assert reloaded.records == tracer.records
-        reloaded.to_jsonl(str(second))
+        first.write_text(
+            json.dumps({"time": 7, "category": "c", "event": "e",
+                        "details": self.RESERVED}) + "\n"
+            + json.dumps({"time": 9, "category": "c", "event": "plain",
+                          "details": {"n": 2}}) + "\n")
+        loaded = load_trace(str(first))
+        loaded.to_jsonl(str(second))
         assert second.read_bytes() == first.read_bytes()
+        assert load_trace(str(second)).records == loaded.records
 
 
-#: The record sites that hand ``emit()`` their details directly.
+#: The record keys whose sites call ``emit()`` with a declared layout.
 EMIT_SITES = frozenset([
     ("cpu", "dispatch"), ("cpu", "complete"), ("cpu", "preempt"),
     ("cpu", "withdraw"), ("thread", "block"), ("kernel", "interrupt"),
@@ -394,33 +434,30 @@ _SCALARS = (int, float, str, bool, type(None))
 
 @pytest.fixture
 def direct_emits(monkeypatch):
-    """Checks every ``emit()`` call not made by ``record()``: each one
-    passes a dict of scalars.  Returns a list of ((category, event),
-    details, snapshot) for those calls, to compare once the run is
-    over."""
-    record, emit = Tracer.record, Tracer.emit
-    inside_record = [0]
-    payloads = []
+    """Checks every ``emit()`` call: each field is a scalar, except a
+    ``network/send`` edge, which may be a (snapshotted) container, and
+    every position past the layout's fields is None.  Returns a list of
+    ((category, event), record, field values) for those calls, to
+    compare once the run is over."""
+    emit = Tracer.emit
+    calls = []
 
-    def checking_record(self, *args, **kwargs):
-        inside_record[0] += 1
-        try:
-            return record(self, *args, **kwargs)
-        finally:
-            inside_record[0] -= 1
+    def checking_emit(self, record_layout, *args):
+        key = (record_layout.category, record_layout.event)
+        count = len(record_layout.fields)
+        values, rest = args[:count], args[count:]
+        assert len(values) == count, (key, args)
+        assert all(value is None for value in rest), (key, args)
+        for name, value in zip(record_layout.fields, values):
+            assert (type(value) in _SCALARS
+                    or (key, name) == (("network", "send"), "edge")), (
+                key, name, value)
+        entry = emit(self, record_layout, *args)
+        calls.append((key, entry, values))
+        return entry
 
-    def checking_emit(self, category, event, details, time=None):
-        if not inside_record[0]:
-            assert type(details) is dict, (category, event, details)
-            bad = {key: value for key, value in details.items()
-                   if type(value) not in _SCALARS}
-            assert not bad, (category, event, bad)
-            payloads.append(((category, event), details, dict(details)))
-        return emit(self, category, event, details, time)
-
-    monkeypatch.setattr(Tracer, "record", checking_record)
     monkeypatch.setattr(Tracer, "emit", checking_emit)
-    return payloads
+    return calls
 
 
 def avionics_mission(until=1_000_000):
@@ -467,21 +504,26 @@ def running_abort():
 
 
 class TestEmitSites:
-    """The converted sites pass only scalars, in a dict of their own."""
+    """The converted sites pass scalar fields in a declared layout."""
 
     def check(self, direct_emits, tracers):
-        """No payload shared or touched after its emit; only the listed
-        sites emit directly, and every record of theirs came that way.
-        Returns the sites seen."""
-        assert len({id(details) for _key, details, _ in direct_emits}) == (
-            len(direct_emits))
-        for _key, details, snapshot in direct_emits:
-            assert details == snapshot
-        sites = {key for key, _details, _snapshot in direct_emits}
+        """No record changed after its emit; only the listed sites emit,
+        and every record of their keys came that way, in a fixed
+        layout, while every other record keeps its dict.  Returns the
+        sites seen."""
+        assert set(LAYOUTS) == EMIT_SITES
+        for _key, entry, values in direct_emits:
+            assert isinstance(entry, FixedRecord)
+            assert tuple(entry.details.values()) == values
+        sites = {key for key, _entry, _values in direct_emits}
         assert sites <= EMIT_SITES
-        assert len(direct_emits) == sum(
-            1 for tracer in tracers for entry in tracer
-            if (entry.category, entry.event) in EMIT_SITES)
+        held = [entry for tracer in tracers for entry in tracer
+                if (entry.category, entry.event) in EMIT_SITES]
+        assert len(direct_emits) == len(held)
+        assert all(isinstance(entry, FixedRecord) for entry in held)
+        assert all(type(entry) is TraceRecord
+                   for tracer in tracers for entry in tracer
+                   if (entry.category, entry.event) not in EMIT_SITES)
         return sites
 
     def test_random_harness_and_running_abort(self, direct_emits):
@@ -501,3 +543,144 @@ class TestEmitSites:
         system = avionics_mission()
         assert self.check(direct_emits, [system.tracer]) == (
             EMIT_SITES - {("cpu", "withdraw")})
+
+
+_field_values = (st.integers(-3, 10 ** 6) | st.text("ab#>-", max_size=4)
+                 | st.booleans() | st.none())
+
+
+@st.composite
+def _layout_rows(draw):
+    """One record of a declared layout: (category, event, fields,
+    values, clock step).  A network/send edge may be a list."""
+    category, event, fields = draw(st.sampled_from(ALL_LAYOUTS))
+    values = tuple(
+        draw(_field_values | st.lists(st.integers(0, 9), max_size=3)
+             if (category, event, name) == ("network", "send", "edge")
+             else _field_values)
+        for name in fields)
+    return category, event, fields, values, draw(st.integers(0, 3))
+
+
+def _jsonl_line(entry):
+    """The exporter's line for a record whose values are JSON-native."""
+    return json.dumps({"time": entry.time, "category": entry.category,
+                       "event": entry.event,
+                       "details": entry.details}) + "\n"
+
+
+class TestLayoutDifferential:
+    """One record, two representations: what a hot site emits, the same
+    fields through record(), and the record read back by load_trace all
+    match each other and a TraceRecord holding the details dict."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.lists(_layout_rows(), min_size=1, max_size=25),
+           maxlen=st.none() | st.integers(1, 8),
+           pick=st.integers(0, 24), window=st.tuples(st.integers(0, 40),
+                                                     st.integers(0, 40)),
+           probe=st.none() | _field_values)
+    def test_site_record_and_load_agree(self, rows, maxlen, pick, window,
+                                        probe, tmp_path_factory):
+        clock = [0]
+        emitted = Tracer(clock=lambda: clock[0], maxlen=maxlen)
+        recorded = Tracer(clock=lambda: clock[0], maxlen=maxlen)
+        heard = ([], [])
+        emitted.subscribe(heard[0].append)
+        recorded.subscribe(heard[1].append)
+        generic = []
+        # The stream holds every record, so loading it with the same
+        # maxlen evicts as the live tracers did.
+        path = tmp_path_factory.mktemp("layouts") / "trace.jsonl"
+        with emitted.stream_jsonl(str(path)):
+            for category, event, fields, values, step in rows:
+                clock[0] += step
+                emitted.emit(layout(category, event, *fields), *values)
+                recorded.record(category, event, **dict(zip(fields, values)))
+                generic.append(TraceRecord(clock[0], category, event,
+                                           dict(zip(fields, values))))
+        assert path.read_text() == "".join(map(_jsonl_line, generic))
+        loaded = load_trace(str(path), maxlen=maxlen)
+        held = generic[-maxlen:] if maxlen else generic
+        sides = (emitted, recorded, loaded)
+
+        assert heard[0] == heard[1] == generic
+        for side in sides:
+            assert side.dropped == len(generic) - len(held)
+            assert list(side) == held and held == list(side)
+            for entry, dict_entry in zip(side, held):
+                assert entry.layout is layout(entry.category, entry.event,
+                                              *dict_entry.details)
+                assert repr(entry) == repr(dict_entry)
+                assert str(entry) == str(dict_entry)
+                assert list(entry.details.items()) == list(
+                    dict_entry.details.items())
+                copy = pickle.loads(pickle.dumps(entry))
+                assert copy.layout is entry.layout and copy == entry
+            out = tmp_path_factory.mktemp("export") / "side.jsonl"
+            side.to_jsonl(str(out))
+            assert out.read_text() == "".join(map(_jsonl_line, held))
+
+        # Detail and window queries, on a key and field the rows hold.
+        category, event, fields, values, _ = rows[pick % len(rows)]
+        name = fields[pick % len(fields)]
+        value = values[pick % len(values)] if probe is None else probe
+        t_min, t_max = sorted(window)
+        expected = [r for r in held
+                    if (r.category, r.event) == (category, event)
+                    and r.details.get(name) == value]
+        in_window = [r for r in held if r.category == category
+                     and t_min <= r.time <= t_max]
+        for side in sides:
+            assert side.select(category, event, **{name: value}) == expected
+            assert side.count(category, event, **{name: value}) == len(
+                expected)
+            assert side.select(category, t_min=t_min,
+                               t_max=t_max) == in_window
+            assert side.select(None, event, **{name: value}) == [
+                r for r in held
+                if r.event == event and r.details.get(name) == value]
+
+    def test_spans_read_both_representations(self):
+        """reconstruct() builds the same spans from the fixed-layout
+        records as from TraceRecords holding their details dicts; the
+        hetero scenario's records carry the engine layouts."""
+        hetero = _hetero_scenario().run(until=100_000).system.tracer
+        assert any(entry.get("engine") for entry in hetero)
+        for tracer in (avionics_mission(300_000).tracer, hetero):
+            as_dicts = [TraceRecord(r.time, r.category, r.event, r.details)
+                        for r in tracer]
+            assert timeline_bytes(as_dicts) == timeline_bytes(tracer)
+
+
+class TestRecordMemory:
+    def test_avionics_records_own_under_180_bytes_each(self):
+        """The held records of a 1 s avionics mission own fewer than
+        180 B each: the memory freed when the tracer lets go of them,
+        per record (a TraceRecord with its details dict owned ~290 B)."""
+        tracing = tracemalloc.is_tracing()
+        gc.collect()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            system = avionics_mission()
+            count = len(system.tracer)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            system.tracer._records.clear()
+            gc.collect()
+            owned = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert count > 5_000
+        assert owned / count < 180, f"{owned / count:.0f} B per record"
+
+
+class TestLayoutTable:
+    def test_design_md_renders_the_declared_layouts(self):
+        design = pathlib.Path(__file__).resolve().parent.parent / "DESIGN.md"
+        rows = re.findall(r"^\| `(\w+)/(\w+)` \| `([\w ]+)` \|$",
+                          design.read_text(encoding="utf-8"), re.M)
+        assert [(category, event, tuple(fields.split()))
+                for category, event, fields in rows] == ALL_LAYOUTS
