@@ -15,10 +15,11 @@ module closes that loop inside the simulation:
   scoreboard and campaign reports).  All state is integer arithmetic —
   no floats ever enter an alert decision.
 * **SLO burn-rate monitors** — a :class:`LiveMonitor` subscribes to
-  the tracer, classifies one tenant's request outcomes as they happen,
-  and evaluates multi-window :class:`BurnRateRule`\\ s (a fast window
-  for responsiveness and a slow window for persistence, with
-  hysteresis on clearing) at in-sim probe instants.  Probes and alert
+  the tracer by the keys it reads (:data:`MONITOR_KEYS`), classifies
+  one tenant's request outcomes as they happen, and evaluates
+  multi-window :class:`BurnRateRule`\\ s (a fast window for
+  responsiveness and a slow window for persistence, with hysteresis on
+  clearing) at in-sim probe instants.  Probes and alert
   transitions are trace records (``monitor`` / ``alert`` categories),
   so an alert is a first-class causal event in spans, forensics and
   the timeline export.
@@ -322,14 +323,26 @@ def _burn_milli(bad: int, total: int, budget_ppm: int) -> int:
 # The live monitor
 # --------------------------------------------------------------------------
 
+#: The trace keys a monitor classifies; the hub subscribes by them, so
+#: no other record reaches the monitoring plane.
+MONITOR_KEYS = (
+    ("admission", "submit"), ("admission", "admit"),
+    ("admission", "reject"), ("admission", "skip"),
+    ("dispatcher", "activate"), ("dispatcher", "deadline_miss"),
+    ("dispatcher", "instance_done"), ("dispatcher", "instance_abort"),
+)
+
+
 class _TracerHub:
     """One tracer subscription shared by every monitor on a system.
 
-    Monitors classify only their own tenant's ``admission`` /
-    ``dispatcher`` records, so the hot path is a single category check
-    and one dict probe per trace record no matter how many tenants are
-    monitored — without the hub each monitor would pay a Python
-    callback on every record in the system.
+    The hub subscribes by :data:`MONITOR_KEYS`, so the tracer hands it
+    only the records a monitor classifies, and it passes each one to
+    the monitors of the record's tenant: one dict probe per record no
+    matter how many tenants are monitored.  Without the hub each
+    monitor would pay a Python callback on every such record.  The hub
+    subscribes when its first monitor joins and unsubscribes when its
+    last one leaves.
     """
 
     __slots__ = ("tracer", "_by_tenant")
@@ -337,9 +350,10 @@ class _TracerHub:
     def __init__(self, tracer) -> None:
         self.tracer = tracer
         self._by_tenant: Dict[str, List["LiveMonitor"]] = {}
-        tracer.subscribe(self._dispatch)
 
     def add(self, monitor: "LiveMonitor") -> None:
+        if not self._by_tenant:
+            self.tracer.subscribe(self._dispatch, keys=MONITOR_KEYS)
         self._by_tenant.setdefault(monitor.tenant, []).append(monitor)
 
     def remove(self, monitor: "LiveMonitor") -> None:
@@ -348,14 +362,14 @@ class _TracerHub:
             monitors.remove(monitor)
             if not monitors:
                 del self._by_tenant[monitor.tenant]
+                if not self._by_tenant:
+                    self.tracer.unsubscribe(self._dispatch)
 
     def _dispatch(self, entry) -> None:
-        category = entry.category
-        if category == "dispatcher" or category == "admission":
-            monitors = self._by_tenant.get(entry.get("task"))
-            if monitors:
-                for monitor in monitors:
-                    monitor._ingest(entry)
+        monitors = self._by_tenant.get(entry.get("task"))
+        if monitors:
+            for monitor in monitors:
+                monitor._ingest(entry)
 
 
 class LiveMonitor:
@@ -383,6 +397,20 @@ class LiveMonitor:
         names = [rule.name for rule in rules]
         if len(set(names)) != len(names):
             raise ValueError("duplicate rule names")
+        allowed = system.tracer.categories
+        if allowed is not None:
+            # A category the filter drops would zero the monitor's
+            # counts without a sign: admission matters once a scenario
+            # put admission control in front of the dispatcher.
+            needed = ["dispatcher"]
+            if getattr(system, "_scenario_controllers", None):
+                needed.append("admission")
+            for category in needed:
+                if category not in allowed:
+                    raise ValueError(
+                        f"the tracer's category filter drops "
+                        f"{category!r}, whose records the monitor of "
+                        f"{tenant!r} classifies")
         self.system = system
         self.tenant = tenant
         self.slo = slo
@@ -423,8 +451,8 @@ class LiveMonitor:
     # -- record ingestion --------------------------------------------------
 
     def _ingest(self, entry) -> None:
-        # The hub pre-filters: only this tenant's admission/dispatcher
-        # records arrive here.
+        # The hub routes here only this tenant's records of
+        # MONITOR_KEYS.
         category = entry.category
         if category == "admission":
             event = entry.event
@@ -598,8 +626,9 @@ class LiveMonitor:
                 "good": self._good.cumulative, "bad": self._bad.cumulative}
 
     def detach(self) -> None:
-        """Stop ingesting records (pending probes become no-ops on an
-        already-finished run; they still tick if the run continues)."""
+        """Stop ingesting records; the other monitors keep theirs, and
+        the shared subscription ends with the last monitor.  Pending
+        probes still tick if the run continues."""
         self._hub.remove(self)
 
     def __repr__(self) -> str:

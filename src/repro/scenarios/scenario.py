@@ -63,7 +63,7 @@ from repro.core.attributes import Aperiodic, EUAttributes
 from repro.core.costs import DispatcherCosts
 from repro.core.heug import Task
 from repro.core.monitoring import ViolationKind
-from repro.scenarios.scoreboard import Scoreboard, TenantSLO
+from repro.scenarios.scoreboard import SCOREBOARD_KEYS, Scoreboard, TenantSLO
 from repro.scenarios.traffic import ServiceTimeModel, derive_seed
 from repro.system import HadesSystem
 from repro.workloads.arrivals import nhpp_arrivals
@@ -130,7 +130,8 @@ class ScenarioResult:
         #: The underlying :class:`~repro.system.HadesSystem` (tracer,
         #: metrics, dispatcher, monitor — everything is reachable).
         self.system = system
-        #: Per-tenant / per-tier SLO accounting (trace-reconstructed).
+        #: Per-tenant / per-tier SLO accounting, scored live from the
+        #: run's trace records.
         self.scoreboard = scoreboard
 
     @property
@@ -796,17 +797,37 @@ class Scenario:
         """Build and execute; returns a :class:`ScenarioResult`.
 
         ``until`` doubles as the traffic horizon (required when tenants
-        are declared).
+        are declared).  The scoreboard is fed live: it first ingests any
+        record the built system already holds, then subscribes to the
+        tracer by :data:`~repro.scenarios.scoreboard.SCOREBOARD_KEYS`
+        for the run, so it scores every record even when
+        ``trace_maxlen=`` bounds the tracer.  Raises ``ValueError`` when
+        the tracer's category filter (``trace_categories=``) drops
+        ``dispatcher``, or ``admission`` under :meth:`admission`, which
+        would zero the scoreboard.
         """
         if seed is not None:
             self._seed = int(seed)
         if until is not None:
             self._horizon = until
         system = self.build()
+        tracer = system.tracer
+        allowed = tracer.categories
+        if allowed is not None:
+            needed = ["dispatcher"]
+            if self._admission is not None:
+                needed.append("admission")
+            for category in needed:
+                if category not in allowed:
+                    raise ValueError(
+                        f"trace_categories drops {category!r}, whose "
+                        f"records the scoreboard scores")
+        scoreboard = Scoreboard([spec.slo() for spec in self._tenants],
+                                tiers=[tier.name for tier in self._tiers])
+        for record in tracer:
+            scoreboard.ingest(record)
+        tracer.subscribe(scoreboard.ingest, keys=SCOREBOARD_KEYS)
         system.run(until=self._horizon)
-        scoreboard = Scoreboard.from_records(
-            system.tracer.records,
-            [spec.slo() for spec in self._tenants],
-            tiers=[tier.name for tier in self._tiers])
+        tracer.unsubscribe(scoreboard.ingest)
         scoreboard.publish(system.metrics)
         return ScenarioResult(self, system, scoreboard)

@@ -1,9 +1,18 @@
-"""Per-tenant / per-tier SLO scoreboard, reconstructed from the trace.
+"""Per-tenant / per-tier SLO scoreboard, scored from trace records.
 
 The scoreboard is deliberately **trace-based**: it consumes the
 dispatcher/admission event stream instead of live controller or
 dispatcher state, so any recorded trace — live or reloaded from JSONL
 — scores the same, on both event-set backends.
+
+It is fed live: :meth:`Scenario.run
+<repro.scenarios.scenario.Scenario.run>` subscribes :meth:`Scoreboard.
+ingest` to the tracer by :data:`SCOREBOARD_KEYS` before the run, so
+only the records it scores reach it, each as it is stored, and a
+bounded tracer (``trace_maxlen=``) scores the whole run, not the tail
+its ring still holds.  :meth:`Scoreboard.from_records` replays a
+loaded trace through the same :meth:`~Scoreboard.ingest`, and scores
+it the same.
 
 Events consumed (all emitted by existing instrumentation):
 
@@ -33,8 +42,31 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 # monitoring windows and campaign report aggregation must agree on what
 # "p99" means.
 from repro.obs.metrics import exact_quantile
+from repro.sim.trace import FixedRecord, layout
 
 __all__ = ["TenantSLO", "Scoreboard"]
+
+#: The trace keys the scoreboard scores (see the module docstring); a
+#: live scoreboard subscribes by them.
+SCOREBOARD_KEYS = (
+    ("admission", "submit"), ("admission", "admit"),
+    ("admission", "reject"), ("admission", "skip"),
+    ("admission", "shed"),
+    ("dispatcher", "activate"), ("dispatcher", "eu_done"),
+    ("dispatcher", "instance_done"), ("dispatcher", "instance_abort"),
+    ("dispatcher", "deadline_miss"),
+)
+
+#: The scored keys with a declared layout, each the key's one layout:
+#: :meth:`Scoreboard.ingest` reads their fields by slot.  ``layout()``
+#: fails at import unless these are the declared fields, in this order.
+_FIXED = {record_layout.key: record_layout for record_layout in (
+    layout("dispatcher", "activate", "task", "seq", "activation_id",
+           "deadline"),
+    layout("dispatcher", "eu_done", "eu"),
+    layout("dispatcher", "instance_done", "task", "seq", "activation_id",
+           "response", "missed"),
+)}
 
 
 @dataclass(frozen=True)
@@ -96,7 +128,8 @@ class Scoreboard:
     @classmethod
     def from_records(cls, records: Iterable, tenants: Sequence[TenantSLO],
                      tiers: Sequence[str] = ()) -> "Scoreboard":
-        """Build a scoreboard by replaying a trace-record stream."""
+        """Build a scoreboard by replaying a trace-record stream, such
+        as a trace loaded with :func:`~repro.sim.trace.load_trace`."""
         board = cls(tenants, tiers)
         for record in records:
             board.ingest(record)
@@ -104,13 +137,52 @@ class Scoreboard:
 
     def ingest(self, record) -> None:
         """Feed one trace record (:class:`~repro.sim.trace.Record`), in
-        order.  Fields are read with ``record.get``, which builds no
-        details dict."""
+        order; a record of a key outside :data:`SCOREBOARD_KEYS` is
+        ignored.  No details dict is built: a dispatcher record of a
+        declared layout is read by slot, any other by ``record.get``."""
         category = record.category
         if category == "admission":
             self._ingest_admission(record)
-        elif category == "dispatcher":
-            self._ingest_dispatcher(record)
+            return
+        if category != "dispatcher":
+            return
+        event = record.event
+        if event == "instance_abort" or event == "deadline_miss":
+            activation = self._activations.get(record.get("activation_id"))
+            if activation is not None:
+                if event == "instance_abort":
+                    activation.aborted = True
+                else:
+                    activation.missed = True
+            return
+        if record.__class__ is not FixedRecord:
+            record_layout = _FIXED.get((category, event))
+            if record_layout is None:
+                return
+            # Hand-built: read its details in the key's layout.
+            record = FixedRecord(record.time, record_layout,
+                                 *map(record.get, record_layout.fields))
+        if event == "activate":
+            # task seq activation_id deadline
+            if record.f0 in self.tenants:
+                self._activations[record.f2] = _Activation(
+                    tenant=record.f0, start=record.time)
+        elif event == "eu_done":
+            # eu
+            aid, _, eu_name = (record.f0 or "").partition("/")
+            activation = self._activations.get(aid)
+            if activation is not None and ":" in eu_name:
+                tier = eu_name.split(":", 1)[0]
+                done = activation.tier_done
+                if tier not in done or done[tier] < record.time:
+                    done[tier] = record.time
+        elif event == "instance_done":
+            # task seq activation_id response missed
+            activation = self._activations.get(record.f2)
+            if activation is not None:
+                activation.done = True
+                activation.response = record.f3
+                activation.missed = bool(record.f4)
 
     def _ingest_admission(self, record) -> None:
         tenant = record.get("task")
@@ -130,37 +202,6 @@ class Scoreboard:
             # aborted instance makes the slot unsatisfied.  Count the
             # shed itself for the tally.
             self._decisions[tenant].append(("shed", None))
-
-    def _ingest_dispatcher(self, record) -> None:
-        event = record.event
-        if event == "activate":
-            tenant = record.get("task")
-            if tenant in self.tenants:
-                self._activations[record.get("activation_id")] = _Activation(
-                    tenant=tenant, start=record.time)
-            return
-        if event == "eu_done":
-            qualified = record.get("eu", "")
-            aid, _, eu_name = qualified.partition("/")
-            activation = self._activations.get(aid)
-            if activation is not None and ":" in eu_name:
-                tier = eu_name.split(":", 1)[0]
-                previous = activation.tier_done.get(tier, record.time)
-                activation.tier_done[tier] = max(previous, record.time)
-            return
-        if event not in ("instance_done", "instance_abort", "deadline_miss"):
-            return
-        activation = self._activations.get(record.get("activation_id"))
-        if activation is None:
-            return
-        if event == "instance_done":
-            activation.done = True
-            activation.response = record.get("response")
-            activation.missed = bool(record.get("missed"))
-        elif event == "instance_abort":
-            activation.aborted = True
-        elif event == "deadline_miss":
-            activation.missed = True
 
     # -- aggregation -------------------------------------------------------
 

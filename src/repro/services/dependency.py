@@ -89,15 +89,16 @@ class DependencyTracker:
         return activity not in self.invalidated
 
 
+#: The trace keys :func:`track_dispatcher` reads.
+TRACKED_KEYS = (("dispatcher", "instance_abort"),)
+
+
 def track_dispatcher(tracker: DependencyTracker, dispatcher) -> None:
     """Feed the tracker from a dispatcher's trace: every satisfied
     parameter-carrying precedence constraint between task instances
     becomes a dependency edge, and aborted instances are invalidated."""
     def on_record(record) -> None:
-        if record.category != "dispatcher":
-            return
-        if record.event == "instance_abort":
-            tracker.invalidate((record.details["task"],
-                                record.details["seq"]))
+        tracker.invalidate((record.details["task"],
+                            record.details["seq"]))
 
-    dispatcher.tracer.subscribe(on_record)
+    dispatcher.tracer.subscribe(on_record, keys=TRACKED_KEYS)

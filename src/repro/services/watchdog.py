@@ -24,6 +24,11 @@ from repro.core.heug import Task
 from repro.core.monitoring import ViolationKind
 
 
+#: The trace keys the watchdog reads: it dates each task's last
+#: activation from them.
+WATCHDOG_KEYS = (("dispatcher", "activate"),)
+
+
 class ActivationWatchdog:
     """Watches registered tasks for overdue activations."""
 
@@ -35,7 +40,7 @@ class ActivationWatchdog:
         self._reported_at: Dict[str, int] = {}
         self.overdue_reports = 0
         self._armed = False
-        dispatcher.tracer.subscribe(self._on_trace)
+        dispatcher.tracer.subscribe(self._on_trace, keys=WATCHDOG_KEYS)
 
     def watch(self, task: Task) -> None:
         """Monitor ``task``; it must have a periodic/sporadic law."""
@@ -57,10 +62,9 @@ class ActivationWatchdog:
     # -- internals ----------------------------------------------------------
 
     def _on_trace(self, record) -> None:
-        if record.category == "dispatcher" and record.event == "activate":
-            name = record.get("task")
-            if name in self._last_seen:
-                self._last_seen[name] = record.time
+        name = record.get("task")
+        if name in self._last_seen:
+            self._last_seen[name] = record.time
 
     def _tick(self) -> None:
         sim = self.dispatcher.sim

@@ -24,13 +24,20 @@ The tracer scales to long runs in these ways:
   fixed record's slots), which builds nothing.
 * **One storage path** — :meth:`Tracer._store` keeps every record: it
   sets the monotone flag, applies the ring buffer and calls the
-  listeners.  A hot site calls :meth:`Tracer.emit` with its declared
-  layout and the field values, positionally; :meth:`Tracer.record`
-  takes the details as keywords, snapshots any plain container among
-  them, and stores a fixed-layout record when the keywords are exactly
-  a declared layout's fields, in order.  Both apply the category
-  filter and the clock before building the record, so a filtered call
-  builds nothing.
+  listeners of the record's key.  A hot site calls :meth:`Tracer.emit`
+  with its declared layout and the field values, positionally;
+  :meth:`Tracer.record` takes the details as keywords, snapshots any
+  plain container among them, and stores a fixed-layout record when
+  the keywords are exactly a declared layout's fields, in order.  Both
+  apply the category filter and the clock before building the record,
+  so a filtered call builds nothing.
+* **Listeners by key** — ``subscribe(listener, keys=...)`` names the
+  (category, event) keys a listener reads, and the tracer keeps the
+  tuple of listeners of each named key, so a record reaches only the
+  code that reads it, in subscription order.  Routing a record costs
+  one dict lookup on its key (a fixed-layout record's key is built
+  once, on its :class:`Layout`) and no Python call; with no listener
+  it costs nothing.  A listener without keys sees every record.
 * **Category filtering** — ``Tracer(categories={...})`` restricts
   recording to the named categories; a filtered call pays one frozenset
   membership test and returns ``None`` (``filtered`` counts the drops).
@@ -189,7 +196,7 @@ class Layout:
     :data:`LAYOUTS`; a hot site passes it to :meth:`Tracer.emit`.
     """
 
-    __slots__ = ("category", "event", "fields", "slots")
+    __slots__ = ("category", "event", "key", "fields", "slots")
 
     def __init__(self, category: str, event: str, fields: Tuple[str, ...]):
         if not 0 < len(fields) <= len(FIELD_SLOTS):
@@ -198,6 +205,9 @@ class Layout:
                              f"{len(FIELD_SLOTS)}")
         self.category = category
         self.event = event
+        #: (category, event), built once: the tracer routes a record of
+        #: this layout to its listeners by it.
+        self.key = (category, event)
         self.fields = fields
         #: Field name -> the :class:`FixedRecord` slot holding it.
         self.slots: Dict[str, str] = dict(zip(fields, FIELD_SLOTS))
@@ -488,9 +498,19 @@ class Tracer:
                               else [])
         self.maxlen = maxlen
         self._clock = clock
-        # Replaced, never mutated, by subscribe/unsubscribe, so record()
-        # can iterate it while a listener (un)subscribes.
-        self._listeners: Tuple[Callable[[Record], None], ...] = ()
+        # Every subscription, (listener, its keys or None), in order.
+        # This and the two routing fields below are replaced, never
+        # mutated, by subscribe/unsubscribe, so _store can iterate a
+        # route while a listener (un)subscribes.
+        self._subscriptions: Tuple[Tuple[Callable[[Record], None],
+                                         Optional[frozenset]], ...] = ()
+        # (category, event) -> the listeners that receive it, for every
+        # key some keyed listener names; None while nothing listens.
+        self._routes: Optional[Dict[Tuple[str, str],
+                                    Tuple[Callable[[Record], None],
+                                          ...]]] = None
+        # The route of every other key: the unkeyed listeners.
+        self._unkeyed: Tuple[Callable[[Record], None], ...] = ()
         #: Records evicted by the ring buffer so far (also the sequence
         #: number of the oldest held record).
         self.dropped = 0
@@ -531,26 +551,62 @@ class Tracer:
                             else frozenset(categories))
         return self
 
-    def subscribe(self, listener: Callable[[Record], None]) -> None:
-        """Invoke ``listener`` synchronously for every new record.
+    def subscribe(self, listener: Callable[[Record], None],
+                  keys: Optional[Iterable[Tuple[str, str]]] = None) -> None:
+        """Invoke ``listener`` synchronously for each new record.
+
+        With ``keys``, a set of (category, event) pairs, the listener
+        receives only the records of those keys; without, every record.
+        Each record reaches its listeners in subscription order, keyed
+        and unkeyed alike.  The tracer keeps, per named key, the tuple
+        of listeners that receive it, so storing a record costs one
+        lookup that makes no Python call while listeners exist and
+        nothing when there are none.
 
         A listener subscribed while a record is being dispatched first
-        sees the next record.
+        sees the next record.  Subscribing a listener twice makes it
+        receive a record once per subscription that names its key.
         """
-        self._listeners = self._listeners + (listener,)
+        if keys is not None:
+            keys = frozenset(keys)
+            if not keys:
+                raise ValueError("a keyed listener needs at least one "
+                                 "(category, event) key")
+            for key in keys:
+                if not (type(key) is tuple and len(key) == 2
+                        and all(type(part) is str for part in key)):
+                    raise TypeError(f"key {key!r} is not a (category, "
+                                    f"event) pair of strings")
+        self._route(self._subscriptions + ((listener, keys),))
 
     def unsubscribe(self, listener: Callable[[Record], None]) -> None:
-        """Remove a previously subscribed listener (no-op if absent).
+        """Remove a listener's first subscription (no-op if absent).
 
         Removal during dispatch does not disturb it: every listener
         subscribed when the record was emitted still sees that record.
         """
-        listeners = list(self._listeners)
-        try:
-            listeners.remove(listener)
-        except ValueError:
-            return
-        self._listeners = tuple(listeners)
+        subscriptions = self._subscriptions
+        for index, (subscribed, _keys) in enumerate(subscriptions):
+            if subscribed == listener:
+                self._route(subscriptions[:index]
+                            + subscriptions[index + 1:])
+                return
+
+    def _route(self, subscriptions: Tuple[Tuple[Callable[[Record], None],
+                                                Optional[frozenset]],
+                                          ...]) -> None:
+        """Install ``subscriptions`` and the routes they imply."""
+        self._subscriptions = subscriptions
+        self._unkeyed = tuple(listener for listener, keys in subscriptions
+                              if keys is None)
+        named = set()
+        for _listener, keys in subscriptions:
+            if keys is not None:
+                named |= keys
+        self._routes = None if not subscriptions else {
+            key: tuple(listener for listener, keys in subscriptions
+                       if keys is None or key in keys)
+            for key in named}
 
     def record(self, category: str, event: str, time: Optional[int] = None,
                **details: Any) -> Optional[Record]:
@@ -604,7 +660,8 @@ class Tracer:
                                        f2, f3, f4, f5))
 
     def _store(self, entry: Record) -> Record:
-        """The one storage path: monotone flag, ring buffer, listeners."""
+        """The one storage path: monotone flag, ring buffer, and the
+        listeners of the record's key (see :meth:`subscribe`)."""
         time = entry.time
         last = self._last_time
         if last is not None and time < last:
@@ -613,8 +670,12 @@ class Tracer:
         if self.maxlen is not None and len(self._records) == self.maxlen:
             self.dropped += 1
         self._records.append(entry)
-        if self._listeners:
-            for listener in self._listeners:
+        routes = self._routes
+        if routes is not None:
+            key = (entry.layout.key if entry.__class__ is FixedRecord
+                   else (entry.category, entry.event))
+            for listener in (routes[key] if key in routes
+                             else self._unkeyed):
                 listener(entry)
         return entry
 

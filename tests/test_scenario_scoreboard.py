@@ -1,14 +1,23 @@
 """SLO scoreboard accounting edges: exact quantiles, (m, k) windows
 (including a window straddling a live mode change), zero-traffic
-tenants, and a deterministic, plain ``to_dict`` shape."""
+tenants, a deterministic, plain ``to_dict`` shape, and live scoring:
+a bounded tracer scores the whole run, a category filter that would
+zero the scoreboard raises, and the live scoreboard equals the replay
+of the run's JSONL export."""
 
 import pytest
 
+from benchmarks.bench_hetero_mapping import (
+    build_scenario as build_hetero_scenario)
+from benchmarks.bench_live_monitoring import build_monitored
+from benchmarks.bench_service_scenarios import build_scenario
 from repro import DispatcherCosts, EDFScheduler, HadesSystem, Scenario
 from repro.core.attributes import Aperiodic, Periodic
 from repro.core.heug import Task
 from repro.scenarios import LogNormalService, Scoreboard, TenantSLO
 from repro.services.modes import ModeManager
+from repro.sim.trace import load_trace
+from tests.conftest import BACKENDS
 
 
 class TestExactQuantile:
@@ -151,3 +160,61 @@ class TestDeterminism:
         assert list(board) == sorted(board)
         import json
         json.dumps(board)  # every leaf JSON-serializable
+
+
+#: Live-versus-replay shapes: (scenario factory, horizon).
+LIVE_SHAPES = {
+    # E22's adm_reject@3x with monitors, whose gold alert swaps in the
+    # conservative guarantee test at 40 ms.
+    "adm_reject@3x_monitored": (lambda: build_monitored(react=True),
+                                100_000),
+    "edf@10x": (lambda: build_scenario("edf", 10, 60_000), 60_000),
+    "hetero": (build_hetero_scenario, 200_000),
+}
+
+
+class TestLiveScoring:
+    def test_bounded_tracer_scores_the_whole_run(self):
+        # About 32k records: a 5,000-record ring evicts most of them
+        # before the run ends.
+        bounded = (build_scenario("adm_reject", 3.0, 200_000)
+                   .options(trace_maxlen=5_000).run(until=200_000))
+        unbounded = build_scenario("adm_reject", 3.0,
+                                   200_000).run(until=200_000)
+        assert bounded.system.tracer.dropped > 20_000
+        assert bounded.to_dict() == unbounded.to_dict()
+
+    def test_filter_dropping_dispatcher_raises(self):
+        scenario = build_scenario("edf", 1.0, 50_000).options(
+            trace_categories={"cpu", "network"})
+        with pytest.raises(ValueError, match="drops 'dispatcher'"):
+            scenario.run(until=50_000)
+
+    def test_filter_dropping_admission_raises_under_admission(self):
+        scenario = build_scenario("adm_reject", 3.0, 50_000).options(
+            trace_categories={"dispatcher"})
+        with pytest.raises(ValueError, match="drops 'admission'"):
+            scenario.run(until=50_000)
+        # Admit-all scenarios score from dispatcher records alone.
+        kept = build_scenario("edf", 1.0, 50_000).options(
+            trace_categories={"dispatcher"}).run(until=50_000)
+        full = build_scenario("edf", 1.0, 50_000).run(until=50_000)
+        assert kept.to_dict() == full.to_dict()
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("shape", sorted(LIVE_SHAPES))
+    def test_live_equals_replay_of_the_export(self, shape, backend,
+                                              tmp_path):
+        build, horizon = LIVE_SHAPES[shape]
+        result = build().options(backend=backend).run(until=horizon)
+        path = tmp_path / "trace.jsonl"
+        result.system.tracer.to_jsonl(str(path))
+        board = result.scoreboard
+        replayed = Scoreboard.from_records(
+            load_trace(str(path)), list(board.tenants.values()),
+            tiers=board.tiers)
+        live = board.to_dict()
+        assert live == replayed.to_dict()
+        assert sum(row["completed"] for row in live.values()) > 0
+        if shape == "adm_reject@3x_monitored":
+            assert result.system.tracer.count("admission", "reconfigure")

@@ -24,9 +24,17 @@ Covers the trace-layer groundwork the forensics stack sits on:
   emitted it, ``record()`` stored it or ``load_trace`` read it back,
   and the same as a ``TraceRecord`` holding its details dict;
 * an avionics mission's held records own fewer than 180 bytes each;
-* DESIGN.md renders the layout table that ``repro.sim.trace`` declares.
+* DESIGN.md renders the layout table that ``repro.sim.trace`` declares;
+* a listener subscribed with ``keys=`` hears exactly, and in order, the
+  records of its keys that an unkeyed listener hears, whether a site
+  emitted them, ``record()`` stored them or ``load_trace`` read them,
+  under subscription changes during dispatch, ``maxlen`` and the
+  category filter;
+* every key a tracer subscriber in ``src/`` names is written by a site
+  there, and DESIGN.md renders the key-to-subscriber table.
 """
 
+import ast
 import gc
 import json
 import pathlib
@@ -40,10 +48,14 @@ from hypothesis import given, settings, strategies as st
 from benchmarks.bench_service_scenarios import build_scenario
 from repro import (DispatcherCosts, EDFScheduler, FaultPlan, HadesSystem,
                    Periodic, Task)
+from repro.obs.live import MONITOR_KEYS
 from repro.obs.timeline import timeline_bytes
+from repro.scenarios.scoreboard import SCOREBOARD_KEYS
 from repro.services import ActiveReplication, ClockSyncService
+from repro.services.dependency import TRACKED_KEYS
+from repro.services.watchdog import WATCHDOG_KEYS
 from repro.sim.trace import (LAYOUTS, FixedRecord, JsonlStream, TraceRecord,
-                             Tracer, layout, load_trace)
+                             Tracer, layout, load_trace, read_jsonl)
 from tests.test_hetero import _hetero_scenario
 from tests.test_trace_invariants_random import build_workload
 
@@ -684,3 +696,238 @@ class TestLayoutTable:
                           design.read_text(encoding="utf-8"), re.M)
         assert [(category, event, tuple(fields.split()))
                 for category, event, fields in rows] == ALL_LAYOUTS
+
+
+#: Rows whose records ``record()`` and ``load_trace`` keep as
+#: TraceRecords: keys no layout declares, and declared keys whose fields
+#: match none of their layouts.
+_GENERIC_ROWS = [("admission", "submit", ("node", "task")),
+                 ("dispatcher", "deadline_miss", ("task", "seq")),
+                 ("misc", "note", ("n",)),
+                 ("cpu", "dispatch", ("node",)),
+                 ("dispatcher", "activate", ("task",))]
+_ROUTE_ROWS = ALL_LAYOUTS + _GENERIC_ROWS
+_ROUTE_KEYS = sorted({(category, event)
+                      for category, event, _ in _ROUTE_ROWS})
+_listener_keys = st.none() | st.sets(st.sampled_from(_ROUTE_KEYS),
+                                     min_size=1, max_size=5)
+#: ("store", source, row, clock step), or a (un)subscription of one of
+#: three listeners, made between records or, when the flag is set, by a
+#: listener while the next record is dispatched.
+_route_ops = st.lists(st.one_of(
+    st.tuples(st.just("store"), st.sampled_from(["site", "record", "load"]),
+              st.sampled_from(_ROUTE_ROWS), st.integers(0, 3)),
+    st.tuples(st.just("subscribe"), st.integers(0, 2), _listener_keys,
+              st.booleans()),
+    st.tuples(st.just("unsubscribe"), st.integers(0, 2), st.none(),
+              st.booleans())), max_size=40)
+
+
+class TestKeyedRouting:
+    """``subscribe(keys=)`` against a model of the routing rules: a
+    record reaches, in subscription order, every subscription held when
+    it was stored that has no keys or names the record's key."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(ops=_route_ops, keys=_listener_keys,
+           maxlen=st.none() | st.integers(1, 4),
+           allowed=st.none() | st.sets(st.sampled_from(
+               ["admission", "cpu", "dispatcher", "misc", "network"])))
+    def test_matches_the_model(self, ops, keys, maxlen, allowed,
+                               tmp_path_factory):
+        # The "load" rows' records come back through read_jsonl, the
+        # decoder load_trace uses, from one file written up front.
+        path = tmp_path_factory.mktemp("routing") / "load.jsonl"
+        with open(path, "w") as handle:
+            time = 0
+            for index, op in enumerate(ops):
+                if op[0] == "store":
+                    time += op[3]
+                    category, event, fields = op[2]
+                    if op[1] == "load":
+                        handle.write(json.dumps({
+                            "time": time, "category": category,
+                            "event": event,
+                            "details": dict.fromkeys(fields, index)})
+                            + "\n")
+        loaded = read_jsonl(str(path))
+
+        clock = [0]
+        tracer = Tracer(clock=lambda: clock[0], maxlen=maxlen,
+                        categories=allowed)
+        heard, expected, stored = [], [], []
+        # (Un)subscriptions that the unkeyed listener makes while the
+        # next stored record is dispatched.
+        pending = []
+
+        def listener(name):
+            return lambda entry: heard.append((name, entry))
+
+        listeners = [listener(lid) for lid in range(3)]
+
+        def change(kind, lid, keys):
+            if kind == "subscribe":
+                tracer.subscribe(listeners[lid], keys=keys)
+            else:
+                tracer.unsubscribe(listeners[lid])
+
+        def unkeyed(entry):
+            heard.append(("all", entry))
+            for op in pending:
+                change(*op)
+
+        # The model: every subscription as (name, keys), in order.
+        model = [("all", None), ("keyed", keys)]
+        tracer.subscribe(unkeyed)
+        tracer.subscribe(listener("keyed"), keys=keys)
+
+        def model_change(kind, lid, keys):
+            if kind == "subscribe":
+                model.append((lid, keys))
+                return
+            for index, (name, _keys) in enumerate(model):
+                if name == lid:
+                    del model[index]
+                    return
+
+        for index, (kind, a, b, c) in enumerate(ops):
+            if kind != "store":
+                if c:
+                    pending.append((kind, a, b))
+                else:
+                    change(kind, a, b)
+                    model_change(kind, a, b)
+                continue
+            source, (category, event, fields), step = a, b, c
+            clock[0] += step
+            values = [index] * len(fields)
+            if source == "load":
+                entry = next(loaded)
+                # A file written under this filter holds only its
+                # categories.
+                if allowed is None or category in allowed:
+                    tracer._store(entry)
+                else:
+                    entry = None
+            elif source == "site" and (category, event) in LAYOUTS and (
+                    fields in LAYOUTS[category, event]):
+                entry = tracer.emit(layout(category, event, *fields),
+                                    *values)
+            else:
+                entry = tracer.record(category, event,
+                                      **dict(zip(fields, values)))
+            if entry is None:
+                assert allowed is not None and category not in allowed
+                continue
+            stored.append(entry)
+            expected.extend((name, entry) for name, held in model
+                            if held is None or (category, event) in held)
+            for op in pending:
+                model_change(*op)
+            pending.clear()
+
+        assert [(name, id(entry)) for name, entry in heard] == [
+            (name, id(entry)) for name, entry in expected]
+        everything = [entry for name, entry in heard if name == "all"]
+        assert everything == stored
+        assert [entry for name, entry in heard if name == "keyed"] == [
+            entry for entry in everything
+            if keys is None or (entry.category, entry.event) in keys]
+        held = stored[-maxlen:] if maxlen else stored
+        assert list(tracer) == held
+        assert tracer.dropped == len(stored) - len(held)
+
+    def test_keys_are_pairs_of_strings(self):
+        tracer = Tracer(clock=lambda: 0)
+        with pytest.raises(ValueError):
+            tracer.subscribe(print, keys=())
+        with pytest.raises(TypeError):
+            tracer.subscribe(print, keys=("dispatcher", "activate"))
+        with pytest.raises(TypeError):
+            tracer.subscribe(print, keys=[("dispatcher", 1)])
+        assert tracer._routes is None
+
+    def test_no_listener_leaves_no_routes(self):
+        tracer = Tracer(clock=lambda: 0)
+        seen = []
+        tracer.subscribe(seen.append, keys=[("a", "x")])
+        tracer.record("a", "x")
+        tracer.record("a", "y")
+        tracer.unsubscribe(seen.append)
+        tracer.record("a", "x")
+        assert [entry.event for entry in seen] == ["x"]
+        assert tracer._routes is None
+
+
+_SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+
+#: Every keyed tracer subscriber in ``src/``, by its keys constant.
+SUBSCRIBER_KEYS = {
+    "obs.live.MONITOR_KEYS": MONITOR_KEYS,
+    "scenarios.scoreboard.SCOREBOARD_KEYS": SCOREBOARD_KEYS,
+    "services.dependency.TRACKED_KEYS": TRACKED_KEYS,
+    "services.watchdog.WATCHDOG_KEYS": WATCHDOG_KEYS,
+}
+
+
+def _source_calls():
+    """Every call in ``src/``, as (path, its ast.Call)."""
+    for path in sorted(_SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                yield path, node
+
+
+def _on_tracer(call, method):
+    """Whether ``call`` is ``<...tracer>.method(...)``."""
+    func = call.func
+    return (isinstance(func, ast.Attribute) and func.attr == method
+            and ast.unparse(func.value).endswith("tracer"))
+
+
+class TestSubscriberKeys:
+    """A key cannot drift: a subscriber names only keys that a site
+    writes, so a misspelt key fails here instead of hearing nothing."""
+
+    def test_every_keyed_subscription_is_listed(self):
+        named = {ast.unparse(keyword.value)
+                 for _path, call in _source_calls()
+                 if _on_tracer(call, "subscribe")
+                 for keyword in call.keywords if keyword.arg == "keys"}
+        assert named == {name.rsplit(".", 1)[1]
+                         for name in SUBSCRIBER_KEYS}
+
+    def test_every_subscribed_key_is_written_by_a_site(self):
+        written = set()
+        for _path, call in _source_calls():
+            func = call.func
+            is_layout = isinstance(func, ast.Name) and func.id == "layout"
+            if not (is_layout or _on_tracer(call, "record")
+                    or _on_tracer(call, "emit")):
+                continue
+            key = call.args[:2]
+            if len(key) == 2 and all(isinstance(arg, ast.Constant)
+                                     and type(arg.value) is str
+                                     for arg in key):
+                written.add((key[0].value, key[1].value))
+        assert ("dispatcher", "activate") in written
+        for name, keys in SUBSCRIBER_KEYS.items():
+            assert len(set(keys)) == len(keys), name
+            missing = sorted(set(keys) - written)
+            assert not missing, f"{name} names unwritten keys {missing}"
+
+    def test_design_md_renders_the_subscriber_table(self):
+        design = pathlib.Path(__file__).resolve().parent.parent / "DESIGN.md"
+        # A subscriber is named by its dotted constant, so the layout
+        # table's rows cannot match.
+        rows = re.findall(
+            r"^\| `(\w+)/(\w+)` \| ((?:`\w+(?:\.\w+)+`(?:, )?)+) \|$",
+            design.read_text(encoding="utf-8"), re.M)
+        readers = {}
+        for name, keys in SUBSCRIBER_KEYS.items():
+            for key in keys:
+                readers.setdefault(key, []).append(name)
+        assert [((category, event), re.findall(r"`([\w.]+)`", names))
+                for category, event, names in rows] == sorted(
+                    (key, sorted(names)) for key, names in readers.items())
