@@ -32,7 +32,7 @@ for its specific 3-unit translation).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from repro.core.heug import Task
@@ -90,11 +90,6 @@ class KernelActivity:
         if window <= 0:
             return 0
         return -(-window // self.pseudo_period) * self.wcet
-
-
-def kernel_demand(activities: List[KernelActivity], window: int) -> int:
-    """Total worst-case kernel interference over a window (§5.3 K(t))."""
-    return sum(activity.demand(window) for activity in activities)
 
 
 def inflate_wcet(task: "Task", costs: DispatcherCosts) -> int:

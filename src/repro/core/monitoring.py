@@ -105,12 +105,6 @@ class ExecutionMonitor:
             return len(self._violations)
         return len(self.of_kind(kind))
 
-    def deadline_miss_ratio(self, completed_instances: int) -> float:
-        """Misses over total completions+misses (benchmark helper)."""
-        misses = self.count(ViolationKind.DEADLINE_MISS)
-        total = completed_instances + misses
-        return misses / total if total else 0.0
-
     def clear(self) -> None:
         """Forget all recorded entries."""
         self._violations.clear()

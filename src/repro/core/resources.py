@@ -89,10 +89,6 @@ class Resource:
             raise RuntimeError(f"{holder!r} does not hold {self.name}")
         del self._holders[holder]
 
-    def mode_of(self, holder: object) -> Optional[AccessMode]:
-        """The access mode a holder has, or None."""
-        return self._holders.get(holder)
-
     def __repr__(self) -> str:
         return (f"<Resource {self.name} node={self.node_id} "
                 f"holders={len(self._holders)}>")

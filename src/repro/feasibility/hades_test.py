@@ -15,12 +15,14 @@ substitutions:
 2. **Blocking inflation** — B_i' = B_i + c_start_act + c_end_act.
 
 3. **Interference withdrawal** — the scheduler task (cost w_sched per
-   activation, treating the Atv and Trm notifications) and the
-   background kernel activities (clock and network interrupts, §4.2)
-   always run at higher priority, so their worst-case demand over a
-   window d is *withdrawn from the deadline*::
+   notification it treats: Atv and Trm for each Code_EU, and Rac and
+   Rre around a critical section, so n_i = 8 per activation when the
+   task uses a resource and 2 otherwise) and the background kernel
+   activities (clock and network interrupts, §4.2) always run at
+   higher priority, so their worst-case demand over a window d is
+   *withdrawn from the deadline*::
 
-       S(d) = sum_i ceil(d / P_i) * (w_sched_act)          (scheduler)
+       S(d) = sum_i ceil(d / P_i) * n_i * w_sched          (scheduler)
        K(d) = sum_a ceil(d / P_a) * w_a                    (kernel)
 
    and the test becomes  h(d) + B'(d) <= d - S(d) - K(d).
@@ -34,7 +36,7 @@ information buys back.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.core.costs import DispatcherCosts, KernelActivity
 from repro.feasibility.spuri import spuri_edf_test
@@ -42,18 +44,18 @@ from repro.feasibility.taskset import AnalysisTask, SpuriTask
 
 
 def scheduler_interference(tasks: Sequence[AnalysisTask], window: int,
-                           w_sched: int,
-                           notifications_per_activation: int = 2) -> int:
+                           w_sched: int) -> int:
     """S(t): scheduler demand over a window.
 
-    Each task activation makes the scheduler treat
-    ``notifications_per_activation`` notifications (Atv and Trm for a
-    plain EDF scheduler) at ``w_sched`` each.
+    Each activation of task i makes the scheduler treat n_i
+    notifications (:func:`spuri_task_notifications`) at ``w_sched``
+    each.
     """
     if window <= 0 or w_sched == 0:
         return 0
-    activations = sum(-(-window // task.period) for task in tasks)
-    return activations * w_sched * notifications_per_activation
+    notifications = sum(-(-window // task.period)
+                        * spuri_task_notifications(task) for task in tasks)
+    return notifications * w_sched
 
 
 def kernel_interference(activities: Sequence[KernelActivity],
@@ -71,6 +73,19 @@ def spuri_task_inflation(task: SpuriTask, costs: DispatcherCosts) -> int:
     if task.resource is not None:
         return (task.wcet + 3 * costs.per_action() + 2 * costs.c_local)
     return task.wcet + costs.per_action()
+
+
+def spuri_task_notifications(task: Union[SpuriTask, AnalysisTask]) -> int:
+    """n_i: the notifications one activation of a Spuri task makes its
+    scheduler treat under the Figure 3 translation.
+
+    Atv and Trm for each Code_EU, and Rac and Rre around the critical
+    section: 3 * 2 + 2 with a resource, 2 without.  The scheduler pays
+    ``w_sched`` for each, whatever its policy does with it.
+    """
+    if task.resource is not None:
+        return 3 * 2 + 2
+    return 2
 
 
 @dataclass

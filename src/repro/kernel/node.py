@@ -92,11 +92,6 @@ class Node:
         """This node's *local* clock reading (drifts from real time)."""
         return self.clock.read()
 
-    def set_timer(self, local_time: int, callback: Callable[[], None]) -> None:
-        """Run ``callback`` when the local clock reads ``local_time``."""
-        real = self.clock.local_to_real(local_time)
-        self.sim.call_at(real, self._guarded(callback))
-
     def after(self, delay: int, callback: Callable[[], None]) -> None:
         """Run ``callback`` after ``delay`` microseconds of real time."""
         self.sim.call_in(delay, self._guarded(callback))

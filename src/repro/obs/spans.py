@@ -186,11 +186,6 @@ class EUSpan:
             else:
                 last.end = time
 
-    def time_in(self, state: str) -> int:
-        """Total closed microseconds spent in ``state``."""
-        return sum(seg.duration(self.finish_time)
-                   for seg in self.segments if seg.state == state)
-
 
 @dataclass
 class ActivationSpan:
@@ -218,19 +213,6 @@ class ActivationSpan:
     @property
     def finished(self) -> bool:
         return self.finish_time is not None
-
-    def eu_begin(self, eu: str) -> Optional[int]:
-        """Earliest time ``eu`` was causally runnable.
-
-        max over incoming satisfied edges, or the activation time for
-        source EUs (no observed predecessors).
-        """
-        latest = None
-        for edge in self.edges.values():
-            if edge.dst == eu:
-                if latest is None or edge.satisfied_time > latest:
-                    latest = edge.satisfied_time
-        return latest if latest is not None else self.activation_time
 
 
 @dataclass

@@ -1,4 +1,5 @@
-"""Shared engine fixtures, parametrized over event-set backends.
+"""Shared engine fixtures, parametrized over event-set backends, and
+the call counter of the counted ceilings.
 
 Engine-level tests (``test_sim_engine.py``, ``test_engine_edges.py``,
 ``test_engine_cancellation.py``) run against every registered backend
@@ -8,6 +9,9 @@ on the heapq reference and the calendar queue alike.  Suites that need
 a specific configuration (network, kernel, devices) keep their own
 ``sim`` fixture, which shadows this one.
 """
+
+import cProfile
+import gc
 
 import pytest
 
@@ -28,3 +32,20 @@ def backend(request):
 def sim(backend):
     """A fresh engine on every registered backend."""
     return Simulator(backend=backend)
+
+
+def count_calls(fn, *args, **kwargs):
+    """Every call cProfile counts while ``fn(*args, **kwargs)`` runs.
+
+    A collection first keeps the previous run's garbage out of the
+    count, so the count is exact per seed.  Compare two counts taken in
+    one interpreter: call counts differ between Python versions.
+    """
+    gc.collect()
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        fn(*args, **kwargs)
+    finally:
+        profile.disable()
+    return sum(entry.callcount for entry in profile.getstats())

@@ -7,12 +7,17 @@ These tests run that loop without ever looking at the configured
 constants — analysis inputs come from calibration output only.
 """
 
+import functools
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import calibrate_dispatcher_costs
 from repro.core import DispatcherCosts
 from repro.core.monitoring import ViolationKind
-from repro.feasibility import hades_edf_test
+from repro.feasibility import SpuriTask, hades_edf_test
+from repro.feasibility.hades_test import spuri_task_notifications
 from repro.scheduling import EDFScheduler, SRPProtocol
 from repro.system import HadesSystem
 from repro.workloads import random_spuri_taskset, spuri_to_heug
@@ -22,7 +27,15 @@ from repro.workloads import random_spuri_taskset, spuri_to_heug
 DEPLOYED = DispatcherCosts(c_local=11, c_remote=17, c_start_act=6,
                            c_end_act=4, c_start_inv=8, c_end_inv=5)
 
+#: Near the feasibility boundary costs decide the verdict: a 10 µs
+#: scheduler, and both §4.2 background activities (clock tick and
+#: network interrupt) at 30 µs per millisecond each.
+BOUNDARY_W_SCHED = 10
+BOUNDARY_NODE = {"clock_tick_wcet": 30, "clock_tick_period": 1_000,
+                 "net_irq_wcet": 30, "net_irq_pseudo_period": 1_000}
 
+
+@functools.lru_cache(maxsize=None)
 def measured_costs() -> DispatcherCosts:
     measured = calibrate_dispatcher_costs(DEPLOYED)
     return DispatcherCosts(
@@ -67,13 +80,71 @@ class TestClosedLoop:
                 ViolationKind.DEADLINE_MISS) == 0, seed
         assert checked >= 2
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(n=st.integers(min_value=2, max_value=6),
+           utilization=st.floats(min_value=0.75, max_value=0.95),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_analysis_is_safe_near_the_boundary(self, n, utilization,
+                                                seed):
+        """§5's safety claim as a property: whenever the HADES-modified
+        test accepts a random Spuri set under the measured constants,
+        the deployed system misses no deadline running the set, the
+        clock tick and the network interrupt at their maximum rates.
+
+        The sets sit near the boundary, where an analysis that leaves
+        out the dispatcher costs, the kernel activities or any of the
+        scheduler's notifications accepts sets that then miss."""
+        tasks = random_spuri_taskset(n, utilization, seed=seed,
+                                     period_range=(1_000, 10_000))
+        system = HadesSystem(node_ids=["cpu"], costs=DEPLOYED,
+                             background_activities=True,
+                             node_kwargs=BOUNDARY_NODE)
+        report = hades_edf_test(
+            tasks, costs=measured_costs(),
+            kernel_activities=system.node_kernel_activities("cpu"),
+            w_sched=BOUNDARY_W_SCHED)
+        assume(report.feasible)
+        system.attach_scheduler(EDFScheduler(scope="cpu",
+                                             w_sched=BOUNDARY_W_SCHED))
+        resources = {}
+        heugs = [spuri_to_heug(task, "cpu", resources) for task in tasks]
+        system.attach_scheduler(SRPProtocol(heugs, scope="cpu", w_sched=0))
+        # Every task and the network interrupt at maximum rate from a
+        # synchronous start, for two longest periods.
+        horizon = 2 * max(task.pseudo_period for task in tasks)
+        for heug, task in zip(heugs, tasks):
+            system.dispatcher.register_max_rate(
+                heug, count=horizon // task.pseudo_period + 1)
+        irq = system.nodes["cpu"].net_irq
+        for k in range(horizon // irq.pseudo_period + 1):
+            system.sim.call_at(k * irq.pseudo_period, irq.fire)
+        system.run(until=horizon + 2 * max(task.deadline for task in tasks))
+        assert system.monitor.count(ViolationKind.DEADLINE_MISS) == 0
+
+    @pytest.mark.parametrize("resource", [None, "R"])
+    def test_scheduler_treats_the_analysed_notifications(self, resource):
+        """S(t) charges w_sched for n_i notifications per activation;
+        the deployed EDF scheduler treats exactly that many (Atv and
+        Trm per Code_EU, Rac and Rre around the critical section)."""
+        task = SpuriTask("t", c_before=100, cs=100 if resource else 0,
+                         c_after=100 if resource else 0, deadline=1_000,
+                         pseudo_period=1_000, resource=resource)
+        system = HadesSystem(node_ids=["cpu"], costs=DEPLOYED)
+        edf = system.attach_scheduler(EDFScheduler(scope="cpu",
+                                                   w_sched=2))
+        heug = spuri_to_heug(task, "cpu", {})
+        system.attach_scheduler(SRPProtocol([heug], scope="cpu",
+                                            w_sched=0))
+        system.dispatcher.register_max_rate(heug, count=5)
+        system.run(until=10_000)
+        assert edf.handled_count == 5 * spuri_task_notifications(task)
+
     def test_under_measured_costs_reject_overload_honestly(self):
         """A set infeasible under the measured constants really does
         miss when executed — the analysis is not just conservative
         noise; near the boundary its verdicts track reality."""
         costs = measured_costs()
         # Hand-built boundary set: fits without overheads, breaks with.
-        from repro.feasibility import SpuriTask
         tasks = [
             SpuriTask("a", c_before=0, cs=190, c_after=0, deadline=400,
                       pseudo_period=400, resource="R"),

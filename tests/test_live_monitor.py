@@ -5,8 +5,6 @@ scoreboard agreement, the spans/forensics/timeline/CLI wiring of the
 ``alert`` category, detaching, the category filter, and the counted
 cost of monitoring on E23's overhead shape."""
 
-import cProfile
-import gc
 import json
 
 import pytest
@@ -21,6 +19,7 @@ from repro.obs.live import (Alert, BurnRateRule, Ewma, LiveMonitor,
                             render_dashboard)
 from repro.obs.metrics import DEFAULT_BUCKETS, HistogramSnapshot
 from repro.services.modes import ModeManager
+from tests.conftest import count_calls
 
 
 # ---------------------------------------------------------------------------
@@ -525,22 +524,14 @@ class TestSubscription:
 
     @staticmethod
     def _calls(monitored):
-        """Calls made by a 100 ms run of E23's overhead shape, counted
-        by cProfile after a collection (exact per seed)."""
+        """Calls made by a 100 ms run of E23's overhead shape."""
         from benchmarks.bench_service_scenarios import build_scenario
         scenario = build_scenario("adm_reject", 3.0, horizon=100_000)
         if monitored:
             for name in ("gold", "silver", "bronze", "free"):
                 scenario.monitor(name, interval=20_000,
                                  objective_ppm=990_000)
-        gc.collect()
-        profile = cProfile.Profile()
-        profile.enable()
-        try:
-            scenario.run(until=100_000)
-        finally:
-            profile.disable()
-        return sum(entry.callcount for entry in profile.getstats())
+        return count_calls(scenario.run, until=100_000)
 
     def test_monitoring_adds_at_most_3_percent_of_calls(self):
         """The counted twin of E23's timed 10% ceiling.  Monitoring four

@@ -18,6 +18,7 @@ from repro.obs import (
 from repro.obs.metrics import DEFAULT_BUCKETS, HistogramSnapshot
 from repro.sim.trace import Tracer, load_trace
 from repro.system import HadesSystem
+from tests.conftest import count_calls
 
 
 class TestMetricsPrimitives:
@@ -261,6 +262,18 @@ class TestInstrumentedSystem:
         system = self.run_workload(metrics=registry)
         assert system.metrics is registry
         assert registry.snapshot().counter("dispatcher.activations") == 2
+
+    def test_metrics_add_at_most_9_percent_of_calls(self):
+        """The counted twin of E14b's timed 10% ceiling, on its shape:
+        the avionics rate groups at the default constants for 400 ms.
+        An enabled registry costs about 7.2% more calls here; resolving
+        each cpu/dispatcher hot-site counter by name on every ``inc()``
+        costs about 10%."""
+        from benchmarks.bench_overhead import run_setting
+        costs = DispatcherCosts()
+        on = count_calls(run_setting, costs, metrics=True)
+        off = count_calls(run_setting, costs, metrics=False)
+        assert on / off <= 1.09, f"metrics on/off calls {on / off:.4f}"
 
 
 class TestTracerRingBuffer:

@@ -237,6 +237,12 @@ class TestForensics:
         # Busy-period scoping came from the time-window select().
         assert report.busy_preemptions >= 1
         assert report.busy_activations >= 2
+        # README's forensics example reads the parts through as_dict().
+        parts = report.decomposition.as_dict()
+        response = parts.pop("response")
+        assert sorted(parts) == ["blocked", "executing", "network",
+                                 "preempted", "slack"]
+        assert sum(parts.values()) == response == misses[0].response_time
 
     def test_text_report_structure(self):
         system = self._missed_system()
