@@ -59,6 +59,8 @@ class NotificationQueue:
     def __init__(self, sim: Simulator, name: str = "fifo"):
         self.sim = sim
         self.name = name
+        # The name of every wait event, formatted once.
+        self._wait_name = f"{name}:nonempty"
         self._items: Deque[Notification] = deque()
         self._waiter: Optional[Event] = None
         self.put_count = 0
@@ -82,7 +84,7 @@ class NotificationQueue:
 
     def wait_nonempty(self) -> Event:
         """An event that triggers as soon as the queue is non-empty."""
-        ready = self.sim.event(f"{self.name}:nonempty")
+        ready = Event(self.sim, self._wait_name)
         if self._items:
             ready.succeed()
             return ready

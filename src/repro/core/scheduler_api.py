@@ -99,6 +99,9 @@ class SchedulerBase:
 
     def _body(self):
         """Scheduler task: block on the FIFO, treat notifications."""
+        # One Compute request serves every notification; it is rebuilt
+        # only if w_sched changes under it.
+        charge = None
         while True:
             yield WaitEvent(self.queue.wait_nonempty())
             while True:
@@ -106,7 +109,9 @@ class SchedulerBase:
                 if notification is None:
                     break
                 if self.w_sched:
-                    yield Compute(self.w_sched, "scheduler")
+                    if charge is None or charge.duration != self.w_sched:
+                        charge = Compute(self.w_sched, "scheduler")
+                    yield charge
                 self.handled_count += 1
                 self.handle(notification)
 

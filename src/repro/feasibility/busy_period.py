@@ -6,9 +6,12 @@ period: the interval starting when every task releases simultaneously
 and ending at the first idle instant.  Its length L is the least
 fixed point of
 
-    L = sum_i ceil(L / T_i) * C_i   (+ optional extra interference)
+    L = sum_i ceil(L / T_i) * C_i   (+ optional interference I(L))
 
 which exists iff total utilisation (including interference) < 1.
+The interference is taken over the window L itself, as the task
+demand is: higher-priority work released in [0, L) delays the first
+idle instant whatever the tasks' own demand.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ def synchronous_busy_period(
         for task in tasks:
             demand += -(-length // task.period) * task.wcet
         if interference is not None:
-            demand += interference(demand if demand > 0 else 1)
+            demand += interference(length)
         if demand == length:
             return length
         # Divergence guard: utilisation >= 1 makes demand grow forever.

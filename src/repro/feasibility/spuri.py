@@ -60,8 +60,13 @@ def spuri_edf_test(
     ``demand_inflation`` maps a task to its inflated C_i',
     ``blocking_inflation`` maps B(d) to B'(d), and ``interference(d)``
     is the scheduler+kernel demand subtracted from each deadline.
+    When the tasks' utilisation plus the interference's long-run rate
+    exceeds 1, no busy period ends (the interference is a sum of
+    ceilings, so it is at least that rate times the window), and the
+    set is rejected with ``busy_period`` None.
 
-    Report keys: ``feasible`` (bool), ``utilization``, ``busy_period``,
+    Report keys: ``feasible`` (bool), ``utilization`` (the tasks' own,
+    without the interference), ``busy_period``,
     ``checked_deadlines``, ``first_failure`` (the offending deadline or
     None), ``margin`` (min over deadlines of d - demand, i.e. the
     worst slack; negative iff infeasible).

@@ -71,7 +71,7 @@ class HeterogeneousPool:
         self._classes: Dict[str, EngineClass] = {}
         self._units: Dict[str, List[Cpu]] = {}
         #: Outstanding thread claims per unit label.  Thread compute
-        #: submission is asynchronous (the kick event), so queue state
+        #: submission is asynchronous (the start timer), so queue state
         #: alone under-counts load at selection time; the dispatcher
         #: claims a unit at thread start and releases it at thread end.
         self._claims: Dict[str, int] = {}

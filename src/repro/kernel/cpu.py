@@ -25,7 +25,7 @@ import heapq
 import itertools
 from typing import Dict, List, Optional
 
-from repro.kernel.threads import KThread, ThreadState
+from repro.kernel.threads import _READY, _RUNNING, KThread
 from repro.sim.engine import Simulator
 from repro.sim.trace import Tracer, layout
 
@@ -113,10 +113,21 @@ class Cpu:
     # -- public interface -------------------------------------------------
 
     def submit(self, thread: "KThread") -> None:
-        """Register ``thread`` (whose ``_remaining`` is set) as wanting CPU."""
+        """Register ``thread`` (whose ``_remaining`` is set) as wanting CPU.
+
+        On an idle CPU the newcomer is dispatched at once, without a
+        Run Queue round trip, unless the head of the Run Queue outranks
+        it.  The head wins ties: its ready seq is older, so
+        :meth:`_schedule` would pop it first.
+        """
         if thread._ready_entry is not None or thread is self._running:
             raise RuntimeError(f"{thread!r} submitted twice")
         thread._ready_seq = next(self._seq)
+        if self._running is None:
+            queue = self._run_queue
+            if not queue or -queue[0][0] < self._selection_priority(thread):
+                self._dispatch(thread)
+                return
         self._enqueue(thread)
         self._schedule()
 
@@ -207,7 +218,7 @@ class Cpu:
             preempted = self._running
             self._checkpoint()
             self._running = None
-            preempted.state = ThreadState.READY
+            preempted.state = _READY
             self._enqueue(preempted)
             self.tracer.emit(self._preempt_layout, self.node_id,
                              preempted.name, challenger.name,
@@ -224,7 +235,7 @@ class Cpu:
     def _dispatch(self, thread: "KThread") -> None:
         self._running = thread
         thread._pt_boosted = True
-        thread.state = ThreadState.RUNNING
+        thread.state = _RUNNING
         if thread.first_run is None:
             thread.first_run = self.sim.now
         overhead = 0
@@ -254,7 +265,8 @@ class Cpu:
         self._running = None
         self.tracer.emit(self._complete_layout, self.node_id, thread.name,
                          self.engine_label)
-        thread._compute_finished()
+        thread._remaining = 0
+        thread._advance()
         # The thread's _advance may have resubmitted work already; only
         # re-dispatch if the CPU is still idle.
         if self._running is None:

@@ -16,6 +16,7 @@ that the §4.2 sporadic model is an upper bound by construction.
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Callable, Optional, TYPE_CHECKING
 
 from repro.kernel.priorities import PRIO_MAX
@@ -80,12 +81,23 @@ class InterruptSource:
             if self.wcet:
                 yield Compute(self.wcet, category="kernel")
             if self.handler is not None:
-                self.handler(payload)
+                try:
+                    self.handler(payload)
+                except BaseException as error:
+                    # Nobody waits on a firing's end, so its failure
+                    # would go unseen: re-raise it from a timer of its
+                    # own, out of the simulator's run.
+                    sim.call_in(0, functools.partial(_reraise, error))
+                    raise
 
         thread = KThread(self.node, handler_body(),
                          name=f"irq:{self.name}:{self.fire_count}",
                          priority=PRIO_MAX, preemption_threshold=PRIO_MAX)
         thread.start()
+
+
+def _reraise(error: BaseException) -> None:
+    raise error
 
 
 class PeriodicInterrupt(InterruptSource):

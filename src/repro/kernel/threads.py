@@ -43,6 +43,17 @@ class ThreadState(enum.Enum):
     KILLED = "killed"       # forcibly terminated
 
 
+# The states as module constants: reading a member off the enum class
+# goes through its metaclass (about 100 ns on CPython 3.11), and the
+# kernel reads a state on every step.
+_NEW = ThreadState.NEW
+_READY = ThreadState.READY
+_RUNNING = ThreadState.RUNNING
+_BLOCKED = ThreadState.BLOCKED
+_FINISHED = ThreadState.FINISHED
+_KILLED = ThreadState.KILLED
+
+
 class Compute:
     """Request to consume ``duration`` microseconds of CPU time.
 
@@ -87,7 +98,19 @@ ThreadBody = Generator[Any, Any, Any]
 
 
 class KThread:
-    """A schedulable kernel thread on one node."""
+    """A schedulable kernel thread on one node.
+
+    :attr:`finished` is built on first access.  A thread nobody waits
+    on pushes no end entry into the event set; one read after the end
+    is already triggered and dispatched.
+    """
+
+    __slots__ = ("tid", "node", "cpu", "sim", "name", "_priority",
+                 "_preemption_threshold", "_effective_threshold", "state",
+                 "body", "_finished", "_result", "_error", "cpu_time",
+                 "_remaining", "_category", "_ready_seq", "_ready_entry",
+                 "_pt_boosted", "_wait_target", "_wait_private", "_started",
+                 "_suspended", "first_run")
 
     def __init__(self, node: "Node", body: ThreadBody, name: str = "",
                  priority: int = 1,
@@ -108,10 +131,13 @@ class KThread:
         #: max(priority, threshold), kept by the two writers of either
         #: (here and set_priority); the Cpu reads it on every re-key.
         self._effective_threshold = max(priority, self._preemption_threshold)
-        self.state = ThreadState.NEW
+        self.state = _NEW
         self.body = body
-        #: Triggers with the body's return value when the thread ends.
-        self.finished: Event = node.sim.event(f"finished:{self.name}")
+        # The end event, once built (see ``finished``), and the end's
+        # value or error, kept for an event built after the end.
+        self._finished: Optional[Event] = None
+        self._result: Any = None
+        self._error: Optional[BaseException] = None
         #: CPU time consumed so far, per category.
         self.cpu_time = 0
         # Compute bookkeeping (owned by the Cpu while READY/RUNNING).
@@ -161,41 +187,70 @@ class KThread:
         if preemption_threshold is not None:
             self._preemption_threshold = preemption_threshold
         self._effective_threshold = max(priority, self._preemption_threshold)
-        if self.state in (ThreadState.READY, ThreadState.RUNNING):
+        if self.state in (_READY, _RUNNING):
             self.cpu.priorities_changed(self)
 
     # -- lifecycle -------------------------------------------------------
+
+    @property
+    def finished(self) -> Event:
+        """Triggers with the body's return value when the thread ends
+        (fails with its exception; None after :meth:`kill`).
+
+        Built on first access.  Read before the end, it triggers at the
+        end, in the event set position the end takes.  Read after the
+        end, it comes already triggered and dispatched, so callbacks
+        added to it run at once.
+        """
+        finished = self._finished
+        if finished is None:
+            finished = self._finished = Event(self.sim,
+                                              f"finished:{self.name}")
+            if not self.alive:
+                finished._value = self._result
+                finished._exception = self._error
+                finished._callbacks = None
+        return finished
+
+    def _end(self, value: Any, error: Optional[BaseException] = None,
+             state: ThreadState = _FINISHED) -> None:
+        """Enter ``state``; trigger ``finished`` if someone built it."""
+        self.state = state
+        self.body = None
+        finished = self._finished
+        if finished is None:
+            self._result = value
+            self._error = error
+        elif error is None:
+            finished.succeed(value)
+        else:
+            finished.fail(error)
 
     def start(self) -> "KThread":
         """Begin executing the body (asynchronously, at the current time)."""
         if self._started:
             raise SimulationError(f"thread {self.name!r} already started")
         self._started = True
-        kick = self.sim.event(f"kick:{self.name}")
-        kick.add_callback(lambda _evt: self._advance(None))
-        kick.succeed()
+        self.sim.call_in(0, self._advance)
         return self
 
     def kill(self) -> None:
         """Forcibly terminate the thread.  Idempotent."""
-        if self.state in (ThreadState.FINISHED, ThreadState.KILLED):
+        if self.state in (_FINISHED, _KILLED):
             return
-        if self.state in (ThreadState.READY, ThreadState.RUNNING):
+        if self.state in (_READY, _RUNNING):
             self.cpu.withdraw(self)
         target = self._wait_target
         if (target is not None and self._wait_private
                 and not target.triggered and not target.cancelled):
             target.cancel()
         self._wait_target = None
-        self.state = ThreadState.KILLED
-        self.body = None
-        if not self.finished.triggered:
-            self.finished.succeed(None)
+        self._end(None, state=_KILLED)
 
     @property
     def alive(self) -> bool:
         """Whether the underlying work is still pending."""
-        return self.state not in (ThreadState.FINISHED, ThreadState.KILLED)
+        return self.state not in (_FINISHED, _KILLED)
 
     @property
     def suspended(self) -> bool:
@@ -214,9 +269,9 @@ class KThread:
             return
         if not self.alive:
             raise SimulationError(f"cannot suspend dead thread {self.name!r}")
-        if self.state in (ThreadState.READY, ThreadState.RUNNING):
+        if self.state in (_READY, _RUNNING):
             self.cpu.withdraw(self)
-            self.state = ThreadState.BLOCKED
+            self.state = _BLOCKED
         # NEW (not yet kicked) or mid-advance: the flag makes the next
         # Compute request park instead of entering the Run Queue.
         self._suspended = True
@@ -232,31 +287,30 @@ class KThread:
             return
         self._suspended = False
         if (not self.alive or self._wait_target is not None
-                or self.state is ThreadState.NEW):
+                or self.state is _NEW):
             return
         if self._remaining > 0:
-            self.state = ThreadState.READY
+            self.state = _READY
             self.cpu.submit(self)
         else:
             # Suspended exactly at a compute boundary: continue the body.
-            self._compute_finished()
+            self._advance()
 
     # -- body driver ------------------------------------------------------
 
-    def _advance(self, value: Any) -> None:
-        if not self.alive:
+    def _advance(self, value: Any = None) -> None:
+        """One step of the body: the start timer, a wake-up and the Cpu
+        call this directly."""
+        state = self.state
+        if state is _FINISHED or state is _KILLED:
             return
         try:
             request = self.body.send(value)
         except StopIteration as stop:
-            self.state = ThreadState.FINISHED
-            self.body = None
-            self.finished.succeed(stop.value)
+            self._end(stop.value)
             return
         except BaseException as error:
-            self.state = ThreadState.FINISHED
-            self.body = None
-            self.finished.fail(error)
+            self._end(None, error)
             return
         self._handle_request(request)
 
@@ -266,17 +320,17 @@ class KThread:
                 # Park at this compute boundary until resume().
                 self._remaining = request.duration
                 self._category = request.category
-                self.state = ThreadState.BLOCKED
+                self.state = _BLOCKED
                 return
             if request.duration == 0:
                 self._advance(None)
                 return
             self._remaining = request.duration
             self._category = request.category
-            self.state = ThreadState.READY
+            self.state = _READY
             self.cpu.submit(self)
         elif isinstance(request, Sleep):
-            self.state = ThreadState.BLOCKED
+            self.state = _BLOCKED
             target = self.sim.timeout(request.delay)
             self._wait_target = target
             self._wait_private = True
@@ -284,7 +338,7 @@ class KThread:
                                   self.name, "sleep", request.delay)
             target.add_callback(self._on_wait_done)
         elif isinstance(request, WaitEvent):
-            self.state = ThreadState.BLOCKED
+            self.state = _BLOCKED
             self._wait_target = request.event
             self._wait_private = False
             self.node.tracer.emit(_BLOCK_EVENT, self.node.node_id,
@@ -313,23 +367,12 @@ class KThread:
         try:
             request = self.body.throw(error)
         except StopIteration as stop:
-            self.state = ThreadState.FINISHED
-            self.body = None
-            self.finished.succeed(stop.value)
+            self._end(stop.value)
             return
         except BaseException as err:
-            self.state = ThreadState.FINISHED
-            self.body = None
-            self.finished.fail(err)
+            self._end(None, err)
             return
         self._handle_request(request)
-
-    # -- Cpu interface ----------------------------------------------------
-
-    def _compute_finished(self) -> None:
-        """Called by the Cpu when the pending compute block completes."""
-        self._remaining = 0
-        self._advance(None)
 
     def __repr__(self) -> str:
         return (f"<KThread {self.name!r} prio={self._priority} "

@@ -9,21 +9,32 @@ The engine follows the classic event/process duality:
   resumes with the event's value (or with the event's exception raised
   inside the generator).  A process is itself an event that triggers
   when the generator returns, so processes can wait for each other.
+  Nothing in the simulated system runs on processes: a kernel thread
+  steps its generator body itself
+  (:meth:`repro.kernel.threads.KThread._advance`), and every other
+  component schedules plain callbacks with :meth:`Simulator.call_in`
+  and :meth:`Simulator.call_at`.
 
 The :class:`Simulator` owns virtual time (integer microseconds) and the
-pending-event heap.  Two events scheduled for the same instant fire in
+pending-event set.  Two events scheduled for the same instant fire in
 scheduling order, which keeps runs deterministic.
 
-Hot-path design (E17, ``benchmarks/bench_engine_hotpath.py``): the
-workload shape this engine serves is millions of tiny timed events with
-frequent cancellation, so constant factors dominate wall-clock.  Three
-mechanisms keep them down:
+Hot-path design (E17, ``benchmarks/bench_engine_hotpath.py``, and the
+kernel steps of ``benchmarks/e2e``): a run is millions of tiny timed
+events with frequent cancellation, so constant factors dominate
+wall-clock.  Four mechanisms keep them down:
 
-* **``__slots__`` everywhere** — :class:`Event`, :class:`Timeout` and
-  :class:`Process` are slotted, halving per-event memory and speeding
-  attribute access on the resume path.
+* **``__slots__`` everywhere** — :class:`Event`, :class:`Timeout`,
+  :class:`Timer` and :class:`Process` are slotted, halving per-event
+  memory and speeding attribute access on the dispatch path.
+* **Direct-call timers** — :meth:`Simulator.call_in` and
+  :meth:`Simulator.call_at` return a :class:`Timer`, whose dispatch
+  calls the scheduled function itself: one entry in the event set and
+  one Python call per timer, with no closure and no callback list
+  entry.  CPU completions, thread starts, arrivals and monitoring
+  timers all take this path.
 * **Lazy tombstoning** — :meth:`Event.cancel` marks a scheduled entry
-  dead in place; the heap skips tombstones at pop instead of removing
+  dead in place; the set skips tombstones at pop instead of removing
   and re-heapifying.  Cancellation is O(1), the skip is one flag test.
 * **Deferred naming** — the default ``timeout(delay)`` display name is
   formatted on first access, not at construction, so the million-event
@@ -31,9 +42,10 @@ mechanisms keep them down:
 
 The pending set itself is a swappable backend (:mod:`repro.sim.event_set`).
 An engine flavour supplies four things: the storage
-(``_bind_event_storage``), the push (``_schedule_event``), the drain
-(``_drain(until)``, the one hot loop behind both ``run()`` and
-``run(until=)``) and ``_advance_to`` (``now`` jumping to a run bound).
+(``_bind_event_storage``), the push (``_schedule_event``, which every
+event, timeout and timer goes through), the drain (``_drain(until)``,
+the one hot loop behind both ``run()`` and ``run(until=)``) and
+``_advance_to`` (``now`` jumping to a run bound).
 ``step()``, ``pending``, ``next_event_time()`` and
 ``run(until_event=)`` are written once, on :class:`Simulator`, over the
 event set's own ``pop``, ``peek_time`` and ``len``.
@@ -203,8 +215,8 @@ class Event:
         if callbacks is None:  # already dispatched: idempotent
             return
         self._callbacks = None
-        # Fast-path the single-waiter case: one Process._resume waiter
-        # dominates real workloads.
+        # Fast-path the single-waiter case: most events have one
+        # waiter, such as a kernel thread blocked on them.
         if len(callbacks) == 1:
             callbacks[0](self)
         else:
@@ -264,6 +276,30 @@ class Timeout(Event):
         else:
             for callback in callbacks:
                 callback(self)
+
+
+class Timer(Timeout):
+    """A timeout that calls ``function()`` itself when it fires.
+
+    :meth:`Simulator.call_in` and :meth:`Simulator.call_at` return one.
+    It behaves as a :class:`Timeout` of value None whose first callback
+    calls ``function``: ``cancel`` tombstones it, ``triggered`` turns
+    true when it fires, and callbacks added with ``add_callback`` run
+    after ``function``, or at once once it has fired.  It just needs
+    no closure and no callback list entry to do so.
+    """
+
+    __slots__ = ("_function",)
+
+    def _dispatch(self) -> None:
+        callbacks = self._callbacks
+        if callbacks is None:  # already dispatched: idempotent
+            return
+        self._value = None
+        self._callbacks = None
+        self._function()
+        for callback in callbacks:
+            callback(self)
 
 
 class AllOf(Event):
@@ -552,21 +588,27 @@ class Simulator:
         self._sequence += 1
         heapq.heappush(self._heap, (self.now + delay, self._sequence, event))
         if self._instrumented:
-            self._m_scheduled.inc()
+            # One call per instrumented push: the counter is a plain
+            # slot, the gauge keeps its maximum and sample count.
+            self._m_scheduled.value += 1
             self._m_heap_depth.set(len(self._heap))
 
-    def call_at(self, time: int, callback: Callable[[], None]) -> Event:
+    def call_at(self, time: int, callback: Callable[[], None]) -> Timer:
         """Run ``callback`` at absolute simulated ``time`` (>= now)."""
         if time < self.now:
             raise SimulationError(
                 f"call_at({time}) is in the past (now={self.now})")
         return self.call_in(time - self.now, callback)
 
-    def call_in(self, delay: int, callback: Callable[[], None]) -> Event:
-        """Run ``callback`` after ``delay`` microseconds."""
-        trigger = self.timeout(delay)
-        trigger.add_callback(lambda _evt: callback())
-        return trigger
+    def call_in(self, delay: int, callback: Callable[[], None]) -> Timer:
+        """Run ``callback`` after ``delay`` microseconds.
+
+        The returned :class:`Timer` takes the same place in the event
+        set as ``timeout(delay)`` with ``callback`` as its callback.
+        """
+        timer = Timer(self, int(delay))
+        timer._function = callback
+        return timer
 
     # -- execution ------------------------------------------------------
 
@@ -722,7 +764,7 @@ class CalendarSimulator(Simulator):
             heapq.heappush(events._overflow, (time, events._sequence, event))
         events._size += 1
         if self._instrumented:
-            self._m_scheduled.inc()
+            self._m_scheduled.value += 1
             self._m_heap_depth.set(events._size)
 
     def timeout(self, delay: int, value: Any = None) -> Timeout:
@@ -757,7 +799,7 @@ class CalendarSimulator(Simulator):
                            (self.now + delay, events._sequence, event))
         events._size += 1
         if self._instrumented:
-            self._m_scheduled.inc()
+            self._m_scheduled.value += 1
             self._m_heap_depth.set(events._size)
         return event
 

@@ -22,10 +22,12 @@ The tracer scales to long runs in these ways:
   Every other record is a :class:`TraceRecord` with its dict.
   Consumers that read every record call :meth:`Record.get` (or read a
   fixed record's slots), which builds nothing.
-* **One storage path** — :meth:`Tracer._store` keeps every record: it
+* **One storage rule** — :meth:`Tracer._store` keeps every record: it
   sets the monotone flag, applies the ring buffer and calls the
-  listeners of the record's key.  A hot site calls :meth:`Tracer.emit`
-  with its declared layout and the field values, positionally;
+  listeners of the record's key (:meth:`Tracer.emit` runs the same
+  steps inline, to save a call per record).  A hot site calls
+  :meth:`Tracer.emit` with its declared layout and the field values,
+  positionally;
   :meth:`Tracer.record` takes the details as keywords, snapshots any
   plain container among them, and stores a fixed-layout record when
   the keywords are exactly a declared layout's fields, in order.  Both
@@ -648,20 +650,37 @@ class Tracer:
 
         The signature is fixed, not ``*values``: a call with plain
         positional arguments is the cheapest one CPython makes, and this
-        runs for nearly every record.
+        runs for nearly every record.  For the same reason the record is
+        stored inline, as :meth:`_store` does; keep the two in sync.
         """
         allowed = self._categories
         if allowed is not None and record_layout.category not in allowed:
             self.filtered += 1
             return None
-        if self._clock is None:
+        clock = self._clock
+        if clock is None:
             raise RuntimeError("tracer has no bound clock")
-        return self._store(FixedRecord(self._clock(), record_layout, f0, f1,
-                                       f2, f3, f4, f5))
+        time = clock()
+        entry = FixedRecord(time, record_layout, f0, f1, f2, f3, f4, f5)
+        last = self._last_time
+        if last is not None and time < last:
+            self._monotonic = False
+        self._last_time = time
+        if self.maxlen is not None and len(self._records) == self.maxlen:
+            self.dropped += 1
+        self._records.append(entry)
+        routes = self._routes
+        if routes is not None:
+            key = record_layout.key
+            for listener in (routes[key] if key in routes
+                             else self._unkeyed):
+                listener(entry)
+        return entry
 
     def _store(self, entry: Record) -> Record:
-        """The one storage path: monotone flag, ring buffer, and the
-        listeners of the record's key (see :meth:`subscribe`)."""
+        """The storage path: monotone flag, ring buffer, and the
+        listeners of the record's key (see :meth:`subscribe`).
+        :meth:`emit` runs a copy of it inline."""
         time = entry.time
         last = self._last_time
         if last is not None and time < last:

@@ -136,6 +136,15 @@ class TestBusyPeriod:
             tasks, interference=lambda w: 10)
         assert loaded > plain
 
+    def test_interference_is_taken_over_the_window(self):
+        # An interrupt of 40 per 100 beside C=100: in [0, 140) it fires
+        # at 0 and 100, so 140 is not idle; L = 100 + I(180) = 180.
+        # Over the task demand alone (I(100) = 40) it stopped at 140.
+        tasks = [at("a", 100, 1000, 1000)]
+        length = synchronous_busy_period(
+            tasks, interference=lambda w: -(-w // 100) * 40)
+        assert length == 180
+
 
 class TestSpuriTest:
     def test_processor_demand_counts_whole_jobs(self):
@@ -167,6 +176,20 @@ class TestSpuriTest:
         tasks = [at("a", 60, 100, 100), at("b", 60, 100, 100)]
         report = spuri_edf_test(tasks)
         assert not report["feasible"]
+
+    def test_interference_rate_counts_toward_overload(self):
+        # U = 0.5 beside an interference of 40 per 100 fits (the busy
+        # period ends at 90); beside 60 per 100 it needs 1.1.
+        tasks = [at("a", 50, 100, 100)]
+
+        def per_100(amount):
+            return lambda window: -(-window // 100) * amount
+
+        fits = spuri_edf_test(tasks, interference=per_100(40))
+        assert fits["feasible"] and fits["busy_period"] == 90
+        report = spuri_edf_test(tasks, interference=per_100(60))
+        assert not report["feasible"]
+        assert report["busy_period"] is None
 
     def test_infeasible_tight_deadline(self):
         # U < 1 but a deadline shorter than the WCET of the pile-up.
@@ -304,14 +327,34 @@ class TestHadesModifiedTest:
         costed = hades_edf_test(tasks, costs=DispatcherCosts())
         assert costed.margin < free.margin
 
+    #: The node's default kernel activities: the clock tick and a
+    #: network interrupt taking 40% of the processor.
+    DEFAULT_ACTIVITIES = [KernelActivity("clock", 15, 10_000),
+                          KernelActivity("net", 40, 100)]
+
     def test_kernel_activities_shrink_margin(self):
-        tasks = self.spuri_set(scale=10)
-        activities = [KernelActivity("clock", 15, 10_000),
-                      KernelActivity("net", 40, 100)]
+        # U = 0.16 beside the activities' 0.4015: accepted with and
+        # without them, with a deadline inside either busy period.
+        tasks = [
+            SpuriTask("a", c_before=200, cs=300, c_after=100,
+                      deadline=2_000, pseudo_period=8_000, resource="R"),
+            SpuriTask("b", c_before=1_500, cs=0, c_after=0,
+                      deadline=6_000, pseudo_period=18_000),
+        ]
         without = hades_edf_test(tasks, costs=DispatcherCosts.zero())
         with_kernel = hades_edf_test(tasks, costs=DispatcherCosts.zero(),
-                                     kernel_activities=activities)
+                                     kernel_activities=self.DEFAULT_ACTIVITIES)
+        assert without.feasible and with_kernel.feasible
         assert with_kernel.margin < without.margin
+
+    def test_kernel_activities_can_overload(self):
+        # U = 0.71 plus the activities' 0.4015 needs 1.11 of the
+        # processor: no busy period ends, so the set is rejected.
+        tasks = self.spuri_set(scale=10)
+        report = hades_edf_test(tasks, costs=DispatcherCosts.zero(),
+                                kernel_activities=self.DEFAULT_ACTIVITIES)
+        assert not report.feasible
+        assert report.busy_period is None
 
     def test_scheduler_interference_monotone(self):
         analysis = [t.to_analysis() for t in self.spuri_set()]

@@ -1,5 +1,6 @@
 """Unit tests for the simulated RT kernel (CPU, threads, clocks, interrupts)."""
 
+import functools
 import random
 
 import pytest
@@ -17,7 +18,14 @@ from repro.kernel import (
     ThreadState,
     WaitEvent,
 )
+from repro.kernel.interrupts import InterruptSource
 from repro.sim import Simulator
+from repro.system import HadesSystem
+
+
+def entries(sim):
+    """Engine entries scheduled so far on a metrics-enabled engine."""
+    return sim.metrics.counter("engine.events_scheduled").value
 
 
 @pytest.fixture
@@ -136,6 +144,85 @@ class TestThreadsBasic:
     def test_negative_sleep_rejected(self):
         with pytest.raises(ValueError):
             Sleep(-5)
+
+
+class TestFinishedContract:
+    """``KThread.finished`` is built on first access: read at any point
+    it tells the same story, and a thread nobody waits on pushes no end
+    entry."""
+
+    @pytest.fixture
+    def sim(self):
+        return Simulator(metrics=True)
+
+    def test_read_before_start_triggers_at_the_end(self, sim, node):
+        def body():
+            yield Compute(30)
+            return "done"
+
+        thread = KThread(node, body())
+        finished = thread.finished
+        seen = []
+        finished.add_callback(lambda evt: seen.append((sim.now, evt.value)))
+        thread.start()
+        sim.run()
+        assert thread.finished is finished
+        assert seen == [(30, "done")]
+        # Start, completion and the end entry.
+        assert entries(sim) == 3
+
+    def test_read_after_a_normal_end_returns_the_value(self, sim, node):
+        def body():
+            yield Compute(30)
+            return 7
+
+        thread = node.spawn(body())
+        sim.run()
+        finished = thread.finished
+        assert finished.triggered and finished.ok and finished.value == 7
+        seen = []
+        finished.add_callback(lambda evt: seen.append(evt.value))
+        assert seen == [7]  # already dispatched: runs at once
+        assert sim.pending == 0
+
+    def test_read_after_a_raising_body(self, sim, node):
+        def body():
+            yield Compute(30)
+            raise ValueError("bad")
+
+        thread = node.spawn(body())
+        sim.run()  # the failure stays on ``finished``
+        finished = thread.finished
+        assert finished.triggered and not finished.ok
+        with pytest.raises(ValueError, match="bad"):
+            _ = finished.value
+        seen = []
+        finished.add_callback(seen.append)
+        assert seen == [finished]
+
+    def test_read_after_kill(self, sim, node):
+        def body():
+            yield Compute(1_000)
+            return "unreached"
+
+        thread = node.spawn(body())
+        sim.call_in(100, thread.kill)
+        sim.run()
+        assert thread.state is ThreadState.KILLED
+        assert thread.finished.triggered
+        assert thread.finished.value is None
+
+    def test_never_read_builds_no_event(self, sim, node):
+        def body():
+            yield Compute(30)
+            return 1
+
+        thread = node.spawn(body())
+        sim.run()
+        assert thread.state is ThreadState.FINISHED
+        assert thread._finished is None
+        # Start and completion only.
+        assert entries(sim) == 2
 
 
 class TestSuspendWhileNotQueued:
@@ -470,14 +557,91 @@ class TestInterrupts:
         assert node.clock_tick.fire_count == 4
 
     def test_wcet_longer_than_period_rejected(self, sim, node):
-        from repro.kernel.interrupts import InterruptSource
         with pytest.raises(ValueError):
             InterruptSource(node, "bad", wcet=100, pseudo_period=50)
+
+    def test_firing_is_a_prio_max_kernel_thread(self, sim, node):
+        seen = []
+
+        def app():
+            yield Compute(100)
+
+        node.spawn(app(), priority=10)
+        node.net_irq.handler = lambda payload: seen.append(
+            (sim.now, payload))
+        sim.call_in(20, lambda: node.net_irq.fire("frame"))
+        sim.call_in(30, lambda: seen.append(node.cpu.running))
+        sim.run()
+        firing = seen[0]
+        assert firing.name == "irq:net:1"
+        assert firing.priority == PRIO_MAX
+        assert firing.effective_threshold == PRIO_MAX
+        assert seen[1] == (60, "frame")
+        assert node.cpu.busy_time["kernel"] == node.net_irq.wcet
+        dispatch = node.tracer.select("cpu", "dispatch",
+                                      thread="irq:net:1")
+        assert [(r.time, r.get("priority")) for r in dispatch] == \
+            [(20, PRIO_MAX)]
+
+    @pytest.mark.parametrize("wcet", [0, 40])
+    def test_handler_error_stops_the_run(self, sim, node, wcet):
+        def handler(_payload):
+            raise RuntimeError("handler failed")
+
+        def app():
+            yield Compute(100)
+
+        # With a WCET the firing preempts ``app``, which then waits in
+        # the Run Queue while the handler fails.
+        thread = node.spawn(app(), priority=10)
+        source = InterruptSource(node, "dev", wcet=wcet, pseudo_period=100,
+                                 handler=handler)
+        sim.call_in(10, source.fire)
+        with pytest.raises(RuntimeError, match="handler failed"):
+            sim.run()
+        assert sim.now == 10 + wcet
+        # The CPU was left consistent: a second run completes ``app``.
+        sim.run()
+        assert thread.state is ThreadState.FINISHED
+        assert sim.now == 100 + wcet
 
     def test_kernel_activity_parameters_reported(self, node):
         params = node.kernel_activity_parameters()
         assert set(params) == {"w_clock", "P_clock", "w_net", "P_net"}
         assert params["w_clock"] == node.clock_tick.wcet
+
+
+class TestEngineEntries:
+    """Counted pins of the kernel's engine work: one entry per kernel
+    step, none for an end that nobody waits on.  Engine entries are
+    exact and do not depend on the Python version."""
+
+    def test_irq_firing_schedules_two_entries(self):
+        sim = Simulator(metrics=True)
+        node = Node(sim, "n0")
+        for k in range(100):
+            sim.run(until=k * 1_000)
+            node.net_irq.fire()
+        sim.run()
+        assert node.net_irq.fire_count == 100
+        # A start and a completion each; no end entry.
+        assert entries(sim) == 200
+
+    def test_avionics_entries_per_activation(self, monkeypatch):
+        """A seed-7, 1 s run of the e2e avionics deployment: 7,180
+        entries for 160 activations (44.9 each); 7,868 (49.2) while
+        every thread pushed a start event and an end event."""
+        from benchmarks.e2e import workloads
+
+        monkeypatch.setattr(workloads, "HadesSystem",
+                            functools.partial(HadesSystem, metrics=True))
+        system, _names = workloads.avionics_system(7, 1_000_000)
+        system.run(until=1_000_000)
+        report = system.run_report()
+        activations = report.counter("dispatcher.activations")
+        scheduled = report.counter("engine.events_scheduled")
+        assert activations == 160
+        assert scheduled <= 44.9 * activations, scheduled / activations
 
 
 class TestNodeFaults:

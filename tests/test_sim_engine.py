@@ -1,6 +1,7 @@
 """Unit tests for the discrete-event simulation engine."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim import (
     AllOf,
@@ -10,8 +11,10 @@ from repro.sim import (
     Process,
     SimulationError,
     Simulator,
+    Timeout,
     Tracer,
 )
+from tests.conftest import BACKENDS
 
 # The ``sim`` fixture comes from tests/conftest.py and parametrizes
 # every test here over all event-set backends.
@@ -116,6 +119,114 @@ class TestTimeoutAndTime:
         sim.call_in(3, lambda: None)
         sim.run()
         assert isinstance(sim.now, int)
+
+
+def reference_call_in(sim, delay, callback):
+    """``call_in`` as a timeout with a closure callback: the engine's
+    shape before its direct-call timers, kept here as the oracle."""
+    trigger = sim.timeout(delay)
+    trigger.add_callback(lambda _evt: callback())
+    return trigger
+
+
+def reference_call_at(sim, time, callback):
+    """``call_at`` over :func:`reference_call_in`."""
+    if time < sim.now:
+        raise SimulationError(f"call_at({time}) is in the past")
+    return reference_call_in(sim, time - sim.now, callback)
+
+
+#: One scheduled timer: the API (call_in or call_at), its delay (small,
+#: so instants tie), when to cancel it (right away, or after the run),
+#: when to add a callback to it (right away, or after the run), the
+#: delay of a child timer its function schedules, and which timer its
+#: function tries to cancel when it fires.
+TIMER_OPS = st.lists(
+    st.tuples(st.sampled_from(["in", "at"]), st.integers(0, 4),
+              st.sampled_from([None, "now", "after"]),
+              st.sampled_from([None, "now", "after"]),
+              st.none() | st.integers(0, 3),
+              st.none() | st.integers(0, 11)),
+    min_size=1, max_size=12)
+
+
+def run_timer_program(backend, ops, call_in, call_at):
+    """Run ``ops`` through one pair of timer functions; returns the
+    firing log and every timer's (triggered, cancelled, value)."""
+    sim = Simulator(backend=backend)
+    log = []
+    timers = []
+
+    def schedule(api, delay, callback):
+        if api == "in":
+            return call_in(sim, delay, callback)
+        return call_at(sim, sim.now + delay, callback)
+
+    def try_cancel(who, index):
+        try:
+            timers[index].cancel()
+            log.append(("cancel", who, index, sim.now))
+        except SimulationError:
+            log.append(("too late", who, index, sim.now))
+
+    def function(index, api, child, cancels):
+        def fire():
+            log.append(("fire", index, sim.now))
+            if cancels is not None and cancels < len(timers):
+                try_cancel(index, cancels)
+            if child is not None:
+                timers.append(schedule(
+                    api, child,
+                    lambda: log.append(("child", index, sim.now))))
+        return fire
+
+    def callback(index):
+        return lambda evt: log.append(("callback", index, sim.now,
+                                       evt.value))
+
+    for index, (api, delay, cancel, add, child, cancels) in enumerate(ops):
+        timers.append(schedule(api, delay,
+                               function(index, api, child, cancels)))
+        if cancel == "now":
+            try_cancel("setup", index)
+        if add == "now":
+            timers[index].add_callback(callback(index))
+    sim.run()
+    for index, (_api, _delay, cancel, add, _child, _cancels) in \
+            enumerate(ops):
+        if cancel == "after":
+            try_cancel("after", index)
+        if add == "after":
+            timers[index].add_callback(callback(index))
+    states = [(timer.triggered, timer.cancelled,
+               timer.value if timer.triggered else None)
+              for timer in timers]
+    return log, states
+
+
+class TestTimerDifferential:
+    """``call_in``/``call_at`` timers against the timeout-plus-closure
+    shape they replace: same firing order, same cancellation outcome,
+    same callbacks, same observable state."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(ops=TIMER_OPS)
+    def test_timers_match_the_reference(self, backend, ops):
+        expected = run_timer_program(backend, ops, reference_call_in,
+                                     reference_call_at)
+        actual = run_timer_program(
+            backend, ops, lambda sim, delay, fn: sim.call_in(delay, fn),
+            lambda sim, time, fn: sim.call_at(time, fn))
+        assert actual == expected
+
+    def test_timer_is_a_timeout_that_calls_its_function(self, sim):
+        seen = []
+        timer = sim.call_in(5, lambda: seen.append(sim.now))
+        assert isinstance(timer, Timeout)
+        assert not timer.triggered and timer.name == "timeout(5)"
+        sim.run()
+        assert seen == [5] and timer.triggered and timer.value is None
 
 
 class TestProcess:
