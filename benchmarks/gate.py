@@ -1,6 +1,6 @@
 """The one regression-gate harness of the gated experiment scripts.
 
-Four experiments (E17/E20, E22, E23, E24) gate CI against figures
+Four experiments (E17, E22, E23, E24) gate CI against figures
 committed in ``BENCH_engine.json``.  This module holds the decision
 they share — how a gated experiment is timed, stored and compared —
 so each script keeps only its workload builders, ``measure``,

@@ -44,11 +44,11 @@ builder (see :mod:`repro.scenarios`)::
               .run(until=1_000_000, seed=7))
     print(result.tenant("gold")["p99"])
 
-The engine's pending-event set is swappable: ``HadesSystem(backend=
-"calendar")`` (or the ``REPRO_SIM_BACKEND`` environment variable)
-selects the calendar-queue core, proven trace-identical to the heapq
-reference by ``tests/test_backend_conformance.py``; see
-:func:`available_backends` / :func:`resolve_backend`.
+Every deployment runs on one event core, the binary-heap
+:class:`~repro.sim.engine.Simulator`; since 5.0.0 there is no engine
+to select.  Simulated activities are kernel threads
+(:meth:`~repro.kernel.node.Node.spawn`) or ``Simulator.call_in``
+callbacks.
 
 Deeper layers remain importable for research use:
 
@@ -134,12 +134,11 @@ from repro.scheduling import (
     SpringScheduler,
 )
 from repro.sim.engine import Simulator
-from repro.sim.event_set import available_backends, resolve_backend
 from repro.sim.trace import Tracer, TraceRecord, load_trace
 from repro.system import HadesSystem
 from repro.workloads.arrivals import diurnal_profile, nhpp_arrivals
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 __all__ = [
     # deployment facade
@@ -156,9 +155,6 @@ __all__ = [
     "ParetoService",
     "diurnal_profile",
     "nhpp_arrivals",
-    # engine backend selection
-    "available_backends",
-    "resolve_backend",
     # HEUG task model
     "Task",
     "CodeEU",

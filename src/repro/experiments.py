@@ -53,7 +53,6 @@ EXPERIMENTS = {
     "E17": "bench_engine_hotpath.py",
     "E18": "bench_forensics.py",
     "E19": "bench_admission.py",
-    "E20": "bench_engine_hotpath.py",
     "E22": "bench_service_scenarios.py",
     "E23": "bench_live_monitoring.py",
     "E24": "bench_hetero_mapping.py",

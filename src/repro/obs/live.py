@@ -34,8 +34,8 @@ Sampling determinism
 --------------------
 The monitor is driven purely by (a) the trace-record stream it
 ingests and (b) probe events scheduled on the simulator, so its
-samples and alerts are byte-reproducible across seeds and event-set
-backends.  :meth:`Scenario.monitor
+samples and alerts are byte-reproducible per seed.
+:meth:`Scenario.monitor
 <repro.scenarios.scenario.Scenario.monitor>` wires a monitor to a
 tenant's ingress node.
 

@@ -28,7 +28,7 @@ so one API covers both regimes.
 
 Everything composes with the existing execution machinery unchanged:
 the scenario builds a plain :class:`~repro.system.HadesSystem`, and
-``backend=`` / ``REPRO_SIM_BACKEND`` select the event-set backend.
+:meth:`Scenario.options` passes its other constructor options through.
 
 **Service request model.**  A request is one activation of a
 per-tenant HEUG: one ingress EU on the tenant's edge node, then for
@@ -448,8 +448,8 @@ class Scenario:
 
     def options(self, **kwargs: Any) -> "Scenario":
         """Pass-through :class:`~repro.system.HadesSystem` constructor
-        options (``backend=``, ``metrics=``, ``network_latency=``,
-        ``trace_maxlen=`` ...), merged over previous calls."""
+        options (``metrics=``, ``network_latency=``, ``trace_maxlen=``
+        ...), merged over previous calls."""
         for forbidden in ("node_ids", "costs", "engines"):
             if forbidden in kwargs:
                 raise ValueError(f"{forbidden}= is managed by the "

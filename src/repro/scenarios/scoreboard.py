@@ -3,7 +3,7 @@
 The scoreboard is deliberately **trace-based**: it consumes the
 dispatcher/admission event stream instead of live controller or
 dispatcher state, so any recorded trace — live or reloaded from JSONL
-— scores the same, on both event-set backends.
+— scores the same.
 
 It is fed live: :meth:`Scenario.run
 <repro.scenarios.scenario.Scenario.run>` subscribes :meth:`Scoreboard.
@@ -302,7 +302,7 @@ class Scoreboard:
 
         Tenants are keyed in sorted order; every leaf is an int, a
         rounded float, a string, or None — safe to compare or JSON-dump
-        byte-for-byte across runs and backends.
+        byte-for-byte across runs.
         """
         return {name: self.tenant_stats(name)
                 for name in sorted(self.tenants)}

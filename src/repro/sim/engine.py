@@ -1,23 +1,18 @@
 """Core discrete-event simulation engine.
 
-The engine follows the classic event/process duality:
-
-* An :class:`Event` is a one-shot occurrence that callbacks can be
-  attached to.  Events carry a value (or an exception) once triggered.
-* A :class:`Process` wraps a Python generator.  The generator *yields*
-  events; the process sleeps until the yielded event triggers, then
-  resumes with the event's value (or with the event's exception raised
-  inside the generator).  A process is itself an event that triggers
-  when the generator returns, so processes can wait for each other.
-  Nothing in the simulated system runs on processes: a kernel thread
-  steps its generator body itself
-  (:meth:`repro.kernel.threads.KThread._advance`), and every other
-  component schedules plain callbacks with :meth:`Simulator.call_in`
-  and :meth:`Simulator.call_at`.
+An :class:`Event` is a one-shot occurrence that callbacks can be
+attached to.  Events carry a value (or an exception) once triggered.
+Nothing in the simulated system waits on events from a generator of
+its own: a kernel thread steps its generator body itself
+(:meth:`repro.kernel.threads.KThread._advance`), and every other
+component schedules plain callbacks with :meth:`Simulator.call_in`
+and :meth:`Simulator.call_at`.
 
 The :class:`Simulator` owns virtual time (integer microseconds) and the
-pending-event set.  Two events scheduled for the same instant fire in
-scheduling order, which keeps runs deterministic.
+pending-event set: one binary heap of ``(time, sequence, event)``
+triples.  Two events scheduled for the same instant fire in scheduling
+order (the sequence number breaks the tie), which keeps runs
+deterministic.
 
 Hot-path design (E17, ``benchmarks/bench_engine_hotpath.py``, and the
 kernel steps of ``benchmarks/e2e``): a run is millions of tiny timed
@@ -25,7 +20,7 @@ events with frequent cancellation, so constant factors dominate
 wall-clock.  Four mechanisms keep them down:
 
 * **``__slots__`` everywhere** — :class:`Event`, :class:`Timeout`,
-  :class:`Timer` and :class:`Process` are slotted, halving per-event
+  :class:`Timer` and :class:`AnyOf` are slotted, halving per-event
   memory and speeding attribute access on the dispatch path.
 * **Direct-call timers** — :meth:`Simulator.call_in` and
   :meth:`Simulator.call_at` return a :class:`Timer`, whose dispatch
@@ -34,60 +29,27 @@ wall-clock.  Four mechanisms keep them down:
   entry.  CPU completions, thread starts, arrivals and monitoring
   timers all take this path.
 * **Lazy tombstoning** — :meth:`Event.cancel` marks a scheduled entry
-  dead in place; the set skips tombstones at pop instead of removing
+  dead in place; the drain skips tombstones at pop instead of removing
   and re-heapifying.  Cancellation is O(1), the skip is one flag test.
 * **Deferred naming** — the default ``timeout(delay)`` display name is
   formatted on first access, not at construction, so the million-event
   case never pays string interpolation.
 
-The pending set itself is a swappable backend (:mod:`repro.sim.event_set`).
-An engine flavour supplies four things: the storage
-(``_bind_event_storage``), the push (``_schedule_event``, which every
-event, timeout and timer goes through), the drain (``_drain(until)``,
-the one hot loop behind both ``run()`` and ``run(until=)``) and
-``_advance_to`` (``now`` jumping to a run bound).
-``step()``, ``pending``, ``next_event_time()`` and
-``run(until_event=)`` are written once, on :class:`Simulator`, over the
-event set's own ``pop``, ``peek_time`` and ``len``.
-``Simulator(backend="heapq")`` is the reference binary-heap flavour;
-``backend="calendar"`` selects :class:`CalendarSimulator`, whose drain
-walks exact-time buckets instead.  Both flavours are differential-tested
-to be observably indistinguishable (``tests/test_backend_conformance.py``).
+Every event, timeout and timer enters the heap through one push
+(``_schedule_event``), and ``run()`` and ``run(until=)`` share one
+drain (``_drain``).  ``step()``, ``pending``, ``next_event_time()`` and
+``run(until_event=)`` read the same heap.  DESIGN.md §6 records why
+there is one event core.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
-
-from repro.sim.event_set import (
-    WHEEL_SPAN as _WHEEL_SPAN,
-    _WHEEL_MASK,
-    CalendarEventSet,
-    HeapEventSet,
-    available_backends,
-    resolve_backend,
-)
+from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 
 class SimulationError(RuntimeError):
     """Raised for illegal engine operations (e.g. re-triggering an event)."""
-
-
-class Interrupt(Exception):
-    """Thrown inside a process when another process interrupts it.
-
-    The interrupting party supplies ``cause``, an arbitrary payload the
-    interrupted process can inspect (e.g. a preemption reason).
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
-class ProcessKilled(Exception):
-    """Thrown inside a process that is being forcibly terminated."""
 
 
 # Sentinel distinguishing "not yet triggered" from "triggered with None".
@@ -302,36 +264,6 @@ class Timer(Timeout):
             callback(self)
 
 
-class AllOf(Event):
-    """Triggers when every child event has triggered successfully.
-
-    Its value is the list of child values in construction order.  Fails
-    as soon as any child fails.
-    """
-
-    __slots__ = ("_children", "_remaining")
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        super().__init__(sim, "all_of")
-        self._children = list(events)
-        self._remaining = len(self._children)
-        if self._remaining == 0:
-            self.succeed([])
-            return
-        for child in self._children:
-            child.add_callback(self._on_child)
-
-    def _on_child(self, child: Event) -> None:
-        if self.triggered:
-            return
-        if not child.ok:
-            self.fail(child._exception)
-            return
-        self._remaining -= 1
-        if self._remaining == 0:
-            self.succeed([c.value for c in self._children])
-
-
 class AnyOf(Event):
     """Triggers when the first child event triggers.
 
@@ -358,144 +290,6 @@ class AnyOf(Event):
             self.succeed((index, child._value))
 
 
-ProcessGenerator = Generator[Event, Any, Any]
-
-
-class Process(Event):
-    """A generator-driven simulated activity.
-
-    The generator yields :class:`Event` instances and is resumed with
-    each event's value.  The process itself triggers (as an event) when
-    the generator returns; its value is the generator's return value.
-
-    Processes can be interrupted (:meth:`interrupt`): an
-    :class:`Interrupt` is raised at the current yield point.  They can
-    also be killed (:meth:`kill`), which raises :class:`ProcessKilled`
-    and, if the generator lets it escape, terminates the process with a
-    *successful* ``None`` result so that killing is not an error.
-    """
-
-    __slots__ = ("_generator", "_waiting_on", "_alive")
-
-    def __init__(self, sim: "Simulator", generator: ProcessGenerator,
-                 name: str = ""):
-        super().__init__(sim, name or getattr(generator, "__name__", "process"))
-        self._generator = generator
-        self._waiting_on: Optional[Event] = None
-        self._alive = True
-        # Start the process at the current instant, but asynchronously:
-        # the creator continues first.
-        start = Event(sim, "start")
-        start.add_callback(self._resume)
-        start.succeed()
-
-    @property
-    def alive(self) -> bool:
-        """Whether the generator has not yet finished."""
-        return self._alive
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Raise :class:`Interrupt` inside the process at its yield point."""
-        if not self._alive:
-            raise SimulationError(f"cannot interrupt dead process {self.name!r}")
-        self._throw_soon(Interrupt(cause))
-
-    def kill(self) -> None:
-        """Forcibly terminate the process.  Killing a dead process is a no-op."""
-        if not self._alive:
-            return
-        self._throw_soon(ProcessKilled())
-
-    def _throw_soon(self, exc: BaseException) -> None:
-        # Deliver via an immediate event so the thrower keeps running and
-        # delivery order stays deterministic.
-        bomb = Event(self.sim, "throw")
-        self._detach_wait()
-        bomb.add_callback(lambda _evt: self._resume_throw(exc))
-        bomb.succeed()
-
-    def _detach_wait(self) -> None:
-        # The process stops caring about the event it was waiting on.
-        target = self._waiting_on
-        self._waiting_on = None
-        if target is not None and target._callbacks is not None:
-            try:
-                target._callbacks.remove(self._resume)
-            except ValueError:
-                pass
-
-    def _resume_throw(self, exc: BaseException) -> None:
-        if not self._alive:
-            return
-        try:
-            next_event = self._generator.throw(exc)
-        except StopIteration as stop:
-            self._finish_ok(stop.value)
-        except ProcessKilled:
-            self._finish_ok(None)
-        except BaseException as error:
-            self._finish_fail(error)
-        else:
-            self._wait_for(next_event)
-
-    def _resume(self, event: Event) -> None:
-        waiting_on = self._waiting_on
-        if not self._alive or (waiting_on is not None
-                               and event is not waiting_on):
-            return
-        self._waiting_on = None
-        try:
-            if event._exception is not None:
-                next_event = self._generator.throw(event._exception)
-            else:
-                value = event._value
-                next_event = self._generator.send(
-                    None if value is _PENDING else value)
-        except StopIteration as stop:
-            self._finish_ok(stop.value)
-        except ProcessKilled:
-            self._finish_ok(None)
-        except BaseException as error:
-            self._finish_fail(error)
-        else:
-            # Fast path: the yielded object is a plain Event (isinstance
-            # is checked on the slow path only for the error message).
-            # ``add_callback`` is inlined: pending events append, an
-            # already-dispatched event resumes immediately.
-            if isinstance(next_event, Event):
-                self._waiting_on = next_event
-                callbacks = next_event._callbacks
-                if callbacks is not None:
-                    callbacks.append(self._resume)
-                else:
-                    self._resume(next_event)
-            else:
-                self._wait_for(next_event)
-
-    def _wait_for(self, event: Event) -> None:
-        if not isinstance(event, Event):
-            self._finish_fail(
-                SimulationError(
-                    f"process {self.name!r} yielded {event!r}, not an Event"))
-            return
-        self._waiting_on = event
-        event.add_callback(self._resume)
-
-    def _finish_ok(self, value: Any) -> None:
-        self._alive = False
-        self._generator = None
-        if not self.triggered:
-            self.succeed(value)
-
-    def _finish_fail(self, error: BaseException) -> None:
-        self._alive = False
-        self._generator = None
-        if not self.triggered:
-            self.fail(error)
-        else:
-            raise error
-
-
 class Simulator:
     """Owner of virtual time and the pending-event schedule.
 
@@ -507,37 +301,16 @@ class Simulator:
     drain tallies fired and cancelled entries in locals and adds them
     to the counters when it returns or raises, so metrics never select
     a different loop.
-
-    ``backend`` names the pending-event set implementation: ``"heapq"``
-    (this class, the reference) or ``"calendar"``
-    (:class:`CalendarSimulator`).  An explicit argument wins over the
-    ``REPRO_SIM_BACKEND`` environment variable, which wins over the
-    heapq default; unknown names raise :class:`ValueError`.
-    Constructing ``Simulator(backend="calendar")`` returns the
-    subclass, so ``isinstance(sim, Simulator)`` holds for every
-    backend.
     """
 
-    #: Registry name of this flavour's event-set backend.
-    backend_name = "heapq"
-
-    def __new__(cls, metrics=None, backend=None):
-        if (cls is Simulator and resolve_backend(backend)
-                == CalendarSimulator.backend_name):
-            cls = CalendarSimulator
-        return object.__new__(cls)
-
-    def __init__(self, metrics=None, backend=None):
+    def __init__(self, metrics=None):
         from repro.obs.metrics import resolve_metrics
 
-        if backend is not None and resolve_backend(backend) != self.backend_name:
-            raise ValueError(
-                f"backend {backend!r} does not match "
-                f"{type(self).__name__} (backend {self.backend_name!r}); "
-                f"available backends: {', '.join(available_backends())}")
-        self.backend = self.backend_name
         self.now: int = 0
-        self._bind_event_storage()
+        # The pending set: ``(time, sequence, event)`` triples, the
+        # sequence number breaking same-instant ties in push order.
+        self._heap: List[Tuple[int, int, Event]] = []
+        self._sequence = 0
         self.metrics = resolve_metrics(metrics)
         self._m_scheduled = self.metrics.counter("engine.events_scheduled")
         self._m_fired = self.metrics.counter("engine.events_fired")
@@ -548,17 +321,6 @@ class Simulator:
         # path when metrics are disabled (the default).
         self._instrumented = self.metrics.enabled
 
-    def _bind_event_storage(self) -> None:
-        # The engine's hot loops own the event set's storage directly
-        # (``self._heap`` is the *same list* as ``self.events._heap``)
-        # and keep their own tie-break counter, so pushing through
-        # ``self.events`` must not be mixed with engine scheduling on a
-        # live simulator.  ``self.events`` is the contract object the
-        # conformance harness exercises standalone.
-        self.events = HeapEventSet()
-        self._heap: List[Tuple[int, int, Event]] = self.events._heap
-        self._sequence = 0
-
     # -- event factories ------------------------------------------------
 
     def event(self, name: str = "") -> Event:
@@ -568,14 +330,6 @@ class Simulator:
     def timeout(self, delay: int, value: Any = None) -> Timeout:
         """Create an event that fires ``delay`` microseconds from now."""
         return Timeout(self, int(delay), value)
-
-    def process(self, generator: ProcessGenerator, name: str = "") -> Process:
-        """Launch a generator as a simulated process."""
-        return Process(self, generator, name)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """An event that fires when every given event has fired."""
-        return AllOf(self, events)
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         """An event that fires with the first given event."""
@@ -620,7 +374,7 @@ class Simulator:
         exact inside callbacks: a drain takes each entry off the set
         before dispatching it.
         """
-        return len(self.events)
+        return len(self._heap)
 
     def next_event_time(self) -> Optional[int]:
         """Absolute time of the earliest pending entry, or ``None``.
@@ -629,12 +383,13 @@ class Simulator:
         when popped, so its instant is a faithful (conservative) lower
         bound on when this simulator next does *anything*.
         """
-        return self.events.peek_time()
+        heap = self._heap
+        return heap[0][0] if heap else None
 
     def _take(self) -> bool:
         """Pop one entry and dispatch it unless it is a tombstone (which
         still advances time to its instant).  Returns whether it fired."""
-        time, event = self.events.pop()
+        time, _seq, event = heapq.heappop(self._heap)
         if time < self.now:
             raise SimulationError("event scheduled in the past")
         self.now = time
@@ -648,7 +403,7 @@ class Simulator:
     def step(self) -> bool:
         """Dispatch the next scheduled event, skipping tombstones on the
         way.  Returns False when idle."""
-        while self.events:
+        while self._heap:
             if self._take():
                 return True
         return False
@@ -667,14 +422,15 @@ class Simulator:
         else:
             # One entry per iteration: step() skips tombstones until it
             # dispatches something, so it could overshoot ``until``.
-            events = self.events
-            while (events and not until_event.triggered
-                   and (until is None or events.peek_time() <= until)):
+            heap = self._heap
+            while (heap and not until_event.triggered
+                   and (until is None or heap[0][0] <= until)):
                 self._take()
             if until_event.triggered:
                 return until_event.value
         if until is not None:
-            self._advance_to(until)
+            # Every entry due by ``until`` has been dispatched.
+            self.now = until
         return None
 
     def _drain(self, until: Optional[int]) -> None:
@@ -707,213 +463,3 @@ class Simulator:
         finally:
             self._m_fired.inc(fired)
             self._m_cancelled_skips.inc(skipped)
-
-    def _advance_to(self, until: int) -> None:
-        # Every entry due by ``until`` has been dispatched.
-        self.now = until
-
-
-# Bound C constructor for the calendar flavour's inlined timeout()
-# fast path (Timeout defines __slots__ only, so object.__new__ is the
-# whole allocation).
-_new_timeout = object.__new__
-
-
-class CalendarSimulator(Simulator):
-    """Simulator flavour backed by the calendar-queue event set.
-
-    Same observable semantics as the heapq reference.  Only what E17
-    gates is specialized for the ring layout: the push, the
-    ``timeout()`` constructor and the drain, which walks one slot per
-    *instant* instead of one heap operation per event, writes
-    ``self.now`` once per instant, and allocates no per-event tuple or
-    sequence number for in-window traffic.  See
-    :class:`repro.sim.event_set.CalendarEventSet` for the bucket policy
-    and ``tests/test_backend_conformance.py`` for the differential
-    proof of equivalence.
-    """
-
-    backend_name = "calendar"
-
-    def _bind_event_storage(self) -> None:
-        # As in the base class, the hot loops below reach into the
-        # event set's storage directly; ``self.events`` is the shared
-        # contract object.
-        self.events = CalendarEventSet()
-
-    def _schedule_event(self, event: Event, delay: int = 0) -> None:
-        # Inlined CalendarEventSet.push, with two engine liberties the
-        # standalone set cannot take: no past-push guard (delays are
-        # non-negative, so ``time >= now``), and the window anchored on
-        # ``self.now``, which every drain path writes together with
-        # ``_scan_time`` — so the in-window test is ``delay`` alone.
-        # The layout invariants survive because pending times never
-        # trail ``now``: a slot collision would need two pending
-        # instants ``WHEEL_SPAN`` apart with the later one in-window,
-        # putting the earlier behind ``now``; and ``now`` is monotone,
-        # so per target instant "in-window" stays a latched property
-        # (overflow entries predate ring entries).
-        event._scheduled = True
-        events = self.events
-        time = self.now + delay
-        if delay < _WHEEL_SPAN:
-            events._ring[time & _WHEEL_MASK].append(event)
-            events._wheel_count += 1
-        else:
-            events._sequence += 1
-            heapq.heappush(events._overflow, (time, events._sequence, event))
-        events._size += 1
-        if self._instrumented:
-            self._m_scheduled.value += 1
-            self._m_heap_depth.set(events._size)
-
-    def timeout(self, delay: int, value: Any = None) -> Timeout:
-        """Create an event that fires ``delay`` microseconds from now.
-
-        Calendar fast path: builds the :class:`Timeout` without the
-        ``__init__`` -> ``_schedule_event`` call chain — the field
-        assignments mirror ``Timeout.__init__`` and the scheduling
-        mirrors :meth:`_schedule_event`; keep all three in sync.
-        """
-        if delay.__class__ is not int:
-            delay = int(delay)
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
-        event = _new_timeout(Timeout)
-        event.sim = self
-        event._name = ""
-        event._value = _PENDING
-        event._exception = None
-        event._callbacks = []
-        event._scheduled = True
-        event._cancelled = False
-        event._scheduled_value = value
-        event._delay = delay
-        events = self.events
-        if delay < _WHEEL_SPAN:
-            events._ring[(self.now + delay) & _WHEEL_MASK].append(event)
-            events._wheel_count += 1
-        else:
-            events._sequence += 1
-            heapq.heappush(events._overflow,
-                           (self.now + delay, events._sequence, event))
-        events._size += 1
-        if self._instrumented:
-            self._m_scheduled.value += 1
-            self._m_heap_depth.set(events._size)
-        return event
-
-    def _drain(self, until: Optional[int]) -> None:
-        """Dispatch every entry due at or before ``until`` (all if None).
-
-        One ring walk per instant, and ``until`` tested once per
-        instant.  The cursor (``_scan_time``, ``_slot_idx``) and both
-        counters are written through as each entry is taken, before it
-        is dispatched, so a callback sees exactly the pending set
-        ``step()`` would leave (``pending``/``next_event_time()`` exact
-        mid-instant), and a dispatch that raises leaves the event set
-        consistent with nothing to replay.  The indexed inner loop
-        picks up appends *at* the instant being drained (immediate
-        events, process starts) in push order, and starts mid-slot when
-        ``step()`` left the instant half-drained.  ``t`` runs ahead of
-        ``_scan_time`` only across empty instants.  Fired and skipped
-        entries are counted as in the reference flavour.
-        """
-        events = self.events
-        ring = events._ring
-        overflow = events._overflow
-        heappop = heapq.heappop
-        pending_marker = _PENDING
-        timeout_cls = Timeout
-        bound = _FOREVER if until is None else until
-        fired = skipped = 0
-        t = events._scan_time
-        idx = events._slot_idx
-        try:
-            while events._size:
-                if events._wheel_count and not (overflow
-                                                and overflow[0][0] <= t):
-                    slot = ring[t & _WHEEL_MASK]
-                    if idx < len(slot):
-                        if t > bound:
-                            break
-                        if t < self.now:
-                            raise SimulationError(
-                                "event scheduled in the past")
-                        self.now = events._scan_time = t
-                        while idx < len(slot):
-                            event = slot[idx]
-                            idx += 1
-                            events._slot_idx = idx
-                            events._size -= 1
-                            events._wheel_count -= 1
-                            if event._cancelled:
-                                skipped += 1
-                                continue
-                            fired += 1
-                            if type(event) is timeout_cls:
-                                # Monomorphic Timeout._dispatch, inlined
-                                # (the dominant event type by far —
-                                # keep in sync with the method).
-                                if event._value is pending_marker:
-                                    event._value = event._scheduled_value
-                                callbacks = event._callbacks
-                                if callbacks is None:
-                                    continue
-                                event._callbacks = None
-                                if len(callbacks) == 1:
-                                    callbacks[0](event)
-                                else:
-                                    for callback in callbacks:
-                                        callback(event)
-                            else:
-                                event._dispatch()
-                    if idx:
-                        # Slot consumed: clear it for reuse before the
-                        # walk moves past its instant.
-                        slot.clear()
-                        idx = events._slot_idx = 0
-                    t += 1
-                    continue
-                # Overflow entries due at this instant predate every ring
-                # entry for it, so they drain first; with the ring empty
-                # the drain is reference-style.  A consumed slot is
-                # cleared before the anchor jumps (slot reuse safety).
-                # Keep the ring branch first: with the branches swapped
-                # the E17 timeout-heavy shape ran about a third slower
-                # on CPython 3.11.
-                if idx:
-                    ring[t & _WHEEL_MASK].clear()
-                    idx = events._slot_idx = 0
-                time = overflow[0][0]
-                if time > bound:
-                    break
-                time, _seq, event = heappop(overflow)
-                events._size -= 1
-                if time < self.now:
-                    raise SimulationError("event scheduled in the past")
-                self.now = events._scan_time = t = time
-                if event._cancelled:
-                    skipped += 1
-                else:
-                    fired += 1
-                    event._dispatch()
-        finally:
-            self._m_fired.inc(fired)
-            self._m_cancelled_skips.inc(skipped)
-
-    def _advance_to(self, until: int) -> None:
-        # ``now`` jumps to the run bound without a pop, so the window
-        # anchor must follow: later pushes anchor the in-window test on
-        # ``now``, and with a lagging anchor an entry at ``T`` would
-        # alias into the slot the pop walk reaches at ``T - WHEEL_SPAN``
-        # and fire early.  Every instant <= ``until`` has been drained
-        # here, so the slot at the old anchor holds only consumed
-        # entries — clearing it before the jump is the same dirty-slot
-        # discipline the pop walk follows.
-        events = self.events
-        if events._slot_idx:
-            events._ring[events._scan_time & _WHEEL_MASK].clear()
-            events._slot_idx = 0
-        events._scan_time = until
-        self.now = until

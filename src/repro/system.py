@@ -46,19 +46,12 @@ class HadesSystem:
                  metrics: Any = None,
                  trace_maxlen: Optional[int] = None,
                  trace_categories: Optional[Iterable[str]] = None,
-                 backend: Optional[str] = None,
                  engines: Optional[Dict[str, Dict[str, int]]] = None):
         # ``metrics`` accepts a MetricsRegistry, True (create one), or
         # None/False (disabled — the near-zero-cost default); see
         # :func:`repro.obs.resolve_metrics` for the full contract.
-        # ``backend`` names the engine's event-set implementation
-        # ("heapq" or "calendar"); an explicit argument wins over the
-        # REPRO_SIM_BACKEND environment variable, which wins over the
-        # heapq default.  Both backends produce byte-identical traces
-        # (tests/test_backend_conformance.py).
         self.metrics = resolve_metrics(metrics)
-        self.sim = Simulator(metrics=self.metrics, backend=backend)
-        self.backend = self.sim.backend
+        self.sim = Simulator(metrics=self.metrics)
         self.tracer = Tracer(lambda: self.sim.now, maxlen=trace_maxlen,
                              categories=trace_categories)
         self.monitor = ExecutionMonitor()

@@ -1,5 +1,5 @@
 """The stable public facade, the metrics= contract, trace filtering,
-and the event-set backend selection plumbing."""
+and what is left of the event-core backend selection: one engine."""
 
 import importlib.metadata
 import io
@@ -15,10 +15,10 @@ from repro.obs.metrics import (
     NullMetricsRegistry,
     resolve_metrics,
 )
-from repro.sim.engine import CalendarSimulator, Simulator
-from repro.sim.event_set import BACKEND_ENV
+from repro.sim.engine import Simulator
 from repro.sim.trace import TraceRecord, Tracer
 from repro.system import HadesSystem
+from tests.conftest import BACKENDS, on_engine
 
 
 class TestFacade:
@@ -80,87 +80,24 @@ class TestFacade:
 
 
 class TestBackendSelection:
-    """Plumbing for the swappable event-set core: precedence is
-    explicit ``backend=`` argument > ``REPRO_SIM_BACKEND`` environment
-    override > the heapq default."""
-
-    def test_facade_exports_backend_helpers(self):
-        assert "available_backends" in repro.__all__
-        assert "resolve_backend" in repro.__all__
-        from repro.sim.event_set import available_backends as deep
-        assert repro.available_backends is deep
-        assert set(repro.available_backends()) == {"heapq", "calendar"}
+    """Since 5.0.0 there is no event-core backend to select: every
+    system runs on the heap engine, ``backend=`` and the facade's
+    backend helpers are gone, and ``REPRO_SIM_BACKEND`` is not read."""
 
     def test_default_is_heapq(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        assert repro.resolve_backend() == "heapq"
+        monkeypatch.setenv("REPRO_SIM_BACKEND", "calendar")
         system = HadesSystem(node_ids=["n0"])
-        assert system.backend == "heapq"
         assert type(system.sim) is Simulator
-
-    def test_env_override_wins_over_default(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "calendar")
-        assert repro.resolve_backend() == "calendar"
-        system = HadesSystem(node_ids=["n0"])
-        assert system.backend == "calendar"
-        assert type(system.sim) is CalendarSimulator
-
-    def test_explicit_argument_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "calendar")
-        assert repro.resolve_backend("heapq") == "heapq"
-        system = HadesSystem(node_ids=["n0"], backend="heapq")
-        assert system.backend == "heapq"
-        assert type(system.sim) is Simulator
-
-    def test_system_backend_passthrough(self):
-        system = HadesSystem(node_ids=["n0"], backend="calendar")
-        assert system.backend == "calendar"
-        assert type(system.sim) is CalendarSimulator
-        assert system.sim.backend == "calendar"
-
-    @pytest.mark.parametrize("bad", ["nope", "HEAPQ", "calender", ""])
-    def test_invalid_backend_name_raises_clear_error(self, bad):
-        with pytest.raises(ValueError) as excinfo:
-            HadesSystem(node_ids=["n0"], backend=bad)
-        message = str(excinfo.value)
-        assert repr(bad) in message
-        assert "heapq" in message and "calendar" in message
-        with pytest.raises(ValueError):
-            Simulator(backend=bad)
-
-    def test_invalid_env_value_names_the_variable(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "bogus")
-        with pytest.raises(ValueError) as excinfo:
-            HadesSystem(node_ids=["n0"])
-        assert BACKEND_ENV in str(excinfo.value)
-
-    @pytest.mark.parametrize("unset", ["", "   ", "\t", " \n "])
-    def test_empty_or_whitespace_env_means_unset(self, unset, monkeypatch):
-        # `REPRO_SIM_BACKEND= python ...` and stray whitespace must fall
-        # through to the default, not raise.
-        monkeypatch.setenv(BACKEND_ENV, unset)
-        assert repro.resolve_backend() == "heapq"
-        system = HadesSystem(node_ids=["n0"])
-        assert system.backend == "heapq"
-
-    def test_env_value_is_stripped(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "  calendar\n")
-        assert repro.resolve_backend() == "calendar"
-        assert type(HadesSystem(node_ids=["n0"]).sim) is CalendarSimulator
-
-    def test_misspelled_env_value_still_raises(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, " calender ")
-        with pytest.raises(ValueError) as excinfo:
-            repro.resolve_backend()
-        message = str(excinfo.value)
-        assert BACKEND_ENV in message and "'calender'" in message
+        assert not hasattr(system, "backend")
 
     def test_backends_behave_identically_through_facade(self):
+        # The heap engine and its test-local reference, driven through
+        # the facade alone.
         responses = {}
-        for backend in repro.available_backends():
-            system = repro.HadesSystem(node_ids=["n0"],
-                                       costs=repro.DispatcherCosts.zero(),
-                                       backend=backend)
+        for backend in BACKENDS:
+            with on_engine(backend):
+                system = repro.HadesSystem(
+                    node_ids=["n0"], costs=repro.DispatcherCosts.zero())
             task = repro.Task("t", deadline=1_000, node_id="n0")
             task.code_eu("a", wcet=10)
             inst = system.activate(task.validate())
@@ -169,11 +106,19 @@ class TestBackendSelection:
         assert set(responses.values()) == {10}
 
     def test_version_bumped_for_backend_surface(self):
-        # 4.0.0: RunOptions and scenario(), the second spelling of
-        # Scenario(), left the facade.
-        assert repro.__version__ == "4.0.0"
-        assert not hasattr(repro, "RunOptions")
-        assert not hasattr(repro, "scenario")
+        # 5.0.0: the backend selection (backend=, REPRO_SIM_BACKEND,
+        # available_backends, resolve_backend) and the generator
+        # processes left; 67 names remain.
+        assert repro.__version__ == "5.0.0"
+        assert len(repro.__all__) == 67
+        for name in ("available_backends", "resolve_backend",
+                     "RunOptions", "scenario"):
+            assert not hasattr(repro, name), name
+        with pytest.raises(TypeError):
+            HadesSystem(node_ids=["n0"], backend="heapq")
+        with pytest.raises(TypeError):
+            Simulator(backend="heapq")
+        assert not hasattr(Simulator(), "process")
 
 
 class TestResolveMetrics:

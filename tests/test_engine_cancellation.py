@@ -5,13 +5,20 @@ tombstone in the pending-event set that is *skipped at pop* (the set is
 never compacted eagerly), with time still advancing to the tombstone's
 scheduled instant — the exact observable behavior a stale-but-firing
 timer used to have.  The ``sim`` fixture (tests/conftest.py) runs every
-test here on every event-set backend.
+test here on the heap engine and on its reference.
 """
 
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
-from repro.sim.engine import Event, Process, Simulator, SimulationError, Timeout
+from repro.sim.engine import (
+    AnyOf,
+    Event,
+    SimulationError,
+    Timeout,
+    Timer,
+)
+from tests.conftest import ENGINES
 
 
 class TestCancelSemantics:
@@ -66,7 +73,7 @@ class TestCancelSemantics:
         assert sim.now == 35
 
     def test_cancelled_skips_counter(self, backend):
-        sim = Simulator(metrics=MetricsRegistry(), backend=backend)
+        sim = ENGINES[backend](metrics=MetricsRegistry())
         for _ in range(7):
             sim.timeout(3).cancel()
         sim.timeout(4)
@@ -89,7 +96,8 @@ class TestSlots:
     @pytest.mark.parametrize("make", [
         lambda sim: sim.event("e"),
         lambda sim: sim.timeout(1),
-        lambda sim: sim.process(iter(())),
+        lambda sim: sim.call_in(1, lambda: None),
+        lambda sim: sim.any_of([sim.timeout(1)]),
     ])
     def test_no_instance_dict(self, sim, make):
         obj = make(sim)
@@ -104,5 +112,5 @@ class TestSlots:
         assert timer.name == "custom"
 
     def test_event_classes_are_slotted(self):
-        for cls in (Event, Timeout, Process):
+        for cls in (Event, Timeout, Timer, AnyOf):
             assert "__slots__" in cls.__dict__

@@ -6,19 +6,12 @@ import random
 import pytest
 
 from repro.kernel import Compute, KThread, Node, Sleep, ThreadState
-from repro.sim import (
-    Interrupt,
-    Process,
-    ProcessKilled,
-    SimulationError,
-    Simulator,
-)
-from repro.sim.event_set import WHEEL_SPAN
+from repro.sim import SimulationError
 
-from tests.conftest import BACKENDS
+from tests.conftest import BACKENDS, ENGINES
 
 # The ``sim`` fixture comes from tests/conftest.py and parametrizes
-# every test here over all event-set backends.
+# every test here over the heap engine and its reference.
 
 
 class TestEngineEdges:
@@ -28,42 +21,6 @@ class TestEngineEdges:
         sim.call_in(5, lambda: bad.fail(RuntimeError("boom")))
         sim.run()
         assert combo.triggered and not combo.ok
-
-    def test_all_of_duplicate_events(self, sim):
-        shared = sim.timeout(10, value="v")
-        combo = sim.all_of([shared, shared])
-        sim.run()
-        assert combo.value == ["v", "v"]
-
-    def test_process_catches_kill_and_still_terminates(self, sim):
-        observed = []
-
-        def stubborn():
-            try:
-                yield sim.timeout(1_000)
-            except ProcessKilled:
-                observed.append("killed")
-                raise  # propagating ends the process successfully
-
-        proc = sim.process(stubborn())
-        sim.call_in(10, proc.kill)
-        sim.run()
-        assert observed == ["killed"]
-        assert proc.ok and proc.value is None
-
-    def test_interrupt_carries_cause_object(self, sim):
-        payload = {"reason": "mode switch"}
-
-        def sleeper():
-            try:
-                yield sim.timeout(500)
-            except Interrupt as intr:
-                return intr.cause
-
-        proc = sim.process(sleeper())
-        sim.call_in(5, lambda: proc.interrupt(payload))
-        sim.run()
-        assert proc.value is payload
 
     def test_run_until_event(self, sim):
         target = sim.timeout(300, value="hit")
@@ -247,13 +204,11 @@ class TestScheduledEventTriggering:
         assert sim.now == 100
 
     def test_process_waiting_on_timeout_unaffected(self, sim):
+        # A waiter on another timeout (a kernel thread blocked on it,
+        # say) does not notice the rejected trigger.
         log = []
-
-        def proc():
-            got = yield sim.timeout(30, value="tick")
-            log.append((sim.now, got))
-
-        sim.process(proc())
+        sim.timeout(30, value="tick").add_callback(
+            lambda evt: log.append((sim.now, evt.value)))
         timer = sim.timeout(5)
         with pytest.raises(SimulationError):
             timer.fail(RuntimeError("nope"))
@@ -261,16 +216,17 @@ class TestScheduledEventTriggering:
         assert log == [(30, "tick")]
 
 
-#: Delays on both sides of the calendar window edge, plus same-instant
-#: and far-future ones.
-DRAIN_DELAYS = (0, 0, 1, 3, WHEEL_SPAN - 1, WHEEL_SPAN, WHEEL_SPAN + 1, 200)
+#: Delays on both sides of 64 µs (the window edge of the calendar queue
+#: the engine once had), plus same-instant and far-future ones.
+DRAIN_DELAYS = (0, 0, 1, 3, 63, 64, 65, 200)
 
 
 def _drain_program(sim, seed):
     """A random schedule/cancel program with cascades.
 
-    Returns the dispatch log (filled as the program runs) and the
-    worker processes, which ``run(until_event=)`` drains towards.
+    Returns the dispatch log (filled as the program runs) and one
+    ``done`` event per timer chain, which ``run(until_event=)`` drains
+    towards.
     """
     rng = random.Random(seed)
     log = []
@@ -287,14 +243,26 @@ def _drain_program(sim, seed):
             if rng.random() < 0.25:
                 timer.cancel()
 
-    def worker(name):
-        for i in range(rng.randint(3, 12)):
-            if rng.random() < 0.4:
-                sim.timeout(rng.choice(DRAIN_DELAYS)).cancel()
-            yield sim.timeout(rng.choice(DRAIN_DELAYS))
-            log.append(("wake", sim.now, name, i))
+    def wait(name, i, steps, done):
+        if i == steps:
+            done.succeed(name)
+            return
+        if rng.random() < 0.4:
+            sim.timeout(rng.choice(DRAIN_DELAYS)).cancel()
+        sim.timeout(rng.choice(DRAIN_DELAYS)).add_callback(
+            lambda evt: wake(name, i, steps, done))
 
-    workers = [sim.process(worker(f"p{k}")) for k in range(rng.randint(2, 4))]
+    def wake(name, i, steps, done):
+        log.append(("wake", sim.now, name, i))
+        wait(name, i + 1, steps, done)
+
+    workers = []
+    for k in range(rng.randint(2, 4)):
+        done = sim.event(f"p{k} done")
+        steps = rng.randint(3, 12)
+        sim.call_in(0, lambda k=k, steps=steps, done=done:
+                    wait(f"p{k}", 0, steps, done))
+        workers.append(done)
     for k in range(rng.randint(3, 8)):
         sim.call_at(rng.randint(0, 300), lambda k=k: fire(f"root{k}"))
     return log, workers
@@ -305,7 +273,7 @@ def _drain_by_run(sim, workers):
 
 
 def _drain_in_slices(sim, workers):
-    widths = itertools.cycle((1, 7, WHEEL_SPAN, 150))
+    widths = itertools.cycle((1, 7, 64, 150))
     while sim.next_event_time() is not None:
         sim.run(until=sim.now + next(widths))
 
@@ -330,15 +298,16 @@ DRAINS = {
 
 
 class TestDrainModes:
-    """Every way of draining the schedule, on every backend, dispatches
-    the same entries in the same order and counts them alike."""
+    """Every way of draining the schedule, on the heap engine and on
+    its reference, dispatches the entries the reference's unbounded
+    run dispatches, in its order, and counts them alike."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_drain_modes_agree(self, seed):
         outcomes = {}
         for backend in BACKENDS:
             for mode, drain in DRAINS.items():
-                sim = Simulator(metrics=True, backend=backend)
+                sim = ENGINES[backend](metrics=True)
                 log, workers = _drain_program(sim, seed)
                 drain(sim, workers)
                 assert sim.pending == 0
@@ -346,14 +315,14 @@ class TestDrainModes:
                 outcomes[backend, mode] = (
                     log, counter("engine.events_fired").value,
                     counter("engine.cancelled_skips").value)
-        reference = outcomes[BACKENDS[0], "run"]
-        assert len(reference[0]) > 100 and reference[2] > 0
+        expected = outcomes["calendar", "run"]
+        assert len(expected[0]) > 100 and expected[2] > 0
         for key, outcome in outcomes.items():
-            assert outcome == reference, key
+            assert outcome == expected, key
 
     @pytest.mark.parametrize("bounded", [False, True])
     def test_raising_callback_is_counted(self, backend, bounded):
-        sim = Simulator(metrics=True, backend=backend)
+        sim = ENGINES[backend](metrics=True)
 
         def boom():
             raise RuntimeError("boom")

@@ -17,7 +17,7 @@ from repro.core.heug import Task
 from repro.scenarios import LogNormalService, Scoreboard, TenantSLO
 from repro.services.modes import ModeManager
 from repro.sim.trace import load_trace
-from tests.conftest import BACKENDS
+from tests.conftest import BACKENDS, on_engine
 
 
 class TestExactQuantile:
@@ -206,7 +206,8 @@ class TestLiveScoring:
     def test_live_equals_replay_of_the_export(self, shape, backend,
                                               tmp_path):
         build, horizon = LIVE_SHAPES[shape]
-        result = build().options(backend=backend).run(until=horizon)
+        with on_engine(backend):
+            result = build().run(until=horizon)
         path = tmp_path / "trace.jsonl"
         result.system.tracer.to_jsonl(str(path))
         board = result.scoreboard

@@ -3,21 +3,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim import (
-    AllOf,
-    AnyOf,
-    Event,
-    Interrupt,
-    Process,
-    SimulationError,
-    Simulator,
-    Timeout,
-    Tracer,
-)
-from tests.conftest import BACKENDS
+from repro.sim import SimulationError, Simulator, Timeout, Tracer
+from tests.conftest import BACKENDS, ENGINES
 
 # The ``sim`` fixture comes from tests/conftest.py and parametrizes
-# every test here over all event-set backends.
+# every test here over the heap engine and its reference.
 
 
 class TestEvent:
@@ -153,7 +143,7 @@ TIMER_OPS = st.lists(
 def run_timer_program(backend, ops, call_in, call_at):
     """Run ``ops`` through one pair of timer functions; returns the
     firing log and every timer's (triggered, cancelled, value)."""
-    sim = Simulator(backend=backend)
+    sim = ENGINES[backend]()
     log = []
     timers = []
 
@@ -229,166 +219,7 @@ class TestTimerDifferential:
         assert seen == [5] and timer.triggered and timer.value is None
 
 
-class TestProcess:
-    def test_process_runs_and_returns(self, sim):
-        def worker():
-            yield sim.timeout(10)
-            yield sim.timeout(5)
-            return "done"
-
-        proc = sim.process(worker())
-        sim.run()
-        assert proc.triggered
-        assert proc.value == "done"
-        assert sim.now == 15
-
-    def test_process_receives_event_values(self, sim):
-        def worker():
-            got = yield sim.timeout(1, value="hello")
-            return got
-
-        proc = sim.process(worker())
-        sim.run()
-        assert proc.value == "hello"
-
-    def test_processes_wait_for_each_other(self, sim):
-        def child():
-            yield sim.timeout(30)
-            return 99
-
-        def parent():
-            result = yield sim.process(child())
-            return result + 1
-
-        proc = sim.process(parent())
-        sim.run()
-        assert proc.value == 100
-
-    def test_process_exception_propagates_to_waiter(self, sim):
-        def child():
-            yield sim.timeout(1)
-            raise RuntimeError("child died")
-
-        def parent():
-            try:
-                yield sim.process(child())
-            except RuntimeError as err:
-                return f"caught: {err}"
-
-        proc = sim.process(parent())
-        sim.run()
-        assert proc.value == "caught: child died"
-
-    def test_interrupt_is_raised_at_yield_point(self, sim):
-        def sleeper():
-            try:
-                yield sim.timeout(1000)
-            except Interrupt as intr:
-                return ("interrupted", intr.cause, sim.now)
-            return "slept"
-
-        proc = sim.process(sleeper())
-        sim.call_in(10, lambda: proc.interrupt("wakeup"))
-        sim.run()
-        assert proc.value == ("interrupted", "wakeup", 10)
-
-    def test_interrupted_process_stops_waiting_on_old_event(self, sim):
-        resumed = []
-
-        def sleeper():
-            try:
-                yield sim.timeout(50)
-            except Interrupt:
-                pass
-            yield sim.timeout(100)
-            resumed.append(sim.now)
-
-        proc = sim.process(sleeper())
-        sim.call_in(10, lambda: proc.interrupt())
-        sim.run()
-        # 10 (interrupt) + 100 — the old timeout at t=50 must not resume it.
-        assert resumed == [110]
-        assert proc.alive is False
-
-    def test_kill_terminates_quietly(self, sim):
-        steps = []
-
-        def worker():
-            steps.append("a")
-            yield sim.timeout(100)
-            steps.append("b")
-
-        proc = sim.process(worker())
-        sim.call_in(5, proc.kill)
-        sim.run()
-        assert steps == ["a"]
-        assert proc.triggered
-        assert proc.ok
-        assert proc.value is None
-
-    def test_kill_dead_process_is_noop(self, sim):
-        def worker():
-            yield sim.timeout(1)
-
-        proc = sim.process(worker())
-        sim.run()
-        proc.kill()  # must not raise
-        assert not proc.alive
-
-    def test_interrupt_dead_process_is_error(self, sim):
-        def worker():
-            yield sim.timeout(1)
-
-        proc = sim.process(worker())
-        sim.run()
-        with pytest.raises(SimulationError):
-            proc.interrupt()
-
-    def test_yielding_non_event_fails_process(self, sim):
-        def worker():
-            yield 42
-
-        proc = sim.process(worker())
-        sim.run()
-        assert proc.triggered
-        assert not proc.ok
-
-    def test_creator_continues_before_new_process_starts(self, sim):
-        order = []
-
-        def child():
-            order.append("child")
-            yield sim.timeout(0)
-
-        def parent():
-            sim.process(child())
-            order.append("parent-after-spawn")
-            yield sim.timeout(0)
-
-        sim.process(parent())
-        sim.run()
-        assert order[0] == "parent-after-spawn"
-
-
 class TestCombinators:
-    def test_all_of_collects_values(self, sim):
-        combo = sim.all_of([sim.timeout(10, "a"), sim.timeout(5, "b")])
-        sim.run()
-        assert combo.value == ["a", "b"]
-        assert sim.now == 10
-
-    def test_all_of_empty_succeeds_immediately(self, sim):
-        combo = sim.all_of([])
-        assert combo.triggered
-
-    def test_all_of_fails_fast(self, sim):
-        bad = sim.event()
-        combo = sim.all_of([sim.timeout(100), bad])
-        sim.call_in(5, lambda: bad.fail(RuntimeError("x")))
-        sim.run()
-        assert combo.triggered
-        assert not combo.ok
-
     def test_any_of_first_wins(self, sim):
         combo = sim.any_of([sim.timeout(10, "slow"), sim.timeout(2, "fast")])
         sim.run()
@@ -408,17 +239,21 @@ class TestDeterminism:
             import random
             rng = random.Random(1234)
 
-            def worker(name):
-                for _ in range(5):
-                    yield sim.timeout(rng.randrange(1, 100))
-                    tracer.record("test", "step", who=name)
+            def step(name, left):
+                tracer.record("test", "step", who=name)
+                if left > 1:
+                    sim.call_in(rng.randrange(1, 100),
+                                lambda: step(name, left - 1))
 
             for n in range(4):
-                sim.process(worker(f"w{n}"))
+                sim.call_in(rng.randrange(1, 100),
+                            lambda n=n: step(f"w{n}", 5))
             sim.run()
             return [(r.time, r.details["who"]) for r in tracer]
 
-        assert build_and_run() == build_and_run()
+        trace = build_and_run()
+        assert len(trace) == 20
+        assert trace == build_and_run()
 
 
 class TestTracer:

@@ -9,15 +9,17 @@ export byte-identical JSONL traces and equal metric reports.
 from repro.core import DispatcherCosts, EUAttributes, Periodic, Task
 from repro.faults.plan import random_plan
 from repro.system import HadesSystem
+from tests.conftest import BACKENDS, on_engine
 
 HORIZON = 300_000
 NODES = ["n0", "n1", "n2"]
 
 
-def run_scenario(jsonl_path, backend=None):
-    system = HadesSystem(node_ids=NODES, costs=DispatcherCosts.zero(),
-                         network_jitter=25, seed=7, metrics=True,
-                         on_deadline_miss="record", backend=backend)
+def run_scenario(jsonl_path, backend="heapq"):
+    with on_engine(backend):
+        system = HadesSystem(node_ids=NODES, costs=DispatcherCosts.zero(),
+                             network_jitter=25, seed=7, metrics=True,
+                             on_deadline_miss="record")
     for i, node_id in enumerate(NODES):
         task = Task(f"pipe{i}", deadline=60_000,
                     arrival=Periodic(period=40_000, phase=i * 3_000))
@@ -49,10 +51,8 @@ def test_two_runs_export_identical_jsonl(tmp_path, backend):
 
 
 def test_export_identical_across_backends(tmp_path):
-    """The trace contract holds *across* event-set backends, byte for
-    byte — the property the swappable engine core rests on."""
-    from tests.conftest import BACKENDS
-
+    """The trace contract holds *across* engines, byte for byte: the
+    heap engine exports what its test-local reference exports."""
     exports = {}
     for backend in BACKENDS:
         path = tmp_path / f"{backend}.jsonl"

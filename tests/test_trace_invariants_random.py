@@ -28,6 +28,7 @@ import pytest
 from repro.core import DispatcherCosts, EUAttributes, Sporadic, Task
 from repro.core.monitoring import ViolationKind
 from repro.system import HadesSystem
+from tests.conftest import BACKENDS, on_engine
 
 NODES = ("n0", "n1")
 SEEDS = list(range(24))
@@ -35,12 +36,13 @@ SEEDS = list(range(24))
 IRQ_PRIO = 1_000  # PRIO_MAX: kernel interrupt handlers
 
 
-def build_workload(seed, backend=None):
+def build_workload(seed, backend="heapq"):
     """Random DAG tasks + one guaranteed-miss task (+ sporadic abuse)."""
     rng = random.Random(seed)
-    system = HadesSystem(node_ids=list(NODES), costs=DispatcherCosts.zero(),
-                         metrics=True, on_deadline_miss="record",
-                         backend=backend)
+    with on_engine(backend):
+        system = HadesSystem(node_ids=list(NODES),
+                             costs=DispatcherCosts.zero(), metrics=True,
+                             on_deadline_miss="record")
     tasks = []
     prios = list(range(10, 60))
     rng.shuffle(prios)
@@ -226,11 +228,9 @@ def test_trace_replay_invariants(seed, backend):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_trace_identical_across_backends(seed):
-    """Cross-backend determinism: every seed's full trace (records and
-    details) and metric report must agree between the heapq reference
-    and every other event-set backend."""
-    from tests.conftest import BACKENDS
-
+    """Engine against reference: every seed's full trace (records and
+    details) and metric report must agree between the heap engine and
+    its test-local reference."""
     captured = {}
     for backend in BACKENDS:
         system, *_ = build_workload(seed, backend=backend)
@@ -242,4 +242,4 @@ def test_trace_identical_across_backends(seed):
     assert len(captured[reference][0]) > 50
     for backend in BACKENDS[1:]:
         assert captured[backend] == captured[reference], \
-            f"seed {seed}: backend {backend} diverges from {reference}"
+            f"seed {seed}: engine {backend} diverges from {reference}"
