@@ -48,7 +48,9 @@ Every deployment runs on one event core, the binary-heap
 :class:`~repro.sim.engine.Simulator`; since 5.0.0 there is no engine
 to select.  Simulated activities are kernel threads
 (:meth:`~repro.kernel.node.Node.spawn`) or ``Simulator.call_in``
-callbacks.
+callbacks.  Since 6.0.0 every trace record is one
+:class:`~repro.sim.trace.TraceRecord` in a layout of
+``repro.sim.trace.LAYOUTS``, built by the tracer or ``read_jsonl``.
 
 Deeper layers remain importable for research use:
 
@@ -138,7 +140,7 @@ from repro.sim.trace import Tracer, TraceRecord, load_trace
 from repro.system import HadesSystem
 from repro.workloads.arrivals import diurnal_profile, nhpp_arrivals
 
-__version__ = "5.0.0"
+__version__ = "6.0.0"
 
 __all__ = [
     # deployment facade

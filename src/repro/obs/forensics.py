@@ -10,10 +10,10 @@ the trace alone:
   preempted critical-path EUs, the resource holders that blocked them,
   and the links whose messages arrived late (or not at all).
 
-When the live :class:`~repro.sim.trace.Tracer` is available the report
-also scopes each miss to its busy period via the index-assisted
-time-window query ``tracer.select(..., t_min=, t_max=)``, counting the
-competing activations and preemptions inside the miss window.
+The report also scopes each miss to its busy period: it counts the
+competing activations and preemptions inside the miss window by
+bisecting the sorted times the span forest keeps of them, so a live
+tracer, a record iterable and a JSONL file give the same report.
 
 Everything is deterministic: identical traces produce byte-identical
 reports.
@@ -21,6 +21,7 @@ reports.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -34,7 +35,6 @@ from repro.obs.spans import (
     decompose,
     reconstruct,
 )
-from repro.sim.trace import Tracer
 
 __all__ = ["Contributor", "MissReport", "analyze_miss", "forensics_report"]
 
@@ -187,8 +187,13 @@ def _stall_blame(activation: ActivationSpan) -> List[Contributor]:
     return out
 
 
-def analyze_miss(forest: SpanForest, activation: ActivationSpan,
-                 tracer: Optional[Tracer] = None) -> MissReport:
+def _count_in(times: List[int], t0: int, t1: int) -> int:
+    """How many of the sorted ``times`` lie in ``[t0, t1]``."""
+    return bisect_right(times, t1) - bisect_left(times, t0)
+
+
+def analyze_miss(forest: SpanForest,
+                 activation: ActivationSpan) -> MissReport:
     """Full forensic work-up of one missed activation."""
     path = critical_path(activation)
     dec = decompose(activation, path)
@@ -209,16 +214,14 @@ def analyze_miss(forest: SpanForest, activation: ActivationSpan,
     contributors.sort(key=lambda c: (-c.amount, c.kind, c.name))
     report.contributors = contributors
 
-    if tracer is not None and activation.activation_time is not None:
-        # Index-assisted busy-period scoping: everything that competed
-        # inside the miss window, via the time-window select().
+    if activation.activation_time is not None:
+        # Busy-period scoping: everything that competed inside the miss
+        # window, both ends included.
         t0 = activation.activation_time
         t1 = (activation.finish_time if activation.finish_time is not None
               else forest.t_end)
-        report.busy_preemptions = len(
-            tracer.select("cpu", "preempt", t_min=t0, t_max=t1))
-        report.busy_activations = len(
-            tracer.select("dispatcher", "activate", t_min=t0, t_max=t1))
+        report.busy_preemptions = _count_in(forest.preempt_times, t0, t1)
+        report.busy_activations = _count_in(forest.activate_times, t0, t1)
     return report
 
 
@@ -251,11 +254,9 @@ def forensics_report(source: TraceSource,
     """Deterministic plain-text deadline-miss report.
 
     ``source`` may be a Tracer, a record iterable, or a JSONL path;
-    pass ``forest`` to reuse an already-reconstructed forest.  When
-    ``source`` is a live Tracer its time-window indexes are used for
-    busy-period scoping.
+    pass ``forest`` to reuse an already-reconstructed forest.  Every
+    source of the same records gives the same report.
     """
-    tracer = source if isinstance(source, Tracer) else None
     if forest is None:
         forest = reconstruct(source)
     activations = list(forest.activations.values())
@@ -302,7 +303,7 @@ def forensics_report(source: TraceSource,
         return "\n".join(lines) + "\n"
 
     for activation in misses:
-        report = analyze_miss(forest, activation, tracer)
+        report = analyze_miss(forest, activation)
         head = f"MISS {activation.activation_id}"
         if forest.has_admission:
             # A guaranteed-then-missed activation is an admission-test

@@ -42,10 +42,11 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from heapq import merge
+from itertools import islice
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.sim.trace import (FIELD_SLOTS, LAYOUTS, FixedRecord, Record,
-                             Tracer, layout, read_jsonl)
+from repro.sim.trace import (LAYOUTS, TraceRecord, Tracer, layout,
+                             read_jsonl)
 
 __all__ = [
     "Segment",
@@ -324,6 +325,10 @@ class SpanForest:
         #: live-monitor alert transitions (and the reconfigurations
         #: they triggered), in trace order.
         self.alerts: List[AlertEvent] = []
+        #: the times of every ``dispatcher/activate`` and ``cpu/preempt``
+        #: record, sorted, so a time window is found by bisection.
+        self.activate_times: List[int] = []
+        self.preempt_times: List[int] = []
 
     @property
     def has_admission(self) -> bool:
@@ -392,33 +397,22 @@ class SpanForest:
 # Reconstruction (single pass)
 # ---------------------------------------------------------------------------
 
-TraceSource = Union[Tracer, str, Iterable[Record]]
+TraceSource = Union[Tracer, str, Iterable[TraceRecord]]
 
 
-class _Fields:
-    """A record of a declared key stored with its dict, read as a
-    :class:`~repro.sim.trace.FixedRecord`: the field slots hold the
-    details of the key's longest layout's fields (``None`` if absent)."""
-
-    __slots__ = FIELD_SLOTS + ("details",)
-
-    def __init__(self, details: Dict[str, Any],
-                 fields: Tuple[str, ...]) -> None:
-        self.details = details
-        values = [details.get(name) for name in fields]
-        values += [None] * (len(FIELD_SLOTS) - len(values))
-        for slot, value in zip(FIELD_SLOTS, values):
-            setattr(self, slot, value)
+def _fields_after(record: TraceRecord, count: int) -> Dict[str, Any]:
+    """The record's fields after its first ``count``, as a dict."""
+    return dict(islice(record.details.items(), count, None))
 
 
 class _Builder:
     """Single-pass state machine folding records into a SpanForest.
 
-    The handlers of the declared keys (:data:`repro.sim.trace.LAYOUTS`)
-    read a fixed-layout record's field slots, so no details dict is
-    built for them; the comment under each names its fields, optional
-    trailing ones in brackets (their slots hold ``None`` when absent).
-    The other handlers read the details dict.
+    Each handler reads its record's field slots in the key's declared
+    layout (:data:`repro.sim.trace.LAYOUTS`); the comment under each
+    names its fields, optional trailing ones in brackets (their slots
+    hold ``None`` when absent).  Only a rare record whose optional
+    fields become a segment's or an event's detail builds a dict.
     """
 
     def __init__(self) -> None:
@@ -481,36 +475,27 @@ class _Builder:
 
     # -- record handlers -------------------------------------------------
 
-    def feed(self, rec: Record) -> None:
+    def feed(self, rec: TraceRecord) -> None:
         time = rec.time
         if time > self.forest.t_end:
             self.forest.t_end = time
-        if rec.__class__ is FixedRecord:
-            handler = self._BY_LAYOUT.get(rec.layout)
-            if handler is not None:
-                handler(self, time, rec)
-            return
-        key = (rec.category, rec.event)
-        handler = self._HANDLERS.get(key)
+        handler = self._BY_LAYOUT.get(rec.layout)
         if handler is not None:
-            handler(self, time, rec.details)
-        elif key in self._FIELD_HANDLERS:
-            self._FIELD_HANDLERS[key](self, time,
-                                      _Fields(rec.details, LAYOUTS[key][-1]))
+            handler(self, time, rec)
 
-    def _on_activate(self, time: int, r: Any) -> None:
+    def _on_activate(self, time: int, r: TraceRecord) -> None:
         # task seq activation_id deadline
         span = self._activation(r.f2)
         span.activation_time = time
         span.deadline = r.f3
+        self.forest.activate_times.append(time)
 
-    def _on_eu_blocked(self, time: int, d: dict) -> None:
-        span = self._eu_span(d["eu"])
-        cause = d["cause"]
-        detail = {k: v for k, v in d.items() if k not in ("eu", "cause")}
-        span.open_segment(f"blocked:{cause}", time, **detail)
+    def _on_eu_blocked(self, time: int, r: TraceRecord) -> None:
+        # eu cause [condvars | until | resource holders]
+        span = self._eu_span(r.f0)
+        span.open_segment(f"blocked:{r.f1}", time, **_fields_after(r, 2))
 
-    def _on_thread_start(self, time: int, r: Any) -> None:
+    def _on_thread_start(self, time: int, r: TraceRecord) -> None:
         # eu node priority [engine]
         span = self._eu_span(r.f0)
         node = span.node = r.f1
@@ -522,7 +507,7 @@ class _Builder:
         span.open_segment("ready", time)
         self._threads[span.qualified_name] = span
 
-    def _on_eu_done(self, time: int, r: Any) -> None:
+    def _on_eu_done(self, time: int, r: TraceRecord) -> None:
         # eu
         span = self._eu_span(r.f0)
         span.close_segment(time)
@@ -530,20 +515,22 @@ class _Builder:
         self._threads.pop(span.qualified_name, None)
         self._threads.pop("inv:" + span.qualified_name, None)
 
-    def _on_inv_done(self, time: int, d: dict) -> None:
-        span = self._eu_span(d["eu"], kind="inv")
+    def _on_inv_done(self, time: int, r: TraceRecord) -> None:
+        # eu
+        span = self._eu_span(r.f0, kind="inv")
         span.kind = "inv"
         span.close_segment(time)
         span.finish_time = time
         self._threads.pop("inv:" + span.qualified_name, None)
 
-    def _on_eu_error(self, time: int, d: dict) -> None:
-        span = self._eu_span(d["eu"])
+    def _on_eu_error(self, time: int, r: TraceRecord) -> None:
+        # eu
+        span = self._eu_span(r.f0)
         span.close_segment(time)
         span.error = True
         span.finish_time = time
 
-    def _on_edge_satisfied(self, time: int, r: Any) -> None:
+    def _on_edge_satisfied(self, time: int, r: TraceRecord) -> None:
         # activation_id edge src dst remaining
         activation_id, index = r.f0, r.f1
         activation = self._activation(activation_id)
@@ -557,7 +544,7 @@ class _Builder:
         if key in self._pending_remote:
             info.send_requested = self._pending_remote.pop(key)
 
-    def _on_remote_edge_sent(self, time: int, r: Any) -> None:
+    def _on_remote_edge_sent(self, time: int, r: TraceRecord) -> None:
         # eu dst activation_id edge
         activation_id, index = r.f2, r.f3
         self._pending_remote[(activation_id, index)] = time
@@ -565,7 +552,7 @@ class _Builder:
         if index in activation.edges:
             activation.edges[index].send_requested = time
 
-    def _on_instance_done(self, time: int, r: Any) -> None:
+    def _on_instance_done(self, time: int, r: TraceRecord) -> None:
         # task seq activation_id response missed
         span = self._activation(r.f2)
         span.finish_time = time
@@ -574,22 +561,24 @@ class _Builder:
         for eu in span.eus.values():
             eu.close_segment(time)
 
-    def _on_instance_abort(self, time: int, d: dict) -> None:
-        span = self._activation(d["activation_id"])
+    def _on_instance_abort(self, time: int, r: TraceRecord) -> None:
+        # task seq activation_id reason
+        span = self._activation(r.f2)
         span.aborted = True
-        span.abort_reason = d.get("reason")
+        span.abort_reason = r.f3
         for eu in span.eus.values():
             eu.close_segment(time)
             self._threads.pop(eu.qualified_name, None)
             self._threads.pop("inv:" + eu.qualified_name, None)
 
-    def _on_deadline_miss(self, time: int, d: dict) -> None:
-        span = self._activation(d["activation_id"])
+    def _on_deadline_miss(self, time: int, r: TraceRecord) -> None:
+        # task seq activation_id deadline remaining_eus
+        span = self._activation(r.f2)
         span.missed = True
         span.miss_detected_at = time
-        span.remaining_at_miss = d.get("remaining_eus")
+        span.remaining_at_miss = r.f4
 
-    def _on_dispatch(self, time: int, r: Any) -> None:
+    def _on_dispatch(self, time: int, r: TraceRecord) -> None:
         # node thread remaining priority [engine]
         node, thread = r.f0, r.f1
         engine = "cpu" if r.f4 is None else r.f4
@@ -603,15 +592,16 @@ class _Builder:
                 span.first_run = time
             span.open_segment("running", time)
 
-    def _on_preempt(self, time: int, r: Any) -> None:
+    def _on_preempt(self, time: int, r: TraceRecord) -> None:
         # node thread by by_priority [engine]
+        self.forest.preempt_times.append(time)
         self._close_slice(r.f0, "cpu" if r.f4 is None else r.f4, time)
         span = self._eu_for_thread(r.f1)
         if span is not None:
             span.open_segment("preempted", time, by=r.f2,
                               by_priority=r.f3)
 
-    def _on_complete(self, time: int, r: Any) -> None:
+    def _on_complete(self, time: int, r: TraceRecord) -> None:
         # node thread [engine]
         self._close_slice(r.f0, "cpu" if r.f2 is None else r.f2, time)
         span = self._eu_for_thread(r.f1)
@@ -620,22 +610,20 @@ class _Builder:
             # (re-dispatch), a block, or eu_done — all close this.
             span.open_segment("ready", time)
 
-    def _on_withdraw(self, time: int, r: Any) -> None:
+    def _on_withdraw(self, time: int, r: TraceRecord) -> None:
         # node thread [engine]
         self._close_slice(r.f0, "cpu" if r.f2 is None else r.f2, time)
         span = self._eu_for_thread(r.f1)
         if span is not None:
             span.open_segment("waiting:withdrawn", time)
 
-    def _on_thread_block(self, time: int, r: Any) -> None:
+    def _on_thread_block(self, time: int, r: TraceRecord) -> None:
         # node thread reason (delay | target)
         span = self._eu_for_thread(r.f1)
         if span is not None:
-            detail = {k: v for k, v in r.details.items()
-                      if k not in ("node", "thread", "reason")}
-            span.open_segment(f"waiting:{r.f2}", time, **detail)
+            span.open_segment(f"waiting:{r.f2}", time, **_fields_after(r, 3))
 
-    def _on_send(self, time: int, r: Any) -> None:
+    def _on_send(self, time: int, r: TraceRecord) -> None:
         # link msg kind size [activation_id [edge]]
         msg = MessageSpan(norm_id=len(self.forest.messages) + 1,
                           raw_id=r.f1, link=r.f0, kind=r.f2, size=r.f3,
@@ -657,7 +645,7 @@ class _Builder:
             if edge.message is None:
                 edge.message = msg
 
-    def _on_deliver(self, time: int, r: Any) -> None:
+    def _on_deliver(self, time: int, r: TraceRecord) -> None:
         # link msg kind latency outcome bound
         msg = self._in_flight.pop((r.f0, r.f1), None)
         if msg is None:
@@ -668,79 +656,59 @@ class _Builder:
         msg.bound = r.f5
         self._attach_edge_message(msg)
 
-    def _on_drop(self, time: int, d: dict) -> None:
-        msg = self._in_flight.pop((d["link"], d["msg"]), None)
+    def _on_drop(self, time: int, r: TraceRecord) -> None:
+        # link msg reason
+        msg = self._in_flight.pop((r.f0, r.f1), None)
         if msg is None:
             return
         msg.outcome = "dropped"
-        msg.drop_reason = d.get("reason")
+        msg.drop_reason = r.f2
 
-    def _on_dst_crashed(self, time: int, d: dict) -> None:
-        msg = self._in_flight.pop((d["link"], d["msg"]), None)
+    def _on_dst_crashed(self, time: int, r: TraceRecord) -> None:
+        # link msg kind
+        msg = self._in_flight.pop((r.f0, r.f1), None)
         if msg is None:
             return
         msg.deliver_time = time
         msg.outcome = "dst_crashed"
 
-    def _admission_event(self, time: int, event: str, d: dict) -> None:
-        detail = {k: v for k, v in d.items() if k not in ("node", "task")}
+    def _on_admission_event(self, time: int, r: TraceRecord) -> None:
+        # node task ...: a decision that released no work, or degrade
         self.forest.admission_events.append(AdmissionEvent(
-            time, event, d.get("task", ""), d.get("node"), detail))
-        if d.get("node"):
-            self._note_node(d["node"])
+            time, r.event, r.f1, r.f0, _fields_after(r, 2)))
+        if r.f0:
+            self._note_node(r.f0)
 
-    def _on_admission_submit(self, time: int, d: dict) -> None:
+    def _on_admission_submit(self, time: int, r: TraceRecord) -> None:
+        # node task value [origin]
         self.forest.admission_submits += 1
-        if d.get("node"):
-            self._note_node(d["node"])
+        if r.f0:
+            self._note_node(r.f0)
 
-    def _on_admission_admit(self, time: int, d: dict) -> None:
+    def _on_admission_admit(self, time: int, r: TraceRecord) -> None:
+        # node task value activation_id
         self.forest.admission_admits += 1
-        if d.get("node"):
-            self._note_node(d["node"])
-        activation_id = d.get("activation_id")
-        if activation_id:
-            self._activation(activation_id).admitted = True
+        if r.f0:
+            self._note_node(r.f0)
+        if r.f3:
+            self._activation(r.f3).admitted = True
 
-    def _on_admission_reject(self, time: int, d: dict) -> None:
-        self._admission_event(time, "reject", d)
+    def _alert_event(self, time: int, event: str, node: Optional[str],
+                     tenant: str, rule: str, detail: Dict[str, Any]) -> None:
+        self.forest.alerts.append(AlertEvent(time, event, tenant, rule,
+                                             node, detail))
+        if node:
+            self._note_node(node)
 
-    def _on_admission_shed(self, time: int, d: dict) -> None:
-        self._admission_event(time, "shed", d)
+    def _on_alert(self, time: int, r: TraceRecord) -> None:
+        # node tenant rule burn_fast_milli burn_slow_milli ...
+        self._alert_event(time, r.event, r.f0, r.f1, r.f2,
+                          _fields_after(r, 3))
 
-    def _on_admission_skip(self, time: int, d: dict) -> None:
-        self._admission_event(time, "skip", d)
-
-    def _on_admission_forward(self, time: int, d: dict) -> None:
-        self._admission_event(time, "forward", d)
-
-    def _on_admission_forward_result(self, time: int, d: dict) -> None:
-        self._admission_event(time, "forward_result", d)
-
-    def _on_admission_forward_timeout(self, time: int, d: dict) -> None:
-        self._admission_event(time, "forward_timeout", d)
-
-    def _on_admission_degrade(self, time: int, d: dict) -> None:
-        self._admission_event(time, "degrade", d)
-
-    def _alert_event(self, time: int, event: str, d: dict) -> None:
-        detail = {k: v for k, v in d.items()
-                  if k not in ("node", "tenant", "rule")}
-        self.forest.alerts.append(AlertEvent(
-            time, event, d.get("tenant", ""), d.get("rule", ""),
-            d.get("node"), detail))
-        if d.get("node"):
-            self._note_node(d["node"])
-
-    def _on_alert_raise(self, time: int, d: dict) -> None:
-        self._alert_event(time, "raise", d)
-
-    def _on_alert_clear(self, time: int, d: dict) -> None:
-        self._alert_event(time, "clear", d)
-
-    def _on_admission_reconfigure(self, time: int, d: dict) -> None:
-        self._alert_event(time, "reconfigure",
-                          {**d, "rule": d.get("trigger", "")})
+    def _on_admission_reconfigure(self, time: int, r: TraceRecord) -> None:
+        # node trigger (from_policy to_policy | from_test to_test)+
+        self._alert_event(time, "reconfigure", r.f0, "", r.f1,
+                          _fields_after(r, 1))
 
     def _close_slice(self, node: str, engine: str, time: int) -> None:
         open_slice = self._open_slice.pop((node, engine), None)
@@ -760,16 +728,24 @@ class _Builder:
         # Edge messages whose edge_satisfied arrived after the send.
         for msg in self.forest.messages:
             self._attach_edge_message(msg)
+        # Already sorted unless the trace's times go back somewhere.
+        self.forest.activate_times.sort()
+        self.forest.preempt_times.sort()
         return self.forest
 
-    #: Handlers of declared keys, reading the field slots.
-    _FIELD_HANDLERS = {
+    #: The handler of each key the forest is built from.
+    _HANDLERS = {
         ("dispatcher", "activate"): _on_activate,
         ("dispatcher", "thread_start"): _on_thread_start,
         ("dispatcher", "eu_done"): _on_eu_done,
         ("dispatcher", "edge_satisfied"): _on_edge_satisfied,
         ("dispatcher", "remote_edge_sent"): _on_remote_edge_sent,
         ("dispatcher", "instance_done"): _on_instance_done,
+        ("dispatcher", "eu_blocked"): _on_eu_blocked,
+        ("dispatcher", "inv_done"): _on_inv_done,
+        ("dispatcher", "eu_error"): _on_eu_error,
+        ("dispatcher", "instance_abort"): _on_instance_abort,
+        ("dispatcher", "deadline_miss"): _on_deadline_miss,
         ("cpu", "dispatch"): _on_dispatch,
         ("cpu", "preempt"): _on_preempt,
         ("cpu", "complete"): _on_complete,
@@ -777,33 +753,25 @@ class _Builder:
         ("thread", "block"): _on_thread_block,
         ("network", "send"): _on_send,
         ("network", "deliver"): _on_deliver,
-    }
-    #: The same handlers, by declared layout.
-    _BY_LAYOUT = {layout(*key, *fields): handler
-                  for key, handler in _FIELD_HANDLERS.items()
-                  for fields in LAYOUTS[key]}
-    #: Handlers of the other keys, reading the details dict.
-    _HANDLERS = {
-        ("dispatcher", "eu_blocked"): _on_eu_blocked,
-        ("dispatcher", "inv_done"): _on_inv_done,
-        ("dispatcher", "eu_error"): _on_eu_error,
-        ("dispatcher", "instance_abort"): _on_instance_abort,
-        ("dispatcher", "deadline_miss"): _on_deadline_miss,
         ("network", "drop"): _on_drop,
         ("network", "dst_crashed"): _on_dst_crashed,
         ("admission", "submit"): _on_admission_submit,
         ("admission", "admit"): _on_admission_admit,
-        ("admission", "reject"): _on_admission_reject,
-        ("admission", "shed"): _on_admission_shed,
-        ("admission", "skip"): _on_admission_skip,
-        ("admission", "forward"): _on_admission_forward,
-        ("admission", "forward_result"): _on_admission_forward_result,
-        ("admission", "forward_timeout"): _on_admission_forward_timeout,
-        ("admission", "degrade"): _on_admission_degrade,
+        ("admission", "reject"): _on_admission_event,
+        ("admission", "shed"): _on_admission_event,
+        ("admission", "skip"): _on_admission_event,
+        ("admission", "forward"): _on_admission_event,
+        ("admission", "forward_result"): _on_admission_event,
+        ("admission", "forward_timeout"): _on_admission_event,
+        ("admission", "degrade"): _on_admission_event,
         ("admission", "reconfigure"): _on_admission_reconfigure,
-        ("alert", "raise"): _on_alert_raise,
-        ("alert", "clear"): _on_alert_clear,
+        ("alert", "raise"): _on_alert,
+        ("alert", "clear"): _on_alert,
     }
+    #: The same handlers, by declared layout.
+    _BY_LAYOUT = {layout(*key, *fields): handler
+                  for key, handler in _HANDLERS.items()
+                  for fields in LAYOUTS[key]}
 
 
 def reconstruct(source: TraceSource) -> SpanForest:

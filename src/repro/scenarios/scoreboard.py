@@ -42,7 +42,6 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 # monitoring windows and campaign report aggregation must agree on what
 # "p99" means.
 from repro.obs.metrics import exact_quantile
-from repro.sim.trace import FixedRecord, layout
 
 __all__ = ["TenantSLO", "Scoreboard"]
 
@@ -56,17 +55,6 @@ SCOREBOARD_KEYS = (
     ("dispatcher", "instance_done"), ("dispatcher", "instance_abort"),
     ("dispatcher", "deadline_miss"),
 )
-
-#: The scored keys with a declared layout, each the key's one layout:
-#: :meth:`Scoreboard.ingest` reads their fields by slot.  ``layout()``
-#: fails at import unless these are the declared fields, in this order.
-_FIXED = {record_layout.key: record_layout for record_layout in (
-    layout("dispatcher", "activate", "task", "seq", "activation_id",
-           "deadline"),
-    layout("dispatcher", "eu_done", "eu"),
-    layout("dispatcher", "instance_done", "task", "seq", "activation_id",
-           "response", "missed"),
-)}
 
 
 @dataclass(frozen=True)
@@ -136,10 +124,11 @@ class Scoreboard:
         return board
 
     def ingest(self, record) -> None:
-        """Feed one trace record (:class:`~repro.sim.trace.Record`), in
-        order; a record of a key outside :data:`SCOREBOARD_KEYS` is
-        ignored.  No details dict is built: a dispatcher record of a
-        declared layout is read by slot, any other by ``record.get``."""
+        """Feed one trace record (:class:`~repro.sim.trace.TraceRecord`),
+        in order; a record of a key outside :data:`SCOREBOARD_KEYS` is
+        ignored.  No details dict is built: a dispatcher record is read
+        by slot, in its key's declared layout, an admission record by
+        ``record.get``."""
         category = record.category
         if category == "admission":
             self._ingest_admission(record)
@@ -148,20 +137,14 @@ class Scoreboard:
             return
         event = record.event
         if event == "instance_abort" or event == "deadline_miss":
-            activation = self._activations.get(record.get("activation_id"))
+            # task seq activation_id ...
+            activation = self._activations.get(record.f2)
             if activation is not None:
                 if event == "instance_abort":
                     activation.aborted = True
                 else:
                     activation.missed = True
             return
-        if record.__class__ is not FixedRecord:
-            record_layout = _FIXED.get((category, event))
-            if record_layout is None:
-                return
-            # Hand-built: read its details in the key's layout.
-            record = FixedRecord(record.time, record_layout,
-                                 *map(record.get, record_layout.fields))
         if event == "activate":
             # task seq activation_id deadline
             if record.f0 in self.tenants:

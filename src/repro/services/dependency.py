@@ -98,7 +98,7 @@ def track_dispatcher(tracker: DependencyTracker, dispatcher) -> None:
     parameter-carrying precedence constraint between task instances
     becomes a dependency edge, and aborted instances are invalidated."""
     def on_record(record) -> None:
-        tracker.invalidate((record.details["task"],
-                            record.details["seq"]))
+        # task seq activation_id reason
+        tracker.invalidate((record.f0, record.f1))
 
     dispatcher.tracer.subscribe(on_record, keys=TRACKED_KEYS)

@@ -177,13 +177,8 @@ class Event:
         if callbacks is None:  # already dispatched: idempotent
             return
         self._callbacks = None
-        # Fast-path the single-waiter case: most events have one
-        # waiter, such as a kernel thread blocked on them.
-        if len(callbacks) == 1:
-            callbacks[0](self)
-        else:
-            for callback in callbacks:
-                callback(self)
+        for callback in callbacks:
+            callback(self)
 
     def __repr__(self) -> str:
         if self._cancelled:
@@ -233,11 +228,8 @@ class Timeout(Event):
         if callbacks is None:
             return
         self._callbacks = None
-        if len(callbacks) == 1:
-            callbacks[0](self)
-        else:
-            for callback in callbacks:
-                callback(self)
+        for callback in callbacks:
+            callback(self)
 
 
 class Timer(Timeout):

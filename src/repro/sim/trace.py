@@ -11,35 +11,34 @@ The tracer scales to long runs in these ways:
 * **Deferred formatting** — a record stores the raw fields; all string
   interpolation (human dump, JSONL encoding) happens at render/export
   time, never on the hot path.
-* **Fixed-layout records** — :data:`LAYOUTS` declares the fields of
-  the hottest record keys, in the order their sites pass them; a key
-  with optional trailing fields declares one layout per variant.  A
-  record of a declared layout is one slotted :class:`FixedRecord`
-  holding ``time``, ``category``, ``event``, its :class:`Layout` and one
-  slot per field, with no details dict: its ``details`` is a fresh dict
-  built in declared order each time it is read, so exports, ``repr``,
-  ``str`` and ``==`` are those of the same record stored with a dict.
-  Every other record is a :class:`TraceRecord` with its dict.
-  Consumers that read every record call :meth:`Record.get` (or read a
-  fixed record's slots), which builds nothing.
+* **One record class** — every record is one slotted
+  :class:`TraceRecord` holding ``time``, ``category``, ``event``, its
+  :class:`Layout` and one slot per field, with no details dict.
+  :data:`LAYOUTS` declares the fields of every key a site writes, in
+  the order the site passes them; a key with optional trailing fields
+  declares one layout per variant, and a key it does not declare gets
+  a layout on first use.  A record's ``details`` is a fresh dict built
+  in declared order each time it is read; consumers that read every
+  record call :meth:`TraceRecord.get` or read the slots, which builds
+  nothing.
 * **One storage rule** — :meth:`Tracer._store` keeps every record: it
   sets the monotone flag, applies the ring buffer and calls the
   listeners of the record's key (:meth:`Tracer.emit` runs the same
   steps inline, to save a call per record).  A hot site calls
   :meth:`Tracer.emit` with its declared layout and the field values,
-  positionally;
-  :meth:`Tracer.record` takes the details as keywords, snapshots any
-  plain container among them, and stores a fixed-layout record when
-  the keywords are exactly a declared layout's fields, in order.  Both
-  apply the category filter and the clock before building the record,
-  so a filtered call builds nothing.
+  positionally; :meth:`Tracer.record` takes the details as keywords,
+  snapshots any plain container among them, and stores the record in
+  the layout of their names, raising ``ValueError`` when a declared
+  key's names match none of its layouts.  Both apply the category
+  filter and the clock before building the record, so a filtered call
+  builds nothing.
 * **Listeners by key** — ``subscribe(listener, keys=...)`` names the
   (category, event) keys a listener reads, and the tracer keeps the
   tuple of listeners of each named key, so a record reaches only the
   code that reads it, in subscription order.  Routing a record costs
-  one dict lookup on its key (a fixed-layout record's key is built
-  once, on its :class:`Layout`) and no Python call; with no listener
-  it costs nothing.  A listener without keys sees every record.
+  one dict lookup on its key (built once, on the record's
+  :class:`Layout`) and no Python call; with no listener it costs
+  nothing.  A listener without keys sees every record.
 * **Category filtering** — ``Tracer(categories={...})`` restricts
   recording to the named categories; a filtered call pays one frozenset
   membership test and returns ``None`` (``filtered`` counts the drops).
@@ -57,9 +56,8 @@ The tracer scales to long runs in these ways:
 * **Time windows** — ``select(..., t_min=..., t_max=...)`` restricts a
   query to a window of simulated time.  With a category filter the
   window runs over the key's bucket; on the common monotone
-  (clock-bound) trace it is found by binary search, so scoping a
-  deadline miss to its busy period costs O(log n), plus the records
-  returned.
+  (clock-bound) trace it is found by binary search, so a window costs
+  O(log n), plus the records returned.
 
 **Streaming JSONL export** — :meth:`Tracer.stream_jsonl` writes records
 to disk as they are emitted, so a bounded tracer still produces a
@@ -78,6 +76,7 @@ import json
 from bisect import bisect_left, bisect_right
 from collections import deque
 from itertools import islice
+from operator import attrgetter
 from typing import (
     Any,
     Callable,
@@ -91,76 +90,16 @@ from typing import (
 )
 
 
-class Record:
-    """A trace record: a :class:`TraceRecord` or a :class:`FixedRecord`.
-
-    Both answer ``time``, ``category``, ``event``, ``details`` and
-    ``get``; equality, ``repr`` and ``str`` are defined here, over
-    (time, category, event, details), so they do not depend on how a
-    record is stored.
-    """
-
-    __slots__ = ()
-
-    def __eq__(self, other: Any) -> Any:
-        if isinstance(other, Record):
-            return (self.time == other.time
-                    and self.category == other.category
-                    and self.event == other.event
-                    and self.details == other.details)
-        return NotImplemented
-
-    __hash__ = None  # mutable payload, like the frozen-dataclass-with-dict
-
-    def __repr__(self) -> str:
-        return (f"TraceRecord(time={self.time!r}, "
-                f"category={self.category!r}, event={self.event!r}, "
-                f"details={self.details!r})")
-
-    def __str__(self) -> str:
-        payload = " ".join(f"{k}={v}" for k, v in sorted(self.details.items()))
-        return f"[{self.time:>10d}] {self.category}/{self.event} {payload}"
-
-
-class TraceRecord(Record):
-    """One timestamped fact about the execution.
-
-    ``category`` is a coarse subsystem tag (``"dispatcher"``,
-    ``"kernel"``, ``"network"``, ...), ``event`` the specific occurrence
-    (``"thread_start"``, ``"deadline_miss"``, ...), and ``details`` a
-    free-form payload.
-
-    Records are created on the simulation hot path, so the class is
-    slotted and its constructor does nothing but store the four fields
-    (it is a tuple with names, not a dataclass).  Treat instances as
-    immutable; formatting is deferred to :meth:`__str__` and the JSONL
-    exporters.  The tracer stores a record whose details are a declared
-    layout (:data:`LAYOUTS`) as a :class:`FixedRecord` instead, which
-    answers the same.
-    """
-
-    __slots__ = ("time", "category", "event", "details")
-
-    def __init__(self, time: int, category: str, event: str,
-                 details: Optional[Dict[str, Any]] = None):
-        self.time = time
-        self.category = category
-        self.event = event
-        self.details = {} if details is None else details
-
-    def get(self, name: str, default: Any = None) -> Any:
-        """One detail, as ``details.get`` reads it."""
-        return self.details.get(name, default)
-
-
 #: The declared record layouts: (category, event) -> its layouts, each
 #: the names of its fields in the order the record site passes them.  A
 #: key with optional trailing fields declares one layout per variant.
-#: These keys make up 98-100% of every benchmark workload's records.
-#: DESIGN.md (section 11) renders this table.
+#: Every key a site in ``src/`` writes is declared here, except
+#: ``monitor/sample``, whose ``burn_<rule>`` fields follow the monitor's
+#: rules.  DESIGN.md (section 11) renders this table.
 LAYOUTS: Dict[Tuple[str, str], Tuple[Tuple[str, ...], ...]] = {
     key: tuple(tuple(fields.split()) for fields in variants)
     for key, variants in {
+        # The hot keys: 98-100% of every benchmark workload's records.
         ("cpu", "dispatch"): ("node thread remaining priority",
                               "node thread remaining priority engine"),
         ("cpu", "complete"): ("node thread", "node thread engine"),
@@ -185,51 +124,112 @@ LAYOUTS: Dict[Tuple[str, str], Tuple[Tuple[str, ...], ...]] = {
                               "link msg kind size activation_id",
                               "link msg kind size activation_id edge"),
         ("network", "deliver"): ("link msg kind latency outcome bound",),
+        # Every other key.
+        ("dispatcher", "eu_blocked"): ("eu cause condvars",
+                                       "eu cause until", "eu cause",
+                                       "eu cause resource holders"),
+        ("dispatcher", "eu_error"): ("eu",),
+        ("dispatcher", "recovery_activated"): ("failed recovery",),
+        ("dispatcher", "inv_done"): ("eu",),
+        ("dispatcher", "instance_abort"): (
+            "task seq activation_id reason",),
+        ("dispatcher", "deadline_miss"): (
+            "task seq activation_id deadline remaining_eus",),
+        ("network", "drop"): ("link msg reason",),
+        ("network", "dst_crashed"): ("link msg kind",),
+        ("network", "no_route"): ("src dst msg",),
+        ("node", "crash"): ("node",),
+        ("node", "recover"): ("node",),
+        ("device", "actuate"): ("node actuator",),
+        ("scheduler", "spring_reject"): ("task seq",),
+        ("admission", "submit"): ("node task value",
+                                  "node task value origin"),
+        ("admission", "reconfigure"): (
+            "node trigger from_policy to_policy",
+            "node trigger from_test to_test",
+            "node trigger from_policy to_policy from_test to_test"),
+        ("admission", "skip"): ("node task value reason",),
+        ("admission", "degrade"): ("node task mode",),
+        ("admission", "admit"): ("node task value activation_id",),
+        ("admission", "reject"): ("node task value reason",),
+        ("admission", "shed"): ("node task value for_task",),
+        ("admission", "forward"): ("node task value peer timeout",),
+        ("admission", "forward_timeout"): ("node task",),
+        ("admission", "forward_result"): ("node task peer granted",),
+        ("service", "mode_switch"): ("from_mode to_mode trigger",),
+        ("service", "value_failure_detected"): ("req dissenters",),
+        ("service", "failover"): ("style new_primary", "style new_leader"),
+        ("service", "consensus_decide"): ("node decision rounds",),
+        ("service", "clocksync_round"): ("node correction round",),
+        ("service", "recovery"): ("failed recovery cause",),
+        ("service", "rbcast_deliver"): ("node origin seq",),
+        ("service", "suspect"): ("observer suspect",),
+        ("service", "unsuspect"): ("observer suspect",),
+        ("faults", "inject"): ("kind target",),
+        ("alert", "raise"): ("node tenant rule burn_fast_milli "
+                             "burn_slow_milli fast_window slow_window "
+                             "threshold_milli",),
+        ("alert", "clear"): ("node tenant rule burn_fast_milli "
+                             "burn_slow_milli held",),
     }.items()}
 
-#: The slots that hold a fixed-layout record's fields, in declared order.
+#: The slots that hold a record's fields, in declared order.
 FIELD_SLOTS = ("f0", "f1", "f2", "f3", "f4", "f5")
 
 
 class Layout:
-    """One declared layout: its key and its field names, in order.
+    """One record layout: its key and its field names, in order.
 
-    :func:`layout` hands out the one instance of each layout of
-    :data:`LAYOUTS`; a hot site passes it to :meth:`Tracer.emit`.
+    A layout of more than six fields is *wide*: its first five fields
+    have a slot each and the rest share ``f5``, as one tuple.
+    :func:`layout` hands out the one instance of each declared layout; a
+    hot site passes it to :meth:`Tracer.emit`.
     """
 
-    __slots__ = ("category", "event", "key", "fields", "slots")
+    __slots__ = ("category", "event", "key", "fields", "wide", "getters")
 
     def __init__(self, category: str, event: str, fields: Tuple[str, ...]):
-        if not 0 < len(fields) <= len(FIELD_SLOTS):
-            raise ValueError(f"{category}/{event} declares {len(fields)} "
-                             f"fields; a layout holds 1 to "
-                             f"{len(FIELD_SLOTS)}")
         self.category = category
         self.event = event
         #: (category, event), built once: the tracer routes a record of
         #: this layout to its listeners by it.
         self.key = (category, event)
         self.fields = fields
-        #: Field name -> the :class:`FixedRecord` slot holding it.
-        self.slots: Dict[str, str] = dict(zip(fields, FIELD_SLOTS))
+        #: Whether the sixth and later fields share ``f5``, as a tuple.
+        self.wide = len(fields) > len(FIELD_SLOTS)
+        own = fields[:len(FIELD_SLOTS) - 1] if self.wide else fields
+        #: Field name -> a function reading it off a record.
+        self.getters: Dict[str, Callable[["TraceRecord"], Any]] = {
+            name: attrgetter(slot) for name, slot in zip(own, FIELD_SLOTS)}
+        for index, name in enumerate(fields[len(own):]):
+            self.getters[name] = (
+                lambda record, index=index: record.f5[index])
 
     def __repr__(self) -> str:
         names = "".join(f", {name!r}" for name in self.fields)
         return f"layout({self.category!r}, {self.event!r}{names})"
 
     def __reduce__(self) -> Tuple[Any, ...]:
-        return (layout, (self.category, self.event) + self.fields)
+        return (_layout_of, (self.category, self.event, self.fields))
 
 
-class FixedRecord(Record):
-    """A record of a declared layout, stored without a details dict.
+class TraceRecord:
+    """One timestamped fact about the execution.
 
-    It holds ``time``, ``category``, ``event``, its :class:`Layout` and
+    ``category`` is a coarse subsystem tag (``"dispatcher"``,
+    ``"kernel"``, ``"network"``, ...), ``event`` the specific occurrence
+    (``"thread_start"``, ``"deadline_miss"``, ...), and its fields are
+    those of its :class:`Layout`.
+
+    A record holds ``time``, ``category``, ``event``, its layout and
     one slot per field, in declared order (``f0``, ``f1``, ...; the
-    slots past the layout's last field hold ``None``).  :attr:`details`
-    builds a fresh dict each time it is read; :meth:`get` and the slots
-    read one field without building anything.
+    slots past the layout's last field hold ``None``, and a wide
+    layout's sixth and later fields share ``f5`` as a tuple).  Build
+    records through :meth:`Tracer.record`, :meth:`Tracer.emit` or
+    :func:`read_jsonl`, which pick the layout.  :attr:`details` builds
+    a fresh dict each time it is read; :meth:`get` and the slots read
+    one field without building anything.  Treat records as immutable;
+    formatting is deferred to :meth:`__str__` and the JSONL exporters.
 
     Every layout shares this one class, so a loop over a trace reads
     ``time``, ``category`` and ``event`` from one record type: with a
@@ -239,9 +239,9 @@ class FixedRecord(Record):
 
     __slots__ = ("time", "category", "event", "layout") + FIELD_SLOTS
 
-    def __init__(self, time: int, layout: Layout, f0: Any, f1: Any = None,
-                 f2: Any = None, f3: Any = None, f4: Any = None,
-                 f5: Any = None):
+    def __init__(self, time: int, layout: Layout, f0: Any = None,
+                 f1: Any = None, f2: Any = None, f3: Any = None,
+                 f4: Any = None, f5: Any = None):
         self.time = time
         self.category = layout.category
         self.event = layout.event
@@ -256,28 +256,48 @@ class FixedRecord(Record):
     @property
     def details(self) -> Dict[str, Any]:
         """A fresh dict of the fields, in declared order."""
-        return dict(zip(self.layout.fields, (self.f0, self.f1, self.f2,
-                                             self.f3, self.f4, self.f5)))
+        values = (self.f0, self.f1, self.f2, self.f3, self.f4, self.f5)
+        if self.layout.wide:
+            values = values[:-1] + self.f5
+        return dict(zip(self.layout.fields, values))
 
     def get(self, name: str, default: Any = None) -> Any:
         """One field, as ``details.get`` reads it, with no dict built."""
-        slot = self.layout.slots.get(name)
-        return default if slot is None else getattr(self, slot)
+        getter = self.layout.getters.get(name)
+        return default if getter is None else getter(self)
 
     def __eq__(self, other: Any) -> Any:
-        if other.__class__ is FixedRecord:
-            return (self.layout is other.layout
-                    and (self.time, self.f0, self.f1, self.f2, self.f3,
-                         self.f4, self.f5)
+        if other.__class__ is not TraceRecord:
+            return NotImplemented
+        if self.layout is other.layout:
+            return ((self.time, self.f0, self.f1, self.f2, self.f3, self.f4,
+                     self.f5)
                     == (other.time, other.f0, other.f1, other.f2, other.f3,
                         other.f4, other.f5))
-        return Record.__eq__(self, other)
+        return (self.time == other.time and self.category == other.category
+                and self.event == other.event
+                and self.details == other.details)
+
+    __hash__ = None  # mutable payload, like the frozen-dataclass-with-dict
+
+    def __repr__(self) -> str:
+        return (f"TraceRecord(time={self.time!r}, "
+                f"category={self.category!r}, event={self.event!r}, "
+                f"details={self.details!r})")
+
+    def __str__(self) -> str:
+        payload = " ".join(f"{k}={v}" for k, v in sorted(self.details.items()))
+        return f"[{self.time:>10d}] {self.category}/{self.event} {payload}"
 
 
 #: (category, event) -> {fields: layout}, for every declared layout.
 _LAYOUTS: Dict[Tuple[str, str], Dict[Tuple[str, ...], Layout]] = {
     key: {fields: Layout(*key, fields) for fields in variants}
     for key, variants in LAYOUTS.items()}
+#: The same, for the keys :data:`LAYOUTS` does not declare: each layout
+#: is made on its first use.  A layout never changes, so every tracer
+#: shares it, and an unpickled record finds its own.
+_UNDECLARED: Dict[Tuple[str, str], Dict[Tuple[str, ...], Layout]] = {}
 
 
 def layout(category: str, event: str, *fields: str) -> Layout:
@@ -290,16 +310,39 @@ def layout(category: str, event: str, *fields: str) -> Layout:
     return _LAYOUTS[category, event][fields]
 
 
+def _layout_of(category: str, event: str,
+               fields: Tuple[str, ...]) -> Layout:
+    """The layout of a record of this key with these fields, in order.
+
+    A declared key's fields must be one of its layouts, or this raises
+    ``ValueError``; an undeclared key gets one layout per field tuple,
+    made on its first use.
+    """
+    key = (category, event)
+    variants = _LAYOUTS.get(key)
+    if variants is None:
+        variants = _UNDECLARED.setdefault(key, {})
+        found = variants.get(fields)
+        if found is None:
+            found = variants[fields] = Layout(category, event, fields)
+        return found
+    found = variants.get(fields)
+    if found is None:
+        declared = " | ".join(" ".join(names) for names in variants)
+        raise ValueError(f"{category}/{event} declares the fields "
+                         f"({declared}), not ({' '.join(fields)})")
+    return found
+
+
 def _build(time: int, category: str, event: str,
-           details: Optional[Dict[str, Any]]) -> Record:
-    """A fixed-layout record when ``details`` holds exactly the fields
-    of a declared layout of the key, in its order; else a TraceRecord."""
-    variants = _LAYOUTS.get((category, event))
-    if variants is not None and details:
-        declared = variants.get(tuple(details))
-        if declared is not None:
-            return FixedRecord(time, declared, *details.values())
-    return TraceRecord(time, category, event, details)
+           details: Dict[str, Any]) -> TraceRecord:
+    """The record of ``details``, in the layout of their fields."""
+    record_layout = _layout_of(category, event, tuple(details))
+    values = tuple(details.values())
+    if record_layout.wide:
+        tail = len(FIELD_SLOTS) - 1
+        values = values[:tail] + (values[tail:],)
+    return TraceRecord(time, record_layout, *values)
 
 
 #: Detail value types that are snapshotted on record() so that later
@@ -355,7 +398,7 @@ def _jsonable(value: Any) -> Any:
     return str(value)
 
 
-def _record_to_json(entry: Record) -> str:
+def _record_to_json(entry: TraceRecord) -> str:
     return json.dumps({
         "time": entry.time,
         "category": entry.category,
@@ -404,7 +447,7 @@ class JsonlStream:
         eviction only affects the in-memory tail)."""
         return self.tracer.dropped - self._dropped_at_open
 
-    def _on_record(self, entry: Record) -> None:
+    def _on_record(self, entry: TraceRecord) -> None:
         if self._handle is not None:
             self._handle.write(_record_to_json(entry))
             self._handle.write("\n")
@@ -455,13 +498,13 @@ class _Bucket:
     def __init__(self) -> None:
         self.seqs: List[int] = []
         self.times: List[int] = []
-        self.records: List[Record] = []
+        self.records: List[TraceRecord] = []
         self.watermark = 0
 
 
-def _scan(records: Iterable[Record], category: Optional[str],
+def _scan(records: Iterable[TraceRecord], category: Optional[str],
           event: Optional[str], t_min: Optional[int], t_max: Optional[int],
-          details: Dict[str, Any]) -> List[Record]:
+          details: Dict[str, Any]) -> List[TraceRecord]:
     """The records that pass every given filter, by one linear pass."""
     found = []
     for entry in records:
@@ -489,7 +532,7 @@ def _window(times: List[int], t_min: Optional[int],
 
 
 class Tracer:
-    """Collects trace records (:class:`Record`) in emission order."""
+    """Collects trace records (:class:`TraceRecord`) in emission order."""
 
     def __init__(self, clock: Optional[Callable[[], int]] = None,
                  maxlen: Optional[int] = None, index: bool = True,
@@ -504,15 +547,15 @@ class Tracer:
         # This and the two routing fields below are replaced, never
         # mutated, by subscribe/unsubscribe, so _store can iterate a
         # route while a listener (un)subscribes.
-        self._subscriptions: Tuple[Tuple[Callable[[Record], None],
+        self._subscriptions: Tuple[Tuple[Callable[[TraceRecord], None],
                                          Optional[frozenset]], ...] = ()
         # (category, event) -> the listeners that receive it, for every
         # key some keyed listener names; None while nothing listens.
         self._routes: Optional[Dict[Tuple[str, str],
-                                    Tuple[Callable[[Record], None],
+                                    Tuple[Callable[[TraceRecord], None],
                                           ...]]] = None
         # The route of every other key: the unkeyed listeners.
-        self._unkeyed: Tuple[Callable[[Record], None], ...] = ()
+        self._unkeyed: Tuple[Callable[[TraceRecord], None], ...] = ()
         #: Records evicted by the ring buffer so far (also the sequence
         #: number of the oldest held record).
         self.dropped = 0
@@ -553,7 +596,7 @@ class Tracer:
                             else frozenset(categories))
         return self
 
-    def subscribe(self, listener: Callable[[Record], None],
+    def subscribe(self, listener: Callable[[TraceRecord], None],
                   keys: Optional[Iterable[Tuple[str, str]]] = None) -> None:
         """Invoke ``listener`` synchronously for each new record.
 
@@ -581,7 +624,7 @@ class Tracer:
                                     f"event) pair of strings")
         self._route(self._subscriptions + ((listener, keys),))
 
-    def unsubscribe(self, listener: Callable[[Record], None]) -> None:
+    def unsubscribe(self, listener: Callable[[TraceRecord], None]) -> None:
         """Remove a listener's first subscription (no-op if absent).
 
         Removal during dispatch does not disturb it: every listener
@@ -594,7 +637,7 @@ class Tracer:
                             + subscriptions[index + 1:])
                 return
 
-    def _route(self, subscriptions: Tuple[Tuple[Callable[[Record], None],
+    def _route(self, subscriptions: Tuple[Tuple[Callable[[TraceRecord], None],
                                                 Optional[frozenset]],
                                           ...]) -> None:
         """Install ``subscriptions`` and the routes they imply."""
@@ -611,7 +654,7 @@ class Tracer:
             for key in named}
 
     def record(self, category: str, event: str, time: Optional[int] = None,
-               **details: Any) -> Optional[Record]:
+               **details: Any) -> Optional[TraceRecord]:
         """Append a record; time defaults to the bound clock's now.
 
         Returns ``None`` (and counts in :attr:`filtered`) when
@@ -619,9 +662,11 @@ class Tracer:
 
         Detail values that are plain containers (list/dict/set/tuple)
         are snapshotted at record time: mutating the caller's object
-        afterwards does not rewrite the recorded history.  When the
-        details are exactly the fields of a declared layout, in order,
-        the record is stored in that layout, as :meth:`emit` stores it.
+        afterwards does not rewrite the recorded history.  The record
+        is stored in the layout of its details' names, in order: for a
+        key of :data:`LAYOUTS` that is a declared layout, or this
+        raises ``ValueError``; any other key gets a layout on its first
+        use.
         """
         allowed = self._categories
         if allowed is not None and category not in allowed:
@@ -638,15 +683,16 @@ class Tracer:
 
     def emit(self, record_layout: Layout, f0: Any, f1: Any = None,
              f2: Any = None, f3: Any = None, f4: Any = None,
-             f5: Any = None) -> Optional[Record]:
+             f5: Any = None) -> Optional[TraceRecord]:
         """Append a record of a declared layout, at the clock's now.
 
-        ``record_layout`` comes from :func:`layout`; ``f0``, ``f1``, ...
-        are its fields, positionally and in declared order, and any
-        position past its last field is left ``None``.  The tracer keeps
-        the values as given, so a container among them must be the
-        site's own (see :func:`snapshot`).  Filter, clock, ring buffer,
-        listeners and return value behave as in :meth:`record`.
+        ``record_layout`` comes from :func:`layout` and has at most six
+        fields; ``f0``, ``f1``, ... are its fields, positionally and in
+        declared order, and any position past its last field is left
+        ``None``.  The tracer keeps the values as given, so a container
+        among them must be the site's own (see :func:`snapshot`).
+        Filter, clock, ring buffer, listeners and return value behave
+        as in :meth:`record`.
 
         The signature is fixed, not ``*values``: a call with plain
         positional arguments is the cheapest one CPython makes, and this
@@ -661,7 +707,7 @@ class Tracer:
         if clock is None:
             raise RuntimeError("tracer has no bound clock")
         time = clock()
-        entry = FixedRecord(time, record_layout, f0, f1, f2, f3, f4, f5)
+        entry = TraceRecord(time, record_layout, f0, f1, f2, f3, f4, f5)
         last = self._last_time
         if last is not None and time < last:
             self._monotonic = False
@@ -677,7 +723,7 @@ class Tracer:
                 listener(entry)
         return entry
 
-    def _store(self, entry: Record) -> Record:
+    def _store(self, entry: TraceRecord) -> TraceRecord:
         """The storage path: monotone flag, ring buffer, and the
         listeners of the record's key (see :meth:`subscribe`).
         :meth:`emit` runs a copy of it inline."""
@@ -691,8 +737,7 @@ class Tracer:
         self._records.append(entry)
         routes = self._routes
         if routes is not None:
-            key = (entry.layout.key if entry.__class__ is FixedRecord
-                   else (entry.category, entry.event))
+            key = entry.layout.key
             for listener in (routes[key] if key in routes
                              else self._unkeyed):
                 listener(entry)
@@ -701,11 +746,11 @@ class Tracer:
     def __len__(self) -> int:
         return len(self._records)
 
-    def __iter__(self) -> Iterator[Record]:
+    def __iter__(self) -> Iterator[TraceRecord]:
         return iter(self._records)
 
     @property
-    def records(self) -> Tuple[Record, ...]:
+    def records(self) -> Tuple[TraceRecord, ...]:
         """All records in emission order (immutable view)."""
         return tuple(self._records)
 
@@ -750,17 +795,16 @@ class Tracer:
                event: Optional[str] = None,
                t_min: Optional[int] = None,
                t_max: Optional[int] = None,
-               **details: Any) -> List[Record]:
+               **details: Any) -> List[TraceRecord]:
         """Records matching the given category/event/detail filters.
 
         With a ``category`` filter this runs over the key's bucket —
         O(matching records) once the key has been queried; other shapes
         fall back to a linear scan.
 
-        ``t_min``/``t_max`` bound the record times (both inclusive) —
-        the forensics tooling uses this to scope a deadline miss to its
-        busy period.  On a monotone trace (times never decreased, the
-        normal clock-bound case) the bucket's window is found by binary
+        ``t_min``/``t_max`` bound the record times (both inclusive).
+        On a monotone trace (times never decreased, the normal
+        clock-bound case) the bucket's window is found by binary
         search.
         """
         if category is None or not self._index_enabled:
@@ -832,14 +876,14 @@ class Tracer:
         return JsonlStream(self, path, footer=footer)
 
 
-def read_jsonl(path: str) -> Iterator[Record]:
+def read_jsonl(path: str) -> Iterator[TraceRecord]:
     """Yield the records of a JSONL trace in file order.
 
     Reads what :meth:`Tracer.to_jsonl` and :meth:`Tracer.stream_jsonl`
     write; blank lines and metadata lines without a ``time`` (the
-    stream ``footer``) are skipped.  A record whose details are a
-    declared layout's fields, in order, loads in that layout, as the
-    tracer stored it live.
+    stream ``footer``) are skipped.  Each record loads in the layout
+    of its details' names, in order, as :meth:`Tracer.record` stores
+    it, and a declared key with other fields raises ``ValueError``.
     """
     with open(path, encoding="utf-8") as handle:
         for line in handle:
@@ -848,7 +892,7 @@ def read_jsonl(path: str) -> Iterator[Record]:
             raw = json.loads(line)
             if "time" in raw:
                 yield _build(raw["time"], raw["category"], raw["event"],
-                             raw.get("details"))
+                             raw.get("details") or {})
 
 
 def load_trace(path: str, maxlen: Optional[int] = None) -> "Tracer":

@@ -16,7 +16,7 @@ from repro.obs.metrics import (
     resolve_metrics,
 )
 from repro.sim.engine import Simulator
-from repro.sim.trace import TraceRecord, Tracer
+from repro.sim.trace import TraceRecord, Tracer, layout
 from repro.system import HadesSystem
 from tests.conftest import BACKENDS, on_engine
 
@@ -108,8 +108,9 @@ class TestBackendSelection:
     def test_version_bumped_for_backend_surface(self):
         # 5.0.0: the backend selection (backend=, REPRO_SIM_BACKEND,
         # available_backends, resolve_backend) and the generator
-        # processes left; 67 names remain.
-        assert repro.__version__ == "5.0.0"
+        # processes left; 67 names remain.  6.0.0 changed the
+        # TraceRecord constructor and kept the names.
+        assert repro.__version__ == "6.0.0"
         assert len(repro.__all__) == 67
         for name in ("available_backends", "resolve_backend",
                      "RunOptions", "scenario"):
@@ -227,17 +228,25 @@ class TestTraceFiltering:
 
 
 class TestTraceRecordCompat:
+    """Since 6.0.0 a record is built as ``TraceRecord(time, layout,
+    *fields)``, or through ``Tracer.record`` and ``read_jsonl``; its
+    equality, repr and str keep the old dataclass shape."""
+
     def test_equality_and_repr_match_old_dataclass_shape(self):
-        one = TraceRecord(5, "cpu", "dispatch", {"thread": "x"})
-        two = TraceRecord(5, "cpu", "dispatch", {"thread": "x"})
-        other = TraceRecord(6, "cpu", "dispatch", {"thread": "x"})
+        tracer = Tracer(clock=lambda: 5)
+        one = tracer.record("cpu", "complete", node="n0", thread="x")
+        two = TraceRecord(5, layout("cpu", "complete", "node", "thread"),
+                          "n0", "x")
+        other = tracer.record("cpu", "complete", time=6, node="n0",
+                              thread="x")
         assert one == two
         assert one != other
         assert repr(one) == ("TraceRecord(time=5, category='cpu', "
-                             "event='dispatch', details={'thread': 'x'})")
-        assert str(one) == "[         5] cpu/dispatch thread=x"
+                             "event='complete', details={'node': 'n0', "
+                             "'thread': 'x'})")
+        assert str(one) == "[         5] cpu/complete node=n0 thread=x"
 
     def test_slots_and_default_details(self):
-        entry = TraceRecord(1, "c", "e")
+        entry = Tracer(clock=lambda: 1).record("c", "e")
         assert entry.details == {}
         assert not hasattr(entry, "__dict__")

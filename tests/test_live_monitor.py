@@ -159,7 +159,8 @@ def _emit_good(system, seq, time, task="req", response=50):
 
 def _emit_reject(system, time, task="req"):
     system.sim.call_at(time, lambda: system.tracer.record(
-        "admission", "reject", node="n0", task=task, value=1))
+        "admission", "reject", node="n0", task=task, value=1,
+        reason="not_guaranteed"))
 
 
 class TestBurnRateEdges:

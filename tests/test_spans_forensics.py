@@ -115,8 +115,8 @@ class TestReconstruction:
         system.tracer.to_jsonl(str(path))
         from_file = reconstruct(str(path))
         from_tracer = reconstruct(system.tracer)
-        # Reloading the file into a Tracer gives the identical report
-        # (including the busy-period lines that need select()).
+        # Reloading the file into a Tracer gives the identical report,
+        # busy-period lines included.
         assert (forensics_report(load_trace(str(path)), forest=from_file)
                 == forensics_report(system.tracer, forest=from_tracer))
         assert set(from_file.activations) == set(from_tracer.activations)
@@ -124,6 +124,18 @@ class TestReconstruction:
         b = from_tracer.activations["victim#1"]
         assert [(s.state, s.start, s.end) for s in a.eus["sense"].segments] \
             == [(s.state, s.start, s.end) for s in b.eus["sense"].segments]
+
+    def test_report_from_a_jsonl_path_equals_the_live_one(self, tmp_path):
+        # The busy-period lines come from the span forest, so a file,
+        # a record list and the live tracer give the same report.
+        system = run_contended_system()
+        path = tmp_path / "trace.jsonl"
+        system.tracer.to_jsonl(str(path))
+        live = forensics_report(system.tracer)
+        assert ("busy period: 3 activations, 1 preemptions in window"
+                in live)
+        assert forensics_report(str(path)) == live
+        assert forensics_report(list(system.tracer)) == live
 
 
 class TestDecomposition:
@@ -224,7 +236,7 @@ class TestForensics:
         forest = reconstruct(system.tracer)
         misses = forest.misses()
         assert [m.activation_id for m in misses] == ["victim#1"]
-        report = analyze_miss(forest, misses[0], system.tracer)
+        report = analyze_miss(forest, misses[0])
         assert report.overrun is not None and report.overrun > 0
         assert report.decomposition is not None
         kinds = {c.kind for c in report.contributors}
@@ -234,7 +246,7 @@ class TestForensics:
                       if c.kind == "preemption"]
         assert preemptors[0].name == "hog#1/spin"
         assert preemptors[0].amount > 0
-        # Busy-period scoping came from the time-window select().
+        # Busy-period scoping counts what competed in the miss window.
         assert report.busy_preemptions >= 1
         assert report.busy_activations >= 2
         # README's forensics example reads the parts through as_dict().

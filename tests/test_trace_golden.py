@@ -12,8 +12,8 @@ workloads:
   ``dispatcher/set_params`` about half of its records.
 
 A change that alters traces on purpose re-pins both values and says so
-in CHANGES.md.  The digests do not depend on the Python version, on
-``PYTHONHASHSEED`` or on the event-set backend.
+in CHANGES.md.  The digests do not depend on the Python version or on
+``PYTHONHASHSEED``.
 """
 
 import hashlib

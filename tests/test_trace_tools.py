@@ -22,7 +22,12 @@ Covers the trace-layer groundwork the forensics stack sits on:
   mission, and they are the only source of those keys' records;
 * a record of every declared layout answers the same whether a site
   emitted it, ``record()`` stored it or ``load_trace`` read it back,
-  and the same as a ``TraceRecord`` holding its details dict;
+  and the same as a test-local record holding its details dict;
+* every ``tracer.record(...)`` and ``layout(...)`` site in ``src/``
+  names a declared layout, every record of the random harness, an
+  E22 cell with monitors, E24's scenario and a faulted avionics
+  mission is a ``TraceRecord`` in a declared layout (bar
+  ``monitor/sample``), and a declared key with other fields raises;
 * an avionics mission's held records own fewer than 180 bytes each;
 * DESIGN.md renders the layout table that ``repro.sim.trace`` declares;
 * a listener subscribed with ``keys=`` hears exactly, and in order, the
@@ -45,6 +50,10 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
+from benchmarks.bench_hetero_mapping import (
+    build_scenario as build_hetero_scenario)
+from benchmarks.bench_live_monitoring import build_monitored
 from benchmarks.bench_service_scenarios import build_scenario
 from repro import (DispatcherCosts, EDFScheduler, FaultPlan, HadesSystem,
                    Periodic, Task)
@@ -54,8 +63,8 @@ from repro.scenarios.scoreboard import SCOREBOARD_KEYS
 from repro.services import ActiveReplication, ClockSyncService
 from repro.services.dependency import TRACKED_KEYS
 from repro.services.watchdog import WATCHDOG_KEYS
-from repro.sim.trace import (LAYOUTS, FixedRecord, JsonlStream, TraceRecord,
-                             Tracer, layout, load_trace, read_jsonl)
+from repro.sim.trace import (FIELD_SLOTS, LAYOUTS, JsonlStream, Tracer,
+                             layout, load_trace, read_jsonl)
 from tests.test_hetero import _hetero_scenario
 from tests.test_trace_invariants_random import build_workload
 
@@ -330,12 +339,15 @@ class TestListenerDispatch:
 ALL_LAYOUTS = [(category, event, fields)
                for (category, event), variants in LAYOUTS.items()
                for fields in variants]
+#: The declared layouts ``emit()`` takes: at most six fields.
+EMIT_LAYOUTS = [row for row in ALL_LAYOUTS
+                if len(row[2]) <= len(FIELD_SLOTS)]
 _SEND_EDGE = layout("network", "send", "link", "msg", "kind", "size",
                     "activation_id", "edge")
 _INTERRUPT = layout("kernel", "interrupt", "node", "source", "seq")
 
 _emit_ops = st.lists(
-    st.tuples(st.sampled_from(ALL_LAYOUTS), st.integers(0, 20),
+    st.tuples(st.sampled_from(EMIT_LAYOUTS), st.integers(0, 20),
               st.integers(0, 5)),
     max_size=40)
 
@@ -520,22 +532,16 @@ class TestEmitSites:
 
     def check(self, direct_emits, tracers):
         """No record changed after its emit; only the listed sites emit,
-        and every record of their keys came that way, in a fixed
-        layout, while every other record keeps its dict.  Returns the
+        and every record of their keys came that way.  Returns the
         sites seen."""
-        assert set(LAYOUTS) == EMIT_SITES
+        assert EMIT_SITES <= set(LAYOUTS)
         for _key, entry, values in direct_emits:
-            assert isinstance(entry, FixedRecord)
             assert tuple(entry.details.values()) == values
         sites = {key for key, _entry, _values in direct_emits}
         assert sites <= EMIT_SITES
         held = [entry for tracer in tracers for entry in tracer
                 if (entry.category, entry.event) in EMIT_SITES]
         assert len(direct_emits) == len(held)
-        assert all(isinstance(entry, FixedRecord) for entry in held)
-        assert all(type(entry) is TraceRecord
-                   for tracer in tracers for entry in tracer
-                   if (entry.category, entry.event) not in EMIT_SITES)
         return sites
 
     def test_random_harness_and_running_abort(self, direct_emits):
@@ -581,10 +587,38 @@ def _jsonl_line(entry):
                        "details": entry.details}) + "\n"
 
 
+class _DictRecord:
+    """The reference a record is checked against: its time, key and
+    details dict, with the equality, reads and renderings a
+    ``TraceRecord`` promises over them."""
+
+    def __init__(self, time, category, event, details):
+        self.time, self.category, self.event = time, category, event
+        self.details = details
+
+    def __eq__(self, other):
+        return ((self.time, self.category, self.event, self.details)
+                == (other.time, other.category, other.event, other.details))
+
+    def get(self, name, default=None):
+        return self.details.get(name, default)
+
+    def __repr__(self):
+        return (f"TraceRecord(time={self.time!r}, "
+                f"category={self.category!r}, event={self.event!r}, "
+                f"details={self.details!r})")
+
+    def __str__(self):
+        payload = " ".join(f"{k}={v}"
+                           for k, v in sorted(self.details.items()))
+        return f"[{self.time:>10d}] {self.category}/{self.event} {payload}"
+
+
 class TestLayoutDifferential:
-    """One record, two representations: what a hot site emits, the same
-    fields through record(), and the record read back by load_trace all
-    match each other and a TraceRecord holding the details dict."""
+    """One record, three ways in: what a hot site emits (``record()``
+    for a wide layout), the same fields through record(), and the record
+    read back by load_trace all match each other and a reference record
+    holding the details dict."""
 
     @settings(max_examples=150, deadline=None)
     @given(rows=st.lists(_layout_rows(), min_size=1, max_size=25),
@@ -607,10 +641,14 @@ class TestLayoutDifferential:
         with emitted.stream_jsonl(str(path)):
             for category, event, fields, values, step in rows:
                 clock[0] += step
-                emitted.emit(layout(category, event, *fields), *values)
-                recorded.record(category, event, **dict(zip(fields, values)))
-                generic.append(TraceRecord(clock[0], category, event,
-                                           dict(zip(fields, values))))
+                details = dict(zip(fields, values))
+                if len(fields) <= len(FIELD_SLOTS):
+                    emitted.emit(layout(category, event, *fields), *values)
+                else:
+                    emitted.record(category, event, **details)
+                recorded.record(category, event, **details)
+                generic.append(_DictRecord(clock[0], category, event,
+                                           dict(details)))
         assert path.read_text() == "".join(map(_jsonl_line, generic))
         loaded = load_trace(str(path), maxlen=maxlen)
         held = generic[-maxlen:] if maxlen else generic
@@ -653,16 +691,17 @@ class TestLayoutDifferential:
                 r for r in held
                 if r.event == event and r.details.get(name) == value]
 
-    def test_spans_read_both_representations(self):
-        """reconstruct() builds the same spans from the fixed-layout
-        records as from TraceRecords holding their details dicts; the
-        hetero scenario's records carry the engine layouts."""
+    def test_spans_read_both_representations(self, tmp_path):
+        """reconstruct() builds the same spans from a run's live records
+        as from the records read back from its JSONL export; the hetero
+        scenario's records carry the engine layouts."""
         hetero = _hetero_scenario().run(until=100_000).system.tracer
         assert any(entry.get("engine") for entry in hetero)
-        for tracer in (avionics_mission(300_000).tracer, hetero):
-            as_dicts = [TraceRecord(r.time, r.category, r.event, r.details)
-                        for r in tracer]
-            assert timeline_bytes(as_dicts) == timeline_bytes(tracer)
+        for index, tracer in enumerate((avionics_mission(300_000).tracer,
+                                        hetero)):
+            path = tmp_path / f"trace{index}.jsonl"
+            tracer.to_jsonl(str(path))
+            assert timeline_bytes(str(path)) == timeline_bytes(tracer)
 
 
 class TestRecordMemory:
@@ -698,15 +737,11 @@ class TestLayoutTable:
                 for category, event, fields in rows] == ALL_LAYOUTS
 
 
-#: Rows whose records ``record()`` and ``load_trace`` keep as
-#: TraceRecords: keys no layout declares, and declared keys whose fields
-#: match none of their layouts.
-_GENERIC_ROWS = [("admission", "submit", ("node", "task")),
-                 ("dispatcher", "deadline_miss", ("task", "seq")),
-                 ("misc", "note", ("n",)),
-                 ("cpu", "dispatch", ("node",)),
-                 ("dispatcher", "activate", ("task",))]
-_ROUTE_ROWS = ALL_LAYOUTS + _GENERIC_ROWS
+#: Rows of keys no layout declares, which ``record()`` and
+#: ``load_trace`` store in a layout made on first use.
+_UNDECLARED_ROWS = [("misc", "note", ("n",)), ("misc", "note", ()),
+                    ("misc", "wide", tuple("abcdefg"))]
+_ROUTE_ROWS = ALL_LAYOUTS + _UNDECLARED_ROWS
 _ROUTE_KEYS = sorted({(category, event)
                       for category, event, _ in _ROUTE_ROWS})
 _listener_keys = st.none() | st.sets(st.sampled_from(_ROUTE_KEYS),
@@ -809,8 +844,8 @@ class TestKeyedRouting:
                     tracer._store(entry)
                 else:
                     entry = None
-            elif source == "site" and (category, event) in LAYOUTS and (
-                    fields in LAYOUTS[category, event]):
+            elif source == "site" and (category, event,
+                                       fields) in EMIT_LAYOUTS:
                 entry = tracer.emit(layout(category, event, *fields),
                                     *values)
             else:
@@ -931,3 +966,135 @@ class TestSubscriberKeys:
         assert [((category, event), re.findall(r"`([\w.]+)`", names))
                 for category, event, names in rows] == sorted(
                     (key, sorted(names)) for key, names in readers.items())
+
+
+def _module_strings(tree):
+    """The module-level ``NAME = "text"`` constants of a parsed file."""
+    return {node.targets[0].id: node.value.value for node in tree.body
+            if isinstance(node, ast.Assign) and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)
+            and isinstance(node.value, ast.Constant)
+            and type(node.value.value) is str}
+
+
+def _record_sites(root):
+    """Every ``tracer.record(...)`` and ``layout(...)`` call under
+    ``root`` whose category and event are literal strings or module
+    string constants, as (where, key, fields, complete).  ``complete``
+    is false when a ``**`` argument adds fields not spelt out; a
+    ``layout(...)`` call whose fields are not all literal is skipped."""
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = _module_strings(tree)
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            is_layout = (isinstance(call.func, ast.Name)
+                         and call.func.id == "layout")
+            if not (is_layout or _on_tracer(call, "record")):
+                continue
+            key = tuple(
+                arg.value if isinstance(arg, ast.Constant) else
+                names.get(arg.id) if isinstance(arg, ast.Name) else None
+                for arg in call.args[:2])
+            if len(key) != 2 or not all(type(part) is str for part in key):
+                continue
+            where = f"{path.relative_to(root)}:{call.lineno}"
+            if is_layout:
+                rest = call.args[2:]
+                if all(isinstance(arg, ast.Constant) for arg in rest):
+                    yield where, key, tuple(arg.value for arg in rest), True
+                continue
+            fields = tuple(keyword.arg for keyword in call.keywords
+                           if keyword.arg not in (None, "time"))
+            yield where, key, fields, all(keyword.arg is not None
+                                          for keyword in call.keywords)
+
+
+#: The ``cpu`` keys, whose ``layout(...)`` calls build their names.
+CPU_KEYS = {("cpu", event)
+            for event in ("dispatch", "complete", "preempt", "withdraw")}
+
+
+class TestSchema:
+    """Every key ``src/`` writes has its declared layouts, and every
+    record of a realistic trace is stored in one of them."""
+
+    def test_every_source_site_names_a_declared_layout(self):
+        sites = list(_record_sites(_SRC))
+        undeclared = {key for _where, key, _fields, _complete in sites
+                      if key not in LAYOUTS}
+        # Its burn_<rule> fields follow the monitor's rules.
+        assert undeclared == {("monitor", "sample")}
+        for where, key, fields, complete in sites:
+            if key in undeclared:
+                continue
+            declared = LAYOUTS[key]
+            if complete:
+                assert fields in declared, (where, key, fields)
+            else:
+                assert any(row[:len(fields)] == fields
+                           for row in declared), (where, key, fields)
+        # No row outlives its site.
+        named = {key for _where, key, _fields, _complete in sites}
+        assert set(LAYOUTS) - named == CPU_KEYS
+
+    def test_every_record_is_in_a_declared_layout(self):
+        tracers = []
+        for seed in range(24):
+            system = build_workload(seed)[0]
+            system.run()
+            tracers.append(system.tracer)
+        tracers.append(build_monitored().run(until=60_000).system.tracer)
+        tracers.append(
+            build_hetero_scenario().run(until=100_000).system.tracer)
+        tracers.append(avionics_mission().tracer)
+        seen = set()
+        for tracer in tracers:
+            for entry in tracer:
+                key = (entry.category, entry.event)
+                seen.add(key)
+                assert isinstance(entry, repro.TraceRecord), entry
+                if key != ("monitor", "sample"):
+                    assert entry.layout is layout(
+                        *key, *entry.layout.fields), entry
+        assert {("monitor", "sample"), ("alert", "raise"),
+                ("admission", "reconfigure"), ("admission", "reject"),
+                ("faults", "inject"), ("network", "drop"),
+                ("service", "clocksync_round")} <= seen
+
+    def test_a_declared_key_with_other_fields_raises(self, tmp_path):
+        tracer = Tracer(clock=lambda: 0)
+        with pytest.raises(ValueError, match="admission/reject"):
+            tracer.record("admission", "reject", node="n0", task="t",
+                          value=1)
+        assert len(tracer) == 0
+        path = tmp_path / "reject.jsonl"
+        path.write_text(json.dumps({
+            "time": 0, "category": "admission", "event": "reject",
+            "details": {"node": "n0", "task": "t", "value": 1}}) + "\n")
+        with pytest.raises(ValueError, match="admission/reject"):
+            load_trace(str(path))
+
+    def test_a_wide_record_round_trips(self, tmp_path):
+        (fields,) = LAYOUTS["alert", "raise"]
+        values = ("n0", "gold", "fast", 2_500, 1_500, 1_000, 10_000, 2_000)
+        tracer = Tracer(clock=lambda: 7)
+        entry = tracer.record("alert", "raise", **dict(zip(fields, values)))
+        assert len(fields) == 8 and entry.f5 == values[5:]
+        assert [entry.get(name) for name in fields] == list(values)
+        assert entry.details == dict(zip(fields, values))
+        first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+        tracer.to_jsonl(str(first))
+        loaded = load_trace(str(first))
+        loaded.to_jsonl(str(second))
+        assert second.read_bytes() == first.read_bytes()
+        assert loaded.records == (entry,)
+
+    def test_an_undeclared_key_unpickles_into_its_layout(self):
+        tracer = Tracer(clock=lambda: 1)
+        for entry in (tracer.record("misc", "note", n=1, text="x"),
+                      tracer.record("misc", "wide",
+                                    **dict.fromkeys("abcdefg", 2))):
+            copy = pickle.loads(pickle.dumps(entry))
+            assert copy.layout is entry.layout and copy == entry
