@@ -27,7 +27,7 @@ from repro.sim import Simulator, Tracer
 
 def build(style):
     sim = Simulator()
-    tracer = Tracer(lambda: sim.now)
+    tracer = Tracer(sim)
     net = Network(sim, tracer, base_latency=200)
     for node_id in ("client", "r1", "r2", "r3"):
         net.add_node(Node(sim, node_id, tracer=tracer))

@@ -45,12 +45,10 @@ from typing import (
 from repro.core.attributes import EUAttributes
 from repro.core.condvars import ConditionVariable
 from repro.core.costs import CostLedger, DispatcherCosts
-from repro.core.heug import ActionContext, CodeEU, EU, InvEU, Precedence, Task
+from repro.core.heug import (ActionContext, CodeEU, EU, EUPlan, InvEU,
+                              Precedence, Task)
 from repro.core.monitoring import ExecutionMonitor, ViolationKind
-from repro.core.notifications import (
-    Notification,
-    NotificationKind,
-)
+from repro.core.notifications import Notification, NotificationKind
 from repro.core.resources import Resource
 from repro.kernel.node import Node
 from repro.kernel.priorities import PRIO_MAX
@@ -102,25 +100,61 @@ class InstanceState(enum.Enum):
     ABORTED = "aborted"
 
 
-class EUInstance:
-    """One execution of one elementary unit within a task instance."""
+# The states and notification kinds as module constants: reading a
+# member off its enum class goes through the metaclass (about 100 ns on
+# CPython 3.11), and the dispatcher reads them on every activation and
+# unit step.
+_WAITING = EUState.WAITING
+_ELIGIBLE = EUState.ELIGIBLE
+_READY = EUState.READY
+_SUSPENDED = EUState.SUSPENDED
+_DONE = EUState.DONE
+_ABORTED = EUState.ABORTED
+_INST_ACTIVE = InstanceState.ACTIVE
+_INST_DONE = InstanceState.DONE
+_INST_ABORTED = InstanceState.ABORTED
+_ATV = NotificationKind.ATV
+_TRM = NotificationKind.TRM
+_RAC = NotificationKind.RAC
+_RRE = NotificationKind.RRE
 
-    def __init__(self, eu: EU, instance: "TaskInstance",
+#: The timing attributes of an Inv_EU, which declares none.
+_NO_ATTRS = EUAttributes()
+
+
+class EUInstance:
+    """One execution of one elementary unit within a task instance.
+
+    Built from the unit's :class:`~repro.core.heug.EUPlan`: ``node_id``
+    and ``out_edges`` come from the compiled graph, and the timing
+    attributes and engine are read off the unit, per instance.
+    """
+
+    __slots__ = ("eu", "instance", "dispatcher", "node_id", "out_edges",
+                 "state", "preds_remaining", "qualified_name", "inputs",
+                 "engine", "priority", "preemption_threshold", "earliest",
+                 "latest", "deadline", "thread", "release_time",
+                 "finish_time", "actual_used", "granted", "_rac_emitted",
+                 "_watching_condvars", "_earliest_timer_target",
+                 "_deadline_timer", "_latest_timer", "invoked_instance")
+
+    def __init__(self, plan: EUPlan, instance: "TaskInstance",
                  dispatcher: "Dispatcher"):
+        #: The processor this unit is assigned to, and its outgoing
+        #: constraints as (edge, edge index, remote flag) triples.
+        eu, self.node_id, self.preds_remaining, self.out_edges = plan
         self.eu = eu
         self.instance = instance
         self.dispatcher = dispatcher
-        self.state = EUState.WAITING
-        self.preds_remaining = len(instance.task.in_edges(eu))
+        self.state = _WAITING
         #: task#seq/eu identifier used in traces (precomputed once —
         #: the hot trace calls would otherwise re-interpolate it).
-        self.qualified_name = (f"{instance.task.name}#{instance.seq}"
-                               f"/{eu.name}")
+        self.qualified_name = f"{instance.qualified_name}/{eu.name}"
         self.inputs: Dict[str, Any] = {}
         #: Engine class this execution runs on ("cpu" unless the unit
         #: was mapped to an accelerator variant — repro.hetero).
         self.engine: str = getattr(eu, "engine", "cpu")
-        attrs: EUAttributes = getattr(eu, "attrs", EUAttributes())
+        attrs: EUAttributes = getattr(eu, "attrs", _NO_ATTRS)
         self.priority = attrs.prio
         self.preemption_threshold = (attrs.pt if attrs.pt is not None
                                      else attrs.prio)
@@ -146,11 +180,6 @@ class EUInstance:
         # For sync invocations: the invoked instance.
         self.invoked_instance: Optional["TaskInstance"] = None
 
-    @property
-    def node_id(self) -> str:
-        """The processor this unit is assigned to."""
-        return self.instance.task.node_of(self.eu)
-
     def is_code(self) -> bool:
         """Whether this instance wraps a Code_EU."""
         return isinstance(self.eu, CodeEU)
@@ -167,18 +196,18 @@ class EUInstance:
         """What currently prevents this unit from running (for deadlock
         analysis and debugging)."""
         waits: List[Tuple[str, Any]] = []
-        if self.state in (EUState.DONE, EUState.ABORTED):
+        if self.state is _DONE or self.state is _ABORTED:
             return waits
         if isinstance(self.eu, CodeEU):
             for condvar in self.eu.wait_for:
                 if not condvar.is_set:
                     waits.append(("condvar", condvar))
-            if self.state is EUState.ELIGIBLE and not self.granted:
+            if self.state is _ELIGIBLE and not self.granted:
                 for resource, mode in self.eu.resources:
                     if not resource.can_grant(mode):
                         waits.append(("resource", resource))
         if isinstance(self.eu, InvEU) and self.invoked_instance is not None:
-            if self.invoked_instance.state is InstanceState.ACTIVE:
+            if self.invoked_instance.state is _INST_ACTIVE:
                 waits.append(("invocation", self.invoked_instance))
         return waits
 
@@ -187,10 +216,15 @@ class EUInstance:
 
 
 class TaskInstance:
-    """One activation of a task."""
+    """One activation of a task, built from its :meth:`Task.plan`."""
 
-    def __init__(self, task: Task, seq: int, activation_time: int,
-                 dispatcher: "Dispatcher",
+    __slots__ = ("task", "seq", "activation_time", "abs_deadline",
+                 "invoked_by", "state", "qualified_name", "eu_instances",
+                 "remaining", "done_event", "finish_time",
+                 "missed_deadline", "_deadline_timer")
+
+    def __init__(self, task: Task, plan: Tuple[EUPlan, ...], seq: int,
+                 activation_time: int, dispatcher: "Dispatcher",
                  invoked_by: Optional[EUInstance] = None):
         self.task = task
         self.seq = seq
@@ -199,15 +233,15 @@ class TaskInstance:
             activation_time + task.deadline
             if task.deadline is not None else None)
         self.invoked_by = invoked_by
-        self.state = InstanceState.ACTIVE
+        self.state = _INST_ACTIVE
         #: Stable correlation id used across trace records: ``task#seq``
         #: (the prefix of every EU instance's ``qualified_name``).
         self.qualified_name = f"{task.name}#{seq}"
         self.eu_instances: Dict[EU, EUInstance] = {
-            eu: EUInstance(eu, self, dispatcher) for eu in task.eus}
-        self.remaining = len(task.eus)
-        self.done_event: Event = dispatcher.sim.event(
-            f"done:{task.name}#{seq}")
+            step.eu: EUInstance(step, self, dispatcher) for step in plan}
+        self.remaining = len(plan)
+        self.done_event = Event(dispatcher.sim,
+                                f"done:{self.qualified_name}")
         self.finish_time: Optional[int] = None
         self.missed_deadline = False
         self._deadline_timer: Optional[Event] = None
@@ -298,9 +332,9 @@ class Dispatcher:
         self.metrics = resolve_metrics(metrics)
         self.network = network
         self.costs = costs if costs is not None else DispatcherCosts()
-        self.tracer = tracer if tracer is not None else Tracer(lambda: sim.now)
+        self.tracer = tracer if tracer is not None else Tracer(sim)
         if self.tracer._clock is None:
-            self.tracer.bind_clock(lambda: sim.now)
+            self.tracer.bind_clock(sim)
         self.monitor = monitor if monitor is not None else ExecutionMonitor()
         self.on_deadline_miss = on_deadline_miss
         self.abort_mode = abort_mode
@@ -342,6 +376,24 @@ class Dispatcher:
                 interface.on_receive(self._on_remote_edge_message,
                                      kind="heug-edge")
 
+    @property
+    def costs(self) -> DispatcherCosts:
+        """The §4.1 dispatcher cost constants (frozen)."""
+        return self._costs
+
+    @costs.setter
+    def costs(self, costs: DispatcherCosts) -> None:
+        self._costs = costs
+        # The charges as shared Compute requests, one per non-zero
+        # constant (None for a zero one): every unit and invocation body
+        # yields the one request of a constant.
+        (self._start_act, self._end_act, self._local, self._remote,
+         self._start_inv, self._end_inv) = (
+            Compute(amount, "dispatcher") if amount else None
+            for amount in (costs.c_start_act, costs.c_end_act,
+                           costs.c_local, costs.c_remote,
+                           costs.c_start_inv, costs.c_end_inv))
+
     def _count_violation(self, violation) -> None:
         self._m_violations.inc()
         self.metrics.counter(f"violations.{violation.kind.value}").inc()
@@ -378,7 +430,7 @@ class Dispatcher:
         by an Inv_EU, a timer, or an interrupt)."""
         self.known_tasks.setdefault(task.name, task)
         now = self.sim.now
-        task.validate()
+        plan = task.plan()
         previous = self._last_activation.get(task.name)
         if task.arrival.violates(previous, now):
             self.monitor.report(ViolationKind.ARRIVAL_LAW, now, task.name,
@@ -389,7 +441,7 @@ class Dispatcher:
 
         seq = self._seq.get(task.name, 0) + 1
         self._seq[task.name] = seq
-        instance = TaskInstance(task, seq, now, self, invoked_by)
+        instance = TaskInstance(task, plan, seq, now, self, invoked_by)
         self._instances[instance.key] = instance
         self.tracer.emit(_ACTIVATE, task.name, seq, instance.qualified_name,
                          instance.abs_deadline)
@@ -405,7 +457,7 @@ class Dispatcher:
 
         for eui in instance.eu_instances.values():
             if eui.is_code():
-                self._notify(NotificationKind.ATV, eui)
+                self._notify(_ATV, eui)
                 if eui.latest is not None:
                     eui._latest_timer = self.sim.call_at(
                         eui.latest, lambda e=eui: self._check_latest(e))
@@ -509,31 +561,31 @@ class Dispatcher:
         if earliest is not None:
             eui.earliest = earliest
             now = self.sim.now
-            if (eui.state is EUState.READY and eui.thread is not None
+            if (eui.state is _READY and eui.thread is not None
                     and eui.thread.alive and earliest > now):
                 # Withdraw from the Run Queue: the runnable rule's
                 # condition 4 no longer holds.
                 eui.thread.suspend()
-                eui.state = EUState.SUSPENDED
+                eui.state = _SUSPENDED
                 if earliest < NEVER:
                     self.sim.call_at(earliest,
                                      lambda e=eui: self._maybe_resume(e))
-            elif eui.state is EUState.SUSPENDED and earliest <= now:
+            elif eui.state is _SUSPENDED and earliest <= now:
                 self._maybe_resume(eui)
-            elif (eui.state is EUState.SUSPENDED and earliest < NEVER):
+            elif (eui.state is _SUSPENDED and earliest < NEVER):
                 self.sim.call_at(earliest,
                                  lambda e=eui: self._maybe_resume(e))
-            elif eui.state is EUState.WAITING and eui.preds_remaining == 0:
+            elif eui.state is _WAITING and eui.preds_remaining == 0:
                 self._evaluate(eui)
         self.tracer.emit(_SET_PARAMS, eui.qualified_name, eui.priority,
                          eui.earliest)
 
     def _maybe_resume(self, eui: EUInstance) -> None:
-        if eui.state is not EUState.SUSPENDED:
+        if eui.state is not _SUSPENDED:
             return
         if eui.earliest is not None and self.sim.now < eui.earliest:
             return  # the hold was extended meanwhile
-        eui.state = EUState.READY
+        eui.state = _READY
         eui.thread.resume()
 
     def reevaluate_gated(self) -> None:
@@ -542,7 +594,7 @@ class Dispatcher:
         # Highest priority first, FIFO within equal priority.
         pending.sort(key=lambda e: -e.priority)
         for eui in pending:
-            if eui.state is EUState.ELIGIBLE:
+            if eui.state is _ELIGIBLE:
                 self._evaluate(eui, from_gate_retry=True)
 
     # -- queries ----------------------------------------------------------------
@@ -550,7 +602,7 @@ class Dispatcher:
     def active_instances(self) -> List[TaskInstance]:
         """Task instances still executing."""
         return [inst for inst in self._instances.values()
-                if inst.state is InstanceState.ACTIVE]
+                if inst.state is _INST_ACTIVE]
 
     def instance(self, task_name: str, seq: int) -> Optional[TaskInstance]:
         """One task instance by (name, seq), or None."""
@@ -570,24 +622,30 @@ class Dispatcher:
 
     def _notify(self, kind: NotificationKind, eui: EUInstance,
                 **details: Any) -> None:
-        notification = Notification(kind, eui, self.sim.now, details)
+        """Queue a notification for every scheduler that manages
+        ``eui``: the node's candidates, cached by scope, then each one's
+        ``manage_only`` test, inline (:meth:`SchedulerBase.manages`)."""
         node_id = eui.node_id
         candidates = self._schedulers_of.get(node_id)
         if candidates is None:
             candidates = self._schedulers_of[node_id] = tuple(
                 scheduler for scheduler in self._schedulers
                 if scheduler.scope is None or scheduler.scope == node_id)
+        notification = Notification(kind, eui, self.sim.now, details)
         for scheduler in candidates:
-            if scheduler.manages(eui):
+            manage_only = scheduler.manage_only
+            if manage_only is None or \
+                    eui.instance.task.name in manage_only:
                 scheduler.queue.put(notification)
 
     # -- runnable-rule evaluation (§3.2.1) -----------------------------------------
 
     def _evaluate(self, eui: EUInstance, from_gate_retry: bool = False) -> None:
         """Re-check the four runnable conditions for ``eui``."""
-        if eui.state not in (EUState.WAITING, EUState.ELIGIBLE):
+        state = eui.state
+        if state is not _WAITING and state is not _ELIGIBLE:
             return
-        if eui.instance.state is not InstanceState.ACTIVE and \
+        if eui.instance.state is not _INST_ACTIVE and \
                 self.abort_mode == "kill":
             return
         if eui.preds_remaining > 0:
@@ -627,9 +685,9 @@ class Dispatcher:
         # asks for its resources.
         if eu.resources and not eui._rac_emitted:
             eui._rac_emitted = True
-            self._notify(NotificationKind.RAC, eui,
+            self._notify(_RAC, eui,
                          resources=[r.name for r, _m in eu.resources])
-        eui.state = EUState.ELIGIBLE
+        eui.state = _ELIGIBLE
 
         # Start gates (PCP/SRP hook) veto grant + start atomically.
         for gate in self._start_gates:
@@ -669,7 +727,7 @@ class Dispatcher:
                 f"{eui.qualified_name}: node {eui.node_id!r} not registered")
         if node.crashed:
             return  # the instance will stall; deadline monitoring reports it
-        eui.state = EUState.READY
+        eui.state = _READY
         eui.release_time = self.sim.now
         processor = None
         pool = None
@@ -707,10 +765,11 @@ class Dispatcher:
     def _eu_body(self, eui: EUInstance):
         """The kernel-thread body executing one Code_EU instance."""
         eu: CodeEU = eui.eu  # type: ignore[assignment]
-        costs = self.costs
-        if costs.c_start_act:
-            self.ledger.charge("c_start_act", costs.c_start_act)
-            yield Compute(costs.c_start_act, "dispatcher")
+        charge = self.ledger.charge
+        start = self._start_act
+        if start is not None:
+            charge("c_start_act", start.duration)
+            yield start
         actual = eu.resolve_actual(eui.inputs, engine=eui.engine)
         eui.actual_used = actual
         if actual:
@@ -719,19 +778,18 @@ class Dispatcher:
                                 eui.instance.activation_time, self.sim.now)
         if eu.action is not None:
             eu.action(context)
-        if costs.c_end_act:
-            self.ledger.charge("c_end_act", costs.c_end_act)
-            yield Compute(costs.c_end_act, "dispatcher")
-        task = eui.instance.task
-        for edge in task.out_edges(eu):
-            if task.is_remote(edge):
-                if costs.c_remote:
-                    self.ledger.charge("c_remote", costs.c_remote)
-                    yield Compute(costs.c_remote, "dispatcher")
-            else:
-                if costs.c_local:
-                    self.ledger.charge("c_local", costs.c_local)
-                    yield Compute(costs.c_local, "dispatcher")
+        end = self._end_act
+        if end is not None:
+            charge("c_end_act", end.duration)
+            yield end
+        for _edge, _index, remote in eui.out_edges:
+            if remote:
+                if self._remote is not None:
+                    charge("c_remote", self._remote.duration)
+                    yield self._remote
+            elif self._local is not None:
+                charge("c_local", self._local.duration)
+                yield self._local
         return context
 
     def _on_eu_thread_done(self, eui: EUInstance, finished: Event) -> None:
@@ -751,12 +809,12 @@ class Dispatcher:
                 self.activate(recovery)
                 return
             raise finished._exception
-        if eui.state is EUState.ABORTED:
+        if eui.state is _ABORTED:
             return  # killed; bookkeeping already done by abort
         context: Optional[ActionContext] = finished.value
         if context is None:
             return  # thread was killed mid-flight
-        if eui.instance.state is not InstanceState.ACTIVE:
+        if eui.instance.state is not _INST_ACTIVE:
             # Lazy abort mode: the thread ran to completion although its
             # instance was aborted — that is an orphan execution.
             self.monitor.report(ViolationKind.ORPHAN, self.sim.now,
@@ -774,7 +832,7 @@ class Dispatcher:
 
     def _complete_eu(self, eui: EUInstance, context: ActionContext) -> None:
         eu: CodeEU = eui.eu  # type: ignore[assignment]
-        eui.state = EUState.DONE
+        eui.state = _DONE
         eui.finish_time = self.sim.now
 
         # Early termination monitoring (§3.2.1 event iii), against the
@@ -801,7 +859,7 @@ class Dispatcher:
                 condvar.clear()
 
         self._release_resources(eui)
-        self._notify(NotificationKind.TRM, eui)
+        self._notify(_TRM, eui)
         self.tracer.emit(_EU_DONE, eui.qualified_name)
         self._m_eu_completions.inc()
         self._propagate(eui, context)
@@ -816,7 +874,7 @@ class Dispatcher:
             resource.release(eui)
             released.append(resource)
         if released:
-            self._notify(NotificationKind.RRE, eui,
+            self._notify(_RRE, eui,
                          resources=[r.name for r in released])
             self.reevaluate_gated()
             for resource in released:
@@ -830,50 +888,48 @@ class Dispatcher:
         waiters.sort(key=lambda e: -e.priority)
         still_waiting: List[EUInstance] = []
         for eui in list(waiters):
-            if eui.state is not EUState.ELIGIBLE:
+            if eui.state is not _ELIGIBLE:
                 continue
             self._evaluate(eui)
-            if eui.state is EUState.ELIGIBLE and not eui.granted:
+            if eui.state is _ELIGIBLE and not eui.granted:
                 still_waiting.append(eui)
         self._resource_waiters[resource] = still_waiting
 
     # -- precedence propagation -------------------------------------------------------
 
     def _propagate(self, eui: EUInstance, context: ActionContext) -> None:
-        task = eui.instance.task
-        for edge in task.out_edges(eui.eu):
+        for edge, index, remote in eui.out_edges:
             value = (context.outputs.get(edge.param)
                      if edge.param is not None else None)
-            if task.is_remote(edge):
-                self._send_remote_edge(eui, edge, value)
+            if remote:
+                self._send_remote_edge(eui, edge, index, value)
             else:
-                self._satisfy_edge(eui.instance, edge, value)
+                self._satisfy_edge(eui.instance, edge, index, value)
 
     def _satisfy_edge(self, instance: TaskInstance, edge: Precedence,
-                      value: Any) -> None:
+                      index: int, value: Any) -> None:
         dst = instance.eu_instances[edge.dst]
         if edge.param is not None:
             dst.inputs[edge.param] = value
         dst.preds_remaining -= 1
         # The causal record of the HEUG DAG: span reconstruction reads
         # the per-activation precedence structure out of these.
-        self.tracer.emit(_EDGE_SATISFIED, instance.qualified_name,
-                         instance.task.edge_index(edge), edge.src.name,
-                         edge.dst.name, dst.preds_remaining)
+        self.tracer.emit(_EDGE_SATISFIED, instance.qualified_name, index,
+                         edge.src.name, edge.dst.name, dst.preds_remaining)
         if dst.preds_remaining == 0:
             self._evaluate(dst)
 
     def _send_remote_edge(self, eui: EUInstance, edge: Precedence,
-                          value: Any) -> None:
+                          edge_index: int, value: Any) -> None:
         """Execute a remote precedence constraint through T_network."""
         if self.network is None:
             raise RuntimeError(
                 f"{eui.qualified_name}: remote precedence without a network")
         instance = eui.instance
         task = instance.task
-        src_node = task.node_of(edge.src)
-        dst_node = task.node_of(edge.dst)
-        edge_index = task.edge_index(edge)
+        dst_eui = instance.eu_instances[edge.dst]
+        src_node = eui.node_id
+        dst_node = dst_eui.node_id
         payload = {
             "task": task.name,
             "seq": instance.seq,
@@ -896,11 +952,10 @@ class Dispatcher:
                  + self.omission_margin)
         if tnet is not None:
             bound += tnet.worst_case_queueing()
-        dst_eui = instance.eu_instances[edge.dst]
         expected_preds = dst_eui.preds_remaining
 
         def check_arrival() -> None:
-            if (instance.state is InstanceState.ACTIVE
+            if (instance.state is _INST_ACTIVE
                     and dst_eui.preds_remaining >= expected_preds):
                 self.monitor.report(ViolationKind.NETWORK_OMISSION,
                                     self.sim.now, task.name, instance.seq,
@@ -912,31 +967,32 @@ class Dispatcher:
     def _on_remote_edge_message(self, message) -> None:
         payload = message.payload
         instance = self._instances.get((payload["task"], payload["seq"]))
-        if instance is None or instance.state is not InstanceState.ACTIVE:
+        if instance is None or instance.state is not _INST_ACTIVE:
             # A message for a finished/aborted instance: orphan data.
             self.monitor.report(ViolationKind.ORPHAN, self.sim.now,
                                 payload["task"], payload["seq"],
                                 cause="remote_edge_to_dead_instance")
             return
-        edge = instance.task.edges[payload["edge"]]
+        index = payload["edge"]
         self.tracer.emit(_REMOTE_EDGE_RECV, payload["task"], payload["seq"],
-                         payload["edge"])
-        self._satisfy_edge(instance, edge, payload["value"])
+                         index)
+        self._satisfy_edge(instance, instance.task.edges[index], index,
+                           payload["value"])
 
     # -- Inv_EU execution ----------------------------------------------------------------
 
     def _start_invocation(self, eui: EUInstance) -> None:
         inv: InvEU = eui.eu  # type: ignore[assignment]
-        eui.state = EUState.READY
+        eui.state = _READY
         node = self.nodes[eui.node_id]
         if node.crashed:
             return
-        costs = self.costs
 
         def invocation_body():
-            if costs.c_start_inv:
-                self.ledger.charge("c_start_inv", costs.c_start_inv)
-                yield Compute(costs.c_start_inv, "dispatcher")
+            start = self._start_inv
+            if start is not None:
+                self.ledger.charge("c_start_inv", start.duration)
+                yield start
             target_instance = self.activate(inv.target, invoked_by=eui)
             eui.invoked_instance = target_instance
             if inv.inherit_priority:
@@ -949,9 +1005,10 @@ class Dispatcher:
                                                priority=inherited)
             if inv.synchronous:
                 yield WaitEvent(target_instance.done_event)
-            if costs.c_end_inv:
-                self.ledger.charge("c_end_inv", costs.c_end_inv)
-                yield Compute(costs.c_end_inv, "dispatcher")
+            end = self._end_inv
+            if end is not None:
+                self.ledger.charge("c_end_inv", end.duration)
+                yield end
 
         # Invocation overhead is kernel work: not preemptible by
         # application threads (§3.1.2: kernel calls run at prio_max).
@@ -982,10 +1039,9 @@ class Dispatcher:
     def _on_invocation_done(self, eui: EUInstance, finished: Event) -> None:
         if not finished.ok:
             raise finished._exception
-        if eui.state is EUState.ABORTED or \
-                eui.instance.state is not InstanceState.ACTIVE:
+        if eui.state is _ABORTED or eui.instance.state is not _INST_ACTIVE:
             return
-        eui.state = EUState.DONE
+        eui.state = _DONE
         eui.finish_time = self.sim.now
         self.tracer.record("dispatcher", "inv_done", eu=eui.qualified_name)
         context = ActionContext({}, eui.instance.activation_time, self.sim.now)
@@ -998,7 +1054,7 @@ class Dispatcher:
         instance.remaining -= 1
         if instance.remaining > 0:
             return
-        instance.state = InstanceState.DONE
+        instance.state = _INST_DONE
         instance.finish_time = self.sim.now
         self.completed_instances += 1
         if (instance.abs_deadline is not None
@@ -1021,9 +1077,9 @@ class Dispatcher:
 
     def abort_instance(self, instance: TaskInstance, reason: str) -> None:
         """Abort an instance (deadline-miss reaction or explicit)."""
-        if instance.state is not InstanceState.ACTIVE:
+        if instance.state is not _INST_ACTIVE:
             return
-        instance.state = InstanceState.ABORTED
+        instance.state = _INST_ABORTED
         self._cancel_timer(instance._deadline_timer)
         self.tracer.record("dispatcher", "instance_abort",
                            task=instance.task.name, seq=instance.seq,
@@ -1031,13 +1087,13 @@ class Dispatcher:
                            reason=reason)
         self._m_instances_aborted.inc()
         for eui in instance.eu_instances.values():
-            if eui.state in (EUState.DONE, EUState.ABORTED):
+            if eui.state is _DONE or eui.state is _ABORTED:
                 continue
             if self.abort_mode == "kill":
                 if eui.thread is not None and eui.thread.alive:
                     eui.thread.kill()
                 self._release_resources(eui)
-                eui.state = EUState.ABORTED
+                eui.state = _ABORTED
             # lazy mode: leave threads running; completions become orphans.
         if not instance.done_event.triggered:
             instance.done_event.succeed("aborted")
@@ -1045,7 +1101,7 @@ class Dispatcher:
     # -- monitoring callbacks ----------------------------------------------------------------
 
     def _check_deadline(self, instance: TaskInstance) -> None:
-        if instance.state is not InstanceState.ACTIVE:
+        if instance.state is not _INST_ACTIVE:
             return
         instance.missed_deadline = True
         self.monitor.report(ViolationKind.DEADLINE_MISS,
@@ -1062,11 +1118,11 @@ class Dispatcher:
             self.abort_instance(instance, reason="deadline_miss")
 
     def _check_eu_deadline(self, eui: EUInstance) -> None:
-        if eui.instance.state is not InstanceState.ACTIVE:
+        if eui.instance.state is not _INST_ACTIVE:
             return
-        if eui.state is EUState.DONE and eui.finish_time <= eui.deadline:
+        if eui.state is _DONE and eui.finish_time <= eui.deadline:
             return
-        if eui.state is EUState.ABORTED:
+        if eui.state is _ABORTED:
             return
         self.monitor.report(ViolationKind.DEADLINE_MISS, eui.deadline,
                             eui.instance.task.name, eui.instance.seq,
@@ -1074,10 +1130,10 @@ class Dispatcher:
                             level="eu")
 
     def _check_latest(self, eui: EUInstance) -> None:
-        if eui.instance.state is not InstanceState.ACTIVE:
+        if eui.instance.state is not _INST_ACTIVE:
             return
-        if eui.start_time is None and eui.state not in (EUState.DONE,
-                                                        EUState.ABORTED):
+        if eui.start_time is None and eui.state is not _DONE and \
+                eui.state is not _ABORTED:
             self.monitor.report(ViolationKind.LATEST_START, self.sim.now,
                                 eui.instance.task.name, eui.instance.seq,
                                 eu=eui.eu.name, latest=eui.latest)

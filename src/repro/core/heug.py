@@ -28,16 +28,21 @@ the task itself, so a complete HEUG reads as one expression::
     actuate = control.code_eu("actuate", wcet=200)
     control.chain(sense, compute, actuate).validate()
 
-**Derived-structure caching.**  The dispatcher consults a task's graph
-structure on every activation and every unit completion (predecessor
-counts, out-edges, remoteness of each edge, the topological order
-behind ``validate``).  All of it is derived data, so :class:`Task`
-caches it the first time it is queried and serves the cache until the
-graph is *mutated* — ``add``/``code_eu``/``inv_eu``/``precede``/
-``chain`` all invalidate.  Mutating attributes the cache depends on
+**Compiled once.**  A HEUG is static while it runs: its units'
+processors and its precedence constraints are fixed before the system
+starts (§3.1).  So :class:`Task` derives its graph structure (adjacency,
+remoteness of each edge, the topological order behind ``validate``) in
+one pass, the first time it is queried, and serves it until the graph
+is *mutated* — ``add``/``code_eu``/``inv_eu``/``precede``/``chain`` all
+invalidate.  The same pass compiles the dispatcher's plan: one
+:class:`EUPlan` per unit (its processor, its in-degree and its
+out-edges), which every activation reads instead of querying the graph
+(:meth:`Task.plan`).  Mutating attributes the cache depends on
 *without* going through those methods (reassigning ``eu.node_id`` or
 ``task.node_id`` after a query, editing ``task.edges`` in place) must
-be followed by an explicit :meth:`Task.invalidate_cache`.
+be followed by an explicit :meth:`Task.invalidate_cache`.  A unit's
+``attrs`` and ``engine`` are not compiled: the dispatcher reads them
+per activation, because schedulers write them after validation.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ from typing import (
     Callable,
     Dict,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -285,17 +291,33 @@ class Precedence:
     param: Optional[str] = None
 
 
+class EUPlan(NamedTuple):
+    """What the dispatcher needs of one unit, compiled with its graph.
+
+    ``node`` is the unit's processor, ``in_degree`` its number of
+    incoming precedence constraints, and ``out_edges`` one
+    ``(edge, edge index, remote flag)`` triple per outgoing constraint,
+    in edge order; the index is :meth:`Task.edge_index`'s.
+    """
+
+    eu: EU
+    node: Optional[str]
+    in_degree: int
+    out_edges: Tuple[Tuple[Precedence, int, bool], ...]
+
+
 class _GraphCache:
     """Derived structures of one Task graph, built in one pass.
 
     Everything the dispatcher's per-activation and per-completion hot
-    paths ask of the graph — adjacency, remoteness, ordering — computed
-    once after the last mutation instead of per query.
+    paths ask of the graph — adjacency, remoteness, ordering, and the
+    per-unit :class:`EUPlan` — computed once after the last mutation
+    instead of per query.
     """
 
     __slots__ = ("in_edges", "out_edges", "preds", "succs", "node_of",
                  "is_remote", "edge_index", "topo_order", "topo_error",
-                 "sources", "sinks")
+                 "sources", "sinks", "plan")
 
     def __init__(self, task: "Task"):
         eus = task.eus
@@ -338,6 +360,11 @@ class _GraphCache:
                     frontier.append(succ)
         self.topo_error = len(order) != len(eus)
         self.topo_order = order
+        self.plan: Tuple[EUPlan, ...] = tuple(
+            EUPlan(eu, self.node_of[eu], len(self.in_edges[eu]),
+                   tuple((edge, self.edge_index[edge], self.is_remote[edge])
+                         for edge in self.out_edges[eu]))
+            for eu in eus)
 
 
 class Task:
@@ -512,6 +539,14 @@ class Task:
         if cache.topo_error:
             raise ValueError(f"task {self.name!r} has a precedence cycle")
         return list(cache.topo_order)
+
+    def plan(self) -> Tuple[EUPlan, ...]:
+        """The validated graph's :class:`EUPlan` of every unit, in unit
+        order: what one activation needs of the graph, compiled once
+        after the last mutation."""
+        if not self._validated or self._cache is None:
+            self.validate()
+        return self._cache.plan
 
     def validate(self) -> "Task":
         """Check HEUG structural rules; returns self for chaining.

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional, TYPE_CHECKING
 
 from repro.sim.engine import Event, Simulator
@@ -35,14 +34,19 @@ class NotificationKind(enum.Enum):
     RRE = "Rre"   # resource release
 
 
-@dataclass
 class Notification:
-    """One entry of the shared FIFO queue."""
+    """One entry of the shared FIFO queue: a kind, the unit it is
+    about, the instant it was sent and the kind's details (the resource
+    names of an Rac or an Rre)."""
 
-    kind: NotificationKind
-    eu_instance: "EUInstance"
-    time: int
-    details: Dict[str, Any] = field(default_factory=dict)
+    __slots__ = ("kind", "eu_instance", "time", "details")
+
+    def __init__(self, kind: NotificationKind, eu_instance: "EUInstance",
+                 time: int, details: Optional[Dict[str, Any]] = None):
+        self.kind = kind
+        self.eu_instance = eu_instance
+        self.time = time
+        self.details = {} if details is None else details
 
     def __repr__(self) -> str:
         return (f"<{self.kind.value} {self.eu_instance.qualified_name} "

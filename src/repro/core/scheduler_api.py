@@ -53,7 +53,12 @@ class SchedulerBase:
         self.handled_count = 0
 
     def manages(self, eui: "EUInstance") -> bool:
-        """Whether this scheduler receives notifications about ``eui``."""
+        """Whether this scheduler receives notifications about ``eui``.
+
+        The dispatcher applies this same test inline when it routes a
+        notification (``scope``, then ``manage_only``), so a policy
+        selects its threads through those two attributes.
+        """
         if self.scope is not None and self.scope != eui.node_id:
             return False
         if self.manage_only is not None and \

@@ -259,7 +259,12 @@ class Cpu:
         assert thread is not None
         self._completion_timer = None
         progressed = self.sim.now - self._progress_start
-        self._account(thread._category, progressed)
+        if progressed > 0:
+            # _account, inlined: one completion per compute block.
+            category = thread._category
+            self.busy_time[category] = (self.busy_time.get(category, 0)
+                                        + progressed)
+            self._busy_total += progressed
         thread.cpu_time += progressed
         thread._pt_boosted = False
         self._running = None
@@ -287,6 +292,7 @@ class Cpu:
         self._account(self._running._category, progressed)
 
     def _account(self, category: str, amount: int) -> None:
+        # _on_completion runs a copy of this inline; keep the two in step.
         if amount <= 0:
             return
         self.busy_time[category] = self.busy_time.get(category, 0) + amount

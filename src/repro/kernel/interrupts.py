@@ -51,6 +51,9 @@ class InterruptSource:
         self.wcet = int(wcet)
         self.pseudo_period = int(pseudo_period)
         self.handler = handler
+        # The handler's WCET as one Compute request, which every firing
+        # yields (rebuilt by a firing if ``wcet`` was reassigned).
+        self._charge = Compute(self.wcet, "kernel")
         self.fire_count = 0
         self._next_allowed = 0
         self._deferred = 0
@@ -72,28 +75,31 @@ class InterruptSource:
             sim.call_at(earliest, lambda: self._service(payload))
 
     def _service(self, payload: Any) -> None:
-        sim = self.node.sim
         self.fire_count += 1
         self.node.tracer.emit(_INTERRUPT, self.node.node_id, self.name,
                               self.fire_count)
-
-        def handler_body():
-            if self.wcet:
-                yield Compute(self.wcet, category="kernel")
-            if self.handler is not None:
-                try:
-                    self.handler(payload)
-                except BaseException as error:
-                    # Nobody waits on a firing's end, so its failure
-                    # would go unseen: re-raise it from a timer of its
-                    # own, out of the simulator's run.
-                    sim.call_in(0, functools.partial(_reraise, error))
-                    raise
-
-        thread = KThread(self.node, handler_body(),
+        thread = KThread(self.node, _firing(self, payload),
                          name=f"irq:{self.name}:{self.fire_count}",
                          priority=PRIO_MAX, preemption_threshold=PRIO_MAX)
         thread.start()
+
+
+def _firing(source: InterruptSource, payload: Any):
+    """The body of one firing of ``source``: its WCET, then its
+    handler.  One module-level body serves every source."""
+    if source.wcet:
+        if source._charge.duration != source.wcet:
+            source._charge = Compute(source.wcet, "kernel")
+        yield source._charge
+    if source.handler is not None:
+        try:
+            source.handler(payload)
+        except BaseException as error:
+            # Nobody waits on a firing's end, so its failure would go
+            # unseen: re-raise it from a timer of its own, out of the
+            # simulator's run.
+            source.node.sim.call_in(0, functools.partial(_reraise, error))
+            raise
 
 
 def _reraise(error: BaseException) -> None:

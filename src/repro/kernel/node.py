@@ -44,9 +44,9 @@ class Node:
                  engines: Optional[Dict[str, int]] = None):
         self.sim = sim
         self.node_id = node_id
-        self.tracer = tracer if tracer is not None else Tracer(lambda: sim.now)
+        self.tracer = tracer if tracer is not None else Tracer(sim)
         if self.tracer._clock is None:
-            self.tracer.bind_clock(lambda: sim.now)
+            self.tracer.bind_clock(sim)
         self.clock = clock if clock is not None else HardwareClock(sim)
         self.metrics = metrics
         self.cpu = Cpu(sim, self.tracer, node_id, context_switch_cost,

@@ -300,7 +300,12 @@ class KThread:
 
     def _advance(self, value: Any = None) -> None:
         """One step of the body: the start timer, a wake-up and the Cpu
-        call this directly."""
+        call this directly.
+
+        A non-empty :class:`Compute` on a thread that is not suspended
+        is submitted here, as :meth:`_handle_request` would: it is the
+        request of nearly every step, and this saves it a call.
+        """
         state = self.state
         if state is _FINISHED or state is _KILLED:
             return
@@ -312,9 +317,18 @@ class KThread:
         except BaseException as error:
             self._end(None, error)
             return
+        if request.__class__ is Compute and request.duration \
+                and not self._suspended:
+            self._remaining = request.duration
+            self._category = request.category
+            self.state = _READY
+            self.cpu.submit(self)
+            return
         self._handle_request(request)
 
     def _handle_request(self, request: Any) -> None:
+        # _advance submits a plain non-empty Compute itself; keep its
+        # copy in step with this branch.
         if isinstance(request, Compute):
             if self._suspended:
                 # Park at this compute boundary until resume().

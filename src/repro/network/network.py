@@ -40,9 +40,9 @@ class Network:
         from repro.obs.metrics import resolve_metrics
 
         self.sim = sim
-        self.tracer = tracer if tracer is not None else Tracer(lambda: sim.now)
+        self.tracer = tracer if tracer is not None else Tracer(sim)
         if self.tracer._clock is None:
-            self.tracer.bind_clock(lambda: sim.now)
+            self.tracer.bind_clock(sim)
         self.metrics = resolve_metrics(metrics)
         self._m_no_route = self.metrics.counter("network.no_route")
         self.base_latency = base_latency

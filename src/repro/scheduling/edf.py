@@ -34,6 +34,8 @@ _NO_DEADLINE = 2 ** 62
 
 _DONE = EUState.DONE
 _ABORTED = EUState.ABORTED
+_ATV = NotificationKind.ATV
+_TRM = NotificationKind.TRM
 
 
 class EDFScheduler(SchedulerBase):
@@ -61,7 +63,8 @@ class EDFScheduler(SchedulerBase):
     def handle(self, notification: Notification) -> None:
         """Reorder live units by absolute deadline (Atv) / retire (Trm)."""
         eui = notification.eu_instance
-        if notification.kind is NotificationKind.ATV:
+        kind = notification.kind
+        if kind is _ATV:
             self._atv_count += 1
             key = (self._deadline_of(eui), self._atv_count)
             # The count is unique, so no existing key equals this one.
@@ -69,7 +72,7 @@ class EDFScheduler(SchedulerBase):
             self._keys.insert(index, key)
             self._live.insert(index, eui)
             self._reassign()
-        elif notification.kind is NotificationKind.TRM:
+        elif kind is _TRM:
             try:
                 index = self._live.index(eui)
             except ValueError:
@@ -90,9 +93,11 @@ class EDFScheduler(SchedulerBase):
                 self._live = live = [live[index] for index in keep]
                 self._keys = [self._keys[index] for index in keep]
                 break
+        # The dispatcher primitive, bound once per re-rank.
+        set_thread_params = self.dispatcher.set_thread_params
         priority = PRIO_MAX_APPL
         for eui in live:
             if eui.priority != priority:
-                self.set_priority(eui, priority)
+                set_thread_params(eui, priority=priority)
             if priority > PRIO_MIN_APPL:
                 priority -= 1

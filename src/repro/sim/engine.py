@@ -197,8 +197,8 @@ class Timeout(Event):
                  name: str = ""):
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
-        # Inlined Event.__init__ plus scheduling: this constructor is
-        # the hottest allocation site in the engine.
+        # Inlined Event.__init__ plus scheduling (Simulator.call_in
+        # inlines this constructor in turn, for its timers).
         self.sim = sim
         self._name = name
         self._value = _PENDING
@@ -254,6 +254,10 @@ class Timer(Timeout):
         self._function()
         for callback in callbacks:
             callback(self)
+
+
+#: Allocates a :class:`Timer` without running an ``__init__``.
+_new_timer = object.__new__
 
 
 class AnyOf(Event):
@@ -352,8 +356,22 @@ class Simulator:
         The returned :class:`Timer` takes the same place in the event
         set as ``timeout(delay)`` with ``callback`` as its callback.
         """
-        timer = Timer(self, int(delay))
+        delay = int(delay)
+        if delay < 0:
+            raise ValueError(f"negative timeout delay: {delay}")
+        # Timeout.__init__, inlined: every kernel step and monitoring
+        # timer comes through here.  The push stays _schedule_event's.
+        timer = _new_timer(Timer)
+        timer.sim = self
+        timer._name = ""
+        timer._value = _PENDING
+        timer._exception = None
+        timer._callbacks = []
+        timer._cancelled = False
+        timer._scheduled_value = None
+        timer._delay = delay
         timer._function = callback
+        self._schedule_event(timer, delay)
         return timer
 
     # -- execution ------------------------------------------------------

@@ -21,17 +21,22 @@ The tracer scales to long runs in these ways:
   in declared order each time it is read; consumers that read every
   record call :meth:`TraceRecord.get` or read the slots, which builds
   nothing.
-* **One storage rule** — :meth:`Tracer._store` keeps every record: it
-  sets the monotone flag, applies the ring buffer and calls the
-  listeners of the record's key (:meth:`Tracer.emit` runs the same
-  steps inline, to save a call per record).  A hot site calls
+* **One frame per record** — :meth:`Tracer._store` keeps every record:
+  it sets the monotone flag, applies the ring buffer and calls the
+  listeners of the record's key.  :meth:`Tracer.emit` runs the same
+  steps inline, and builds its record inline too, with no
+  ``TraceRecord.__init__`` frame; it reads the time off the
+  :class:`~repro.sim.engine.Simulator` the tracer's clock names, with
+  no call.  So a hot record costs the one Python frame of ``emit``
+  (DESIGN.md §6).  A hot site calls
   :meth:`Tracer.emit` with its declared layout and the field values,
   positionally; :meth:`Tracer.record` takes the details as keywords,
   snapshots any plain container among them, and stores the record in
   the layout of their names, raising ``ValueError`` when a declared
   key's names match none of its layouts.  Both apply the category
   filter and the clock before building the record, so a filtered call
-  builds nothing.
+  builds nothing.  A clock is a ``Simulator``, read as ``now``, or any
+  callable returning the time, called once per record.
 * **Listeners by key** — ``subscribe(listener, keys=...)`` names the
   (category, event) keys a listener reads, and the tracer keeps the
   tuple of listeners of each named key, so a record reaches only the
@@ -242,6 +247,7 @@ class TraceRecord:
     def __init__(self, time: int, layout: Layout, f0: Any = None,
                  f1: Any = None, f2: Any = None, f3: Any = None,
                  f4: Any = None, f5: Any = None):
+        # Tracer.emit sets the same slots itself; keep the two in step.
         self.time = time
         self.category = layout.category
         self.event = layout.event
@@ -371,6 +377,10 @@ def snapshot(value: Any) -> Any:
     if t is set:
         return {snapshot(item) for item in value}
     return value
+
+
+#: Allocates a :class:`TraceRecord` without running its ``__init__``.
+_new_record = object.__new__
 
 
 def _jsonable(value: Any) -> Any:
@@ -531,10 +541,53 @@ def _window(times: List[int], t_min: Optional[int],
     return lo, hi
 
 
-class Tracer:
-    """Collects trace records (:class:`TraceRecord`) in emission order."""
+class _ClockCall:
+    """A clock callable, read as ``now`` the way a ``Simulator`` is."""
 
-    def __init__(self, clock: Optional[Callable[[], int]] = None,
+    __slots__ = ("clock",)
+
+    def __init__(self, clock: Callable[[], int]):
+        self.clock = clock
+
+    @property
+    def now(self) -> int:
+        return self.clock()
+
+
+class _NoClock:
+    """The time source of a tracer with no bound clock."""
+
+    __slots__ = ()
+
+    @property
+    def now(self) -> int:
+        raise RuntimeError("tracer has no bound clock")
+
+
+def _time_source(clock: Any) -> Any:
+    """What the tracer reads ``now`` off for ``clock``: a ``Simulator``
+    (any object with a ``now``) itself, a callable through a wrapper."""
+    if clock is None:
+        return _NoClock()
+    if callable(clock):
+        return _ClockCall(clock)
+    if not hasattr(clock, "now"):
+        raise TypeError(f"a tracer clock is a Simulator or a callable, "
+                        f"not {clock!r}")
+    return clock
+
+
+class Tracer:
+    """Collects trace records (:class:`TraceRecord`) in emission order.
+
+    ``clock`` gives a record its time: the
+    :class:`~repro.sim.engine.Simulator` whose ``now`` it reads (what
+    every tracer of a system is given), or a callable returning the
+    time.  Without one, only records with an explicit time are taken
+    until :meth:`bind_clock` names one.
+    """
+
+    def __init__(self, clock: Any = None,
                  maxlen: Optional[int] = None, index: bool = True,
                  categories: Optional[Iterable[str]] = None):
         if maxlen is not None and maxlen <= 0:
@@ -542,7 +595,10 @@ class Tracer:
         self._records: Any = (deque(maxlen=maxlen) if maxlen is not None
                               else [])
         self.maxlen = maxlen
+        # The clock as given (None while unbound), and what ``now`` is
+        # read off.
         self._clock = clock
+        self._time = _time_source(clock)
         # Every subscription, (listener, its keys or None), in order.
         # This and the two routing fields below are replaced, never
         # mutated, by subscribe/unsubscribe, so _store can iterate a
@@ -576,8 +632,10 @@ class Tracer:
         self._by_cat_event: Optional[Dict[Tuple[str, Optional[str]],
                                           _Bucket]] = None
 
-    def bind_clock(self, clock: Callable[[], int]) -> None:
-        """Attach the time source used when ``record`` omits a time."""
+    def bind_clock(self, clock: Any) -> None:
+        """Attach the time source used when ``record`` omits a time: a
+        ``Simulator`` or a callable, as for the constructor."""
+        self._time = _time_source(clock)
         self._clock = clock
 
     @property
@@ -676,9 +734,7 @@ class Tracer:
             if type(value) in _MUTABLE_CONTAINERS:
                 details[key] = snapshot(value)
         if time is None:
-            if self._clock is None:
-                raise RuntimeError("tracer has no bound clock")
-            time = self._clock()
+            time = self._time.now
         return self._store(_build(time, category, event, details))
 
     def emit(self, record_layout: Layout, f0: Any, f1: Any = None,
@@ -697,17 +753,25 @@ class Tracer:
         The signature is fixed, not ``*values``: a call with plain
         positional arguments is the cheapest one CPython makes, and this
         runs for nearly every record.  For the same reason the record is
-        stored inline, as :meth:`_store` does; keep the two in sync.
+        built inline, as ``TraceRecord.__init__`` does, and stored
+        inline, as :meth:`_store` does; keep the three in sync.
         """
         allowed = self._categories
         if allowed is not None and record_layout.category not in allowed:
             self.filtered += 1
             return None
-        clock = self._clock
-        if clock is None:
-            raise RuntimeError("tracer has no bound clock")
-        time = clock()
-        entry = TraceRecord(time, record_layout, f0, f1, f2, f3, f4, f5)
+        time = self._time.now
+        entry = _new_record(TraceRecord)
+        entry.time = time
+        entry.category = record_layout.category
+        entry.event = record_layout.event
+        entry.layout = record_layout
+        entry.f0 = f0
+        entry.f1 = f1
+        entry.f2 = f2
+        entry.f3 = f3
+        entry.f4 = f4
+        entry.f5 = f5
         last = self._last_time
         if last is not None and time < last:
             self._monotonic = False

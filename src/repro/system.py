@@ -52,7 +52,7 @@ class HadesSystem:
         # :func:`repro.obs.resolve_metrics` for the full contract.
         self.metrics = resolve_metrics(metrics)
         self.sim = Simulator(metrics=self.metrics)
-        self.tracer = Tracer(lambda: self.sim.now, maxlen=trace_maxlen,
+        self.tracer = Tracer(self.sim, maxlen=trace_maxlen,
                              categories=trace_categories)
         self.monitor = ExecutionMonitor()
         node_ids = list(node_ids)

@@ -73,6 +73,11 @@ class TestTimeoutAndTime:
         with pytest.raises(ValueError):
             sim.timeout(-1)
 
+    def test_negative_timer_delay_rejected(self, sim):
+        with pytest.raises(ValueError):
+            sim.call_in(-1, lambda: None)
+        assert sim.pending == 0
+
     def test_same_instant_fifo_order(self, sim):
         order = []
         sim.call_in(50, lambda: order.append("a"))
@@ -272,6 +277,17 @@ class TestTracer:
         tracer = Tracer()
         with pytest.raises(RuntimeError):
             tracer.record("a", "b")
+
+    def test_reads_the_time_off_a_simulator(self, sim):
+        tracer, late = Tracer(sim), Tracer()
+        late.bind_clock(sim)
+        sim.call_in(7, lambda: (tracer.record("a", "x", k=1),
+                                late.record("a", "x", k=2)))
+        sim.run()
+        assert [(r.time, r.get("k")) for r in tracer] == [(7, 1)]
+        assert [(r.time, r.get("k")) for r in late] == [(7, 2)]
+        with pytest.raises(TypeError):
+            Tracer(clock=42)
 
     def test_subscribe_sees_new_records(self, sim):
         tracer = Tracer(lambda: sim.now)
