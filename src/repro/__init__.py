@@ -140,7 +140,7 @@ from repro.sim.trace import Tracer, TraceRecord, load_trace
 from repro.system import HadesSystem
 from repro.workloads.arrivals import diurnal_profile, nhpp_arrivals
 
-__version__ = "6.0.0"
+__version__ = "7.0.0"
 
 __all__ = [
     # deployment facade

@@ -8,7 +8,7 @@ failures for the communication network" (§2.1).
 This package provides the corresponding simulated substrate:
 
 * :class:`~repro.network.link.Link` — a unidirectional channel with
-  *bounded* latency (``[min_latency, max_latency]``), per-byte cost and
+  *bounded* latency (a base, a per-byte cost and a bounded jitter) and
   injectable omission / performance faults,
 * :class:`~repro.network.network.Network` — the set of nodes and links
   (full mesh by default), message routing and delivery through the
@@ -17,9 +17,10 @@ This package provides the corresponding simulated substrate:
   receive endpoint with inbox and receive callbacks.
 
 Timing guarantees offered to upper layers: if neither endpoint crashes
-and the message is not hit by an omission fault, a message sent at
-``t`` is delivered no later than ``t + max_latency + size_cost * size +
-irq_wcet`` — the bound the time-bounded communication services build on.
+and no omission or performance fault hits it, a ``size``-byte message
+sent at ``t`` reaches the receiver's network interrupt by ``t +
+Network.max_message_delay(size)``; the time-bounded communication
+services add the receiver's ``net_irq`` WCET and pseudo-period.
 """
 
 from repro.network.interface import NetworkInterface

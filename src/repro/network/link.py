@@ -1,10 +1,11 @@
 """Point-to-point links with bounded latency and injectable faults.
 
-A link delivers each message after ``base_latency + size_cost * size +
-jitter`` microseconds, where jitter is drawn deterministically from a
-seeded RNG in ``[0, jitter_bound]``.  The *guaranteed* bound used by
-feasibility analyses is :attr:`Link.max_latency`; a correct link never
-exceeds it.
+A link delivers each message after ``base_latency + size_cost_per_byte
+* size + jitter`` microseconds, where jitter is drawn deterministically
+from a seeded RNG in ``[0, jitter_bound]``.  The *guaranteed* bound used
+by feasibility analyses is :meth:`Link.guaranteed_bound`, that is
+``base_latency + size_cost_per_byte * size + jitter_bound``; a correct
+link never exceeds it.
 
 Faults (paper §2.1: omission and performance failures for the
 communication network) are injected through :class:`LinkFault` hooks:
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import random
-from typing import Callable, List, Optional, Tuple, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.network.messages import Message
 from repro.sim.engine import Simulator
@@ -158,7 +159,10 @@ class Link:
         self.up = True
         self.faults: List[LinkFault] = []
         self._last_delivery = 0
-        self.stats = {outcome: 0 for outcome in DeliveryOutcome}
+        # Messages by outcome value, which :attr:`stats` keys by outcome:
+        # a str hashes in C, an enum member by a Python call.
+        self._counts = dict.fromkeys(
+            (outcome.value for outcome in DeliveryOutcome), 0)
         self._on_deliver: Optional[Callable[[Message], None]] = None
         self._accepts: Optional[Callable[[], bool]] = None
         self.metrics = resolve_metrics(metrics)
@@ -166,6 +170,12 @@ class Link:
         self._m_delivered = self.metrics.counter("network.messages_delivered")
         self._m_dropped = self.metrics.counter("network.messages_dropped")
         self._h_latency = self.metrics.histogram("network.latency")
+
+    @property
+    def stats(self) -> Dict[DeliveryOutcome, int]:
+        """Messages so far by outcome, as a fresh dict."""
+        return {outcome: self._counts[outcome.value]
+                for outcome in DeliveryOutcome}
 
     def guaranteed_bound(self, size: int) -> int:
         """Worst-case correct transfer delay for a ``size``-byte message."""
@@ -229,7 +239,7 @@ class Link:
             self.tracer.emit(_SEND, self.label, message.msg_id, message.kind,
                              message.size)
         if not self.up:
-            self.stats[DeliveryOutcome.DROPPED] += 1
+            self._counts[DeliveryOutcome.DROPPED.value] += 1
             self._m_dropped.inc()
             self.tracer.record("network", "drop", link=self.label,
                                msg=message.msg_id, reason="link_down")
@@ -239,7 +249,7 @@ class Link:
         for fault in self.faults:
             drop, delay = fault.apply(message)
             if drop:
-                self.stats[DeliveryOutcome.DROPPED] += 1
+                self._counts[DeliveryOutcome.DROPPED.value] += 1
                 self._m_dropped.inc()
                 self.tracer.record("network", "drop", link=self.label,
                                    msg=message.msg_id, reason="omission")
@@ -254,28 +264,29 @@ class Link:
             deliver_at = self._last_delivery
         self._last_delivery = deliver_at
 
-        late = (deliver_at - message.send_time
-                > self.guaranteed_bound(message.size))
+        bound = self.guaranteed_bound(message.size)
+        late = deliver_at - message.send_time > bound
         outcome = DeliveryOutcome.LATE if late else DeliveryOutcome.DELIVERED
-        self.sim.call_at(deliver_at, lambda: self._deliver(message, outcome))
+        value = outcome.value
+        self.sim.call_at(deliver_at,
+                         lambda: self._deliver(message, value, bound))
         return outcome
 
-    def _deliver(self, message: Message, outcome: DeliveryOutcome) -> None:
+    def _deliver(self, message: Message, outcome: str, bound: int) -> None:
         message.deliver_time = self.sim.now
         if self._on_deliver is None or (self._accepts is not None
                                         and not self._accepts()):
             # No receiver wired, or the receiver is down at delivery
             # time (crash semantics of §2.1): the message is lost.
-            self.stats[DeliveryOutcome.DST_CRASHED] += 1
+            self._counts[DeliveryOutcome.DST_CRASHED.value] += 1
             self.tracer.record("network", "dst_crashed", link=self.label,
                                msg=message.msg_id, kind=message.kind)
             return
-        self.stats[outcome] += 1
+        self._counts[outcome] += 1
         self._m_delivered.inc()
         self._h_latency.observe(message.latency)
         self.tracer.emit(_DELIVER, self.label, message.msg_id, message.kind,
-                         message.latency, outcome.value,
-                         self.guaranteed_bound(message.size))
+                         message.latency, outcome, bound)
         self._on_deliver(message)
 
     def __repr__(self) -> str:

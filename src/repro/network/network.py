@@ -163,7 +163,10 @@ class Network:
         Derived from the network-wide parameters, which every link
         shares (see :class:`~repro.network.link.Link`): the same bound
         as each link's :meth:`~repro.network.link.Link.guaranteed_bound`,
-        or 0 while fewer than two nodes are attached.
+        or 0 while fewer than two nodes are attached.  It ends when the
+        message reaches the receiving node, so a per-hop end-to-end
+        bound adds that node's ``net_irq`` WCET, as
+        :func:`~repro.feasibility.end_to_end.end_to_end_bound` says.
         """
         if len(self.nodes) < 2:
             return 0

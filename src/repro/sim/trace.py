@@ -22,13 +22,12 @@ The tracer scales to long runs in these ways:
   record call :meth:`TraceRecord.get` or read the slots, which builds
   nothing.
 * **One frame per record** — :meth:`Tracer._store` keeps every record:
-  it sets the monotone flag, applies the ring buffer and calls the
-  listeners of the record's key.  :meth:`Tracer.emit` runs the same
-  steps inline, and builds its record inline too, with no
-  ``TraceRecord.__init__`` frame; it reads the time off the
-  :class:`~repro.sim.engine.Simulator` the tracer's clock names, with
-  no call.  So a hot record costs the one Python frame of ``emit``
-  (DESIGN.md §6).  A hot site calls
+  it applies the ring buffer and calls the listeners of the record's
+  key.  :meth:`Tracer.emit` runs the same steps inline, and builds its
+  record inline too, with no ``TraceRecord.__init__`` frame; it reads
+  the time off the :class:`~repro.sim.engine.Simulator` the tracer's
+  clock names, with no call.  So a hot record costs the one Python
+  frame of ``emit`` (DESIGN.md §6).  A hot site calls
   :meth:`Tracer.emit` with its declared layout and the field values,
   positionally; :meth:`Tracer.record` takes the details as keywords,
   snapshots any plain container among them, and stores the record in
@@ -50,19 +49,11 @@ The tracer scales to long runs in these ways:
 * **Bounded ring buffer** — ``Tracer(maxlen=...)`` keeps only the most
   recent records (post-mortem tail), dropping the oldest; ``dropped``
   counts evictions.
-* **Per-key query buckets** — :meth:`select` and :meth:`count` with a
-  category run over a bucket holding the records of that (category,
-  event) key, or of the whole category when ``event`` is ``None``.  A
-  key's first query scans the held records once; each later query
-  scans only the records appended since (the bucket's watermark), so
-  from then on queries are O(matching records), not O(trace length).
-  :meth:`record` does no index work at all, and buckets exist only for
-  keys that were queried.
-* **Time windows** — ``select(..., t_min=..., t_max=...)`` restricts a
-  query to a window of simulated time.  With a category filter the
-  window runs over the key's bucket; on the common monotone
-  (clock-bound) trace it is found by binary search, so a window costs
-  O(log n), plus the records returned.
+* **Queries are one scan** — :meth:`select` keeps the held records
+  that pass its filters (category, event, an inclusive ``t_min`` /
+  ``t_max`` window, detail values), in order, and :meth:`count` counts
+  them.  The trace's consumers read each record once, so the tracer
+  keeps no per-key index (DESIGN.md §6).
 
 **Streaming JSONL export** — :meth:`Tracer.stream_jsonl` writes records
 to disk as they are emitted, so a bounded tracer still produces a
@@ -78,7 +69,6 @@ and the ``repro.obs`` consumers read trace files through it.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, bisect_right
 from collections import deque
 from itertools import islice
 from operator import attrgetter
@@ -493,54 +483,6 @@ class JsonlStream:
         self.close()
 
 
-class _Bucket:
-    """The held records of one query key, in emission order.
-
-    ``seqs``, ``times`` and ``records`` are parallel lists: a record's
-    sequence number (its position in the whole emission history), its
-    time and the record itself.  Eviction pruning bisects ``seqs`` and
-    window queries bisect ``times``.  ``watermark`` is the sequence
-    number of the first record this key has not scanned yet.
-    """
-
-    __slots__ = ("seqs", "times", "records", "watermark")
-
-    def __init__(self) -> None:
-        self.seqs: List[int] = []
-        self.times: List[int] = []
-        self.records: List[TraceRecord] = []
-        self.watermark = 0
-
-
-def _scan(records: Iterable[TraceRecord], category: Optional[str],
-          event: Optional[str], t_min: Optional[int], t_max: Optional[int],
-          details: Dict[str, Any]) -> List[TraceRecord]:
-    """The records that pass every given filter, by one linear pass."""
-    found = []
-    for entry in records:
-        if category is not None and entry.category != category:
-            continue
-        if event is not None and entry.event != event:
-            continue
-        if t_min is not None and entry.time < t_min:
-            continue
-        if t_max is not None and entry.time > t_max:
-            continue
-        if details and any(entry.get(k) != v
-                           for k, v in details.items()):
-            continue
-        found.append(entry)
-    return found
-
-
-def _window(times: List[int], t_min: Optional[int],
-            t_max: Optional[int]) -> Tuple[int, int]:
-    """Index range of the sorted ``times`` inside ``[t_min, t_max]``."""
-    lo = 0 if t_min is None else bisect_left(times, t_min)
-    hi = len(times) if t_max is None else bisect_right(times, t_max, lo)
-    return lo, hi
-
-
 class _ClockCall:
     """A clock callable, read as ``now`` the way a ``Simulator`` is."""
 
@@ -588,7 +530,7 @@ class Tracer:
     """
 
     def __init__(self, clock: Any = None,
-                 maxlen: Optional[int] = None, index: bool = True,
+                 maxlen: Optional[int] = None,
                  categories: Optional[Iterable[str]] = None):
         if maxlen is not None and maxlen <= 0:
             raise ValueError(f"maxlen must be positive, got {maxlen}")
@@ -612,8 +554,7 @@ class Tracer:
                                           ...]]] = None
         # The route of every other key: the unkeyed listeners.
         self._unkeyed: Tuple[Callable[[TraceRecord], None], ...] = ()
-        #: Records evicted by the ring buffer so far (also the sequence
-        #: number of the oldest held record).
+        #: Records evicted by the ring buffer so far.
         self.dropped = 0
         #: Records dropped by the category filter so far.
         self.filtered = 0
@@ -622,15 +563,6 @@ class Tracer:
         # category costs one membership test, nothing else.
         self._categories: Optional[frozenset] = (
             None if categories is None else frozenset(categories))
-        # Whether record times have been non-decreasing so far; lets
-        # time-window queries binary-search a bucket.
-        self._monotonic = True
-        self._last_time: Optional[int] = None
-        self._index_enabled = index
-        # Lazily created on the first indexed query:  (category, event)
-        # -> _Bucket, with event None for a whole-category bucket.
-        self._by_cat_event: Optional[Dict[Tuple[str, Optional[str]],
-                                          _Bucket]] = None
 
     def bind_clock(self, clock: Any) -> None:
         """Attach the time source used when ``record`` omits a time: a
@@ -760,9 +692,8 @@ class Tracer:
         if allowed is not None and record_layout.category not in allowed:
             self.filtered += 1
             return None
-        time = self._time.now
         entry = _new_record(TraceRecord)
-        entry.time = time
+        entry.time = self._time.now
         entry.category = record_layout.category
         entry.event = record_layout.event
         entry.layout = record_layout
@@ -772,10 +703,6 @@ class Tracer:
         entry.f3 = f3
         entry.f4 = f4
         entry.f5 = f5
-        last = self._last_time
-        if last is not None and time < last:
-            self._monotonic = False
-        self._last_time = time
         if self.maxlen is not None and len(self._records) == self.maxlen:
             self.dropped += 1
         self._records.append(entry)
@@ -788,14 +715,9 @@ class Tracer:
         return entry
 
     def _store(self, entry: TraceRecord) -> TraceRecord:
-        """The storage path: monotone flag, ring buffer, and the
-        listeners of the record's key (see :meth:`subscribe`).
-        :meth:`emit` runs a copy of it inline."""
-        time = entry.time
-        last = self._last_time
-        if last is not None and time < last:
-            self._monotonic = False
-        self._last_time = time
+        """The storage path: ring buffer, and the listeners of the
+        record's key (see :meth:`subscribe`).  :meth:`emit` runs a copy
+        of it inline."""
         if self.maxlen is not None and len(self._records) == self.maxlen:
             self.dropped += 1
         self._records.append(entry)
@@ -818,81 +740,41 @@ class Tracer:
         """All records in emission order (immutable view)."""
         return tuple(self._records)
 
-    # -- indexed queries ----------------------------------------------------
-
-    def _bucket(self, category: str, event: Optional[str]) -> _Bucket:
-        """The key's bucket, caught up with every held record."""
-        table = self._by_cat_event
-        if table is None:
-            table = self._by_cat_event = {}
-        key = (category, event)
-        bucket = table.get(key)
-        if bucket is None:
-            bucket = table[key] = _Bucket()
-        held = self._records
-        first = self.dropped              # sequence number of held[0]
-        end = first + len(held)           # sequence number of the next record
-        new = end - max(bucket.watermark, first)
-        if new:
-            if new == len(held):
-                tail = held
-            else:
-                tail = list(islice(reversed(held), new))
-                tail.reverse()
-            seqs, times, records = bucket.seqs, bucket.times, bucket.records
-            for seq, entry in enumerate(tail, end - new):
-                if entry.category == category and (event is None
-                                                   or entry.event == event):
-                    seqs.append(seq)
-                    times.append(entry.time)
-                    records.append(entry)
-            bucket.watermark = end
-        seqs = bucket.seqs
-        if seqs and seqs[0] < first:
-            # Drop entries the ring buffer has evicted since.
-            evicted = bisect_left(seqs, first)
-            del seqs[:evicted], bucket.times[:evicted]
-            del bucket.records[:evicted]
-        return bucket
+    # -- queries ------------------------------------------------------------
 
     def select(self, category: Optional[str] = None,
                event: Optional[str] = None,
                t_min: Optional[int] = None,
                t_max: Optional[int] = None,
                **details: Any) -> List[TraceRecord]:
-        """Records matching the given category/event/detail filters.
+        """The held records that pass every given filter, in emission
+        order, by one scan.
 
-        With a ``category`` filter this runs over the key's bucket —
-        O(matching records) once the key has been queried; other shapes
-        fall back to a linear scan.
-
-        ``t_min``/``t_max`` bound the record times (both inclusive).
-        On a monotone trace (times never decreased, the normal
-        clock-bound case) the bucket's window is found by binary
-        search.
+        ``t_min``/``t_max`` bound the record times, both inclusive,
+        whether or not the trace's times go back.
         """
-        if category is None or not self._index_enabled:
-            return _scan(self._records, category, event, t_min, t_max,
-                         details)
-        bucket = self._bucket(category, event)
-        if not self._monotonic:
-            return _scan(bucket.records, None, None, t_min, t_max, details)
-        lo, hi = _window(bucket.times, t_min, t_max)
-        rows = bucket.records[lo:hi]
-        if details:
-            rows = _scan(rows, None, None, None, None, details)
-        return rows
+        found = []
+        for entry in self._records:
+            if category is not None and entry.category != category:
+                continue
+            if event is not None and entry.event != event:
+                continue
+            if t_min is not None and entry.time < t_min:
+                continue
+            if t_max is not None and entry.time > t_max:
+                continue
+            if details and any(entry.get(k) != v
+                               for k, v in details.items()):
+                continue
+            found.append(entry)
+        return found
 
     def count(self, category: Optional[str] = None,
               event: Optional[str] = None,
               t_min: Optional[int] = None,
               t_max: Optional[int] = None, **details: Any) -> int:
-        """Current number of matching items."""
-        if (category is not None and self._index_enabled and not details
-                and (self._monotonic or (t_min is None and t_max is None))):
-            lo, hi = _window(self._bucket(category, event).times,
-                             t_min, t_max)
-            return hi - lo
+        """The number of records :meth:`select` returns for the same
+        filters."""
         return len(self.select(category, event, t_min=t_min, t_max=t_max,
                                **details))
 

@@ -1,5 +1,6 @@
 """Shared engine fixtures, parametrized over the heap engine and its
-test-local reference, and the call counter of the counted ceilings.
+test-local reference, the call counter of the counted ceilings, and
+the reference that trace queries are compared with.
 
 Engine-level tests (``test_sim_engine.py``, ``test_engine_edges.py``,
 ``test_engine_cancellation.py``) run on both engines via the ``sim``
@@ -137,3 +138,18 @@ def count_calls(fn, *args, **kwargs):
     finally:
         profile.disable()
     return sum(entry.callcount for entry in profile.getstats())
+
+
+def select_oracle(tracer, category=None, event=None, t_min=None,
+                  t_max=None, **details):
+    """What ``tracer.select`` answers, stated as plainly as it can be:
+    every held record, in order, of the category and event, inside the
+    inclusive window ``[t_min, t_max]``, whose details hold every given
+    value."""
+    return [entry for entry in tracer.records
+            if (category is None or entry.category == category)
+            and (event is None or entry.event == event)
+            and (t_min is None or t_min <= entry.time)
+            and (t_max is None or entry.time <= t_max)
+            and all(entry.details.get(name) == value
+                    for name, value in details.items())]

@@ -109,9 +109,12 @@ class TestBackendSelection:
         # 5.0.0: the backend selection (backend=, REPRO_SIM_BACKEND,
         # available_backends, resolve_backend) and the generator
         # processes left; 67 names remain.  6.0.0 changed the
-        # TraceRecord constructor and kept the names.
-        assert repro.__version__ == "6.0.0"
+        # TraceRecord constructor and 7.0.0 removed Tracer(index=); both
+        # kept the names.
+        assert repro.__version__ == "7.0.0"
         assert len(repro.__all__) == 67
+        with pytest.raises(TypeError):
+            repro.Tracer(index=False)
         for name in ("available_backends", "resolve_backend",
                      "RunOptions", "scenario"):
             assert not hasattr(repro, name), name

@@ -1,5 +1,7 @@
 """Unit tests for the simulated network substrate."""
 
+import cProfile
+import pstats
 import random
 
 import pytest
@@ -405,6 +407,42 @@ class TestLateBoundary:
         assert inbox == [(1, 600), (2, 600)]  # order preserved
         assert link.stats[DeliveryOutcome.LATE] == 2
         assert link.stats[DeliveryOutcome.DELIVERED] == 0
+
+
+class TestDeliveryHostWork:
+    """``transmit`` computes a message's bound once and hands it to the
+    delivery, which counts the outcome without hashing a
+    ``DeliveryOutcome`` (``Enum.__hash__`` is a Python call)."""
+
+    def test_one_bound_per_message_and_no_enum_hash(self, sim):
+        inbox = []
+        link = make_link(sim, inbox, base_latency=100, jitter_bound=50,
+                         jitter=50)
+        link.add_fault(PerformanceFault(extra_delay=1, probability=0.5,
+                                        rng=random.Random(3)))
+        profile = cProfile.Profile()
+        profile.enable()
+        for i in range(20):
+            # Well apart, so a late message pushes back no later one.
+            sim.call_at(i * 1_000, lambda i=i: link.transmit(
+                Message(src="a", dst="b", payload=i, size=i)))
+        sim.run()
+        profile.disable()
+        bounds = enum_hashes = 0
+        for (path, _line, name), row in pstats.Stats(profile).stats.items():
+            if path.endswith("link.py") and name == "guaranteed_bound":
+                bounds += row[1]
+            if path.endswith("enum.py") and name == "__hash__":
+                enum_hashes += sum(calls[1] for (caller, _l, _n), calls
+                                   in row[4].items()
+                                   if caller.endswith("link.py"))
+        assert (bounds, enum_hashes) == (20, 0)
+        stats = link.stats
+        assert len(inbox) == 20
+        assert stats[DeliveryOutcome.LATE] > 0
+        assert stats[DeliveryOutcome.DELIVERED] > 0
+        assert (stats[DeliveryOutcome.LATE]
+                + stats[DeliveryOutcome.DELIVERED]) == 20
 
 
 class TestLinkFaultEdges:

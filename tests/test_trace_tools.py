@@ -6,12 +6,12 @@ Covers the trace-layer groundwork the forensics stack sits on:
   the caller's object afterwards cannot rewrite recorded history;
 * ``JsonlStream`` exposes filtered/dropped counters scoped to its own
   lifetime and can append them as a footer metadata line;
-* ``select``/``count`` accept ``t_min``/``t_max`` time windows, found
-  by binary search on monotone traces and by a scan on non-monotone
-  ones;
-* the per-key query buckets answer exactly what the linear scan of
-  ``Tracer(index=False)`` answers, for any interleaving of records,
-  queries and ring-buffer evictions;
+* ``select``/``count`` accept inclusive ``t_min``/``t_max`` time
+  windows, on traces whose times go back too;
+* ``select`` and ``count`` answer exactly what the test-local
+  ``select_oracle`` answers, for any interleaving of records, queries
+  and ring-buffer evictions (the tracer keeps no query index: every
+  query is one scan);
 * listeners may (un)subscribe while a record is being dispatched;
 * ``emit()`` stores a declared layout's field values as given and
   otherwise behaves as ``record()``;
@@ -65,6 +65,7 @@ from repro.services.dependency import TRACKED_KEYS
 from repro.services.watchdog import WATCHDOG_KEYS
 from repro.sim.trace import (FIELD_SLOTS, LAYOUTS, JsonlStream, Tracer,
                              layout, load_trace, read_jsonl)
+from tests.conftest import select_oracle
 from tests.test_hetero import _hetero_scenario
 from tests.test_trace_invariants_random import build_workload
 
@@ -180,8 +181,8 @@ class TestStreamFooterAndCounters:
 
 
 class TestTimeWindowSelect:
-    def _tracer(self, index=True):
-        tracer = Tracer(clock=lambda: 0, index=index)
+    def _tracer(self):
+        tracer = Tracer(clock=lambda: 0)
         for i in range(100):
             tracer.record("cat", f"ev{i % 2}", time=i * 10, i=i)
         return tracer
@@ -191,15 +192,6 @@ class TestTimeWindowSelect:
         rows = tracer.select("cat", "ev0", t_min=200, t_max=400)
         assert [r.time for r in rows] == [200, 220, 240, 260, 280, 300,
                                           320, 340, 360, 380, 400]
-
-    def test_indexed_and_linear_paths_agree(self):
-        indexed = self._tracer(index=True)
-        linear = self._tracer(index=False)
-        for t_min, t_max in ((None, None), (0, 0), (55, 555),
-                             (None, 130), (970, None), (2000, 3000)):
-            assert (indexed.select("cat", "ev1", t_min=t_min, t_max=t_max)
-                    == linear.select("cat", "ev1", t_min=t_min,
-                                     t_max=t_max))
 
     def test_detail_filter_composes_with_window(self):
         tracer = self._tracer()
@@ -212,7 +204,6 @@ class TestTimeWindowSelect:
         tracer.record("cat", "ev", time=100, i=0)
         tracer.record("cat", "ev", time=50, i=1)   # goes back in time
         tracer.record("cat", "ev", time=200, i=2)
-        assert tracer._monotonic is False
         rows = tracer.select("cat", "ev", t_min=40, t_max=60)
         assert [r.details["i"] for r in rows] == [1]
         # No early exit: the t=200 record after t=50 must not hide it.
@@ -223,7 +214,6 @@ class TestTimeWindowSelect:
         tracer = self._tracer()
         assert tracer.count("cat", "ev0", t_min=200, t_max=400) == 11
         assert tracer.count("cat", None, t_min=0, t_max=90) == 10
-        # The no-window fast path still answers from bucket length.
         assert tracer.count("cat", "ev0") == 50
 
     def test_invalid_usage_unchanged(self):
@@ -234,7 +224,9 @@ class TestTimeWindowSelect:
 
 _CATEGORIES = ("a", "b")
 _EVENTS = ("x", "y")
-_windows = st.none() | st.integers(0, 60)
+# Window bounds are offsets from the latest record's time, so they fall
+# on and between the times of the records a bounded tracer still holds.
+_windows = st.none() | st.integers(-20, 20)
 _keys = st.tuples(st.sampled_from(_CATEGORIES + (None,)),
                   st.sampled_from(_EVENTS + (None,)))
 _operations = st.lists(
@@ -248,15 +240,16 @@ _operations = st.lists(
 
 
 class TestBucketIndexDifferential:
-    """The per-key buckets against the linear scan of index=False."""
+    """``select`` and ``count`` against ``select_oracle``, the test-local
+    linear scan.  (The name is the one the class had when it compared
+    the per-key bucket index, deleted in facade 7.0.0, with that scan.)"""
 
     @settings(max_examples=300, deadline=None)
     @given(operations=_operations,
            maxlen=st.sampled_from([None, 1, 2, 3, 5]),
            monotone=st.booleans())
     def test_matches_linear_scan(self, operations, maxlen, monotone):
-        indexed = Tracer(clock=lambda: 0, maxlen=maxlen)
-        linear = Tracer(clock=lambda: 0, maxlen=maxlen, index=False)
+        tracer = Tracer(clock=lambda: 0, maxlen=maxlen)
         now = 0
         for i, operation in enumerate(operations):
             if operation[0] == "record":
@@ -264,37 +257,28 @@ class TestBucketIndexDifferential:
                 # Monotone traces advance by the drawn step; the others
                 # jump anywhere in [0, 20].
                 now = now + time if monotone else time
-                for tracer in (indexed, linear):
-                    tracer.record(category, event, time=now, v=v, i=i)
+                tracer.record(category, event, time=now, v=v, i=i)
                 continue
-            kind, (category, event), t_min, t_max, v = operation
+            kind, (category, event), low, high, v = operation
+            t_min = None if low is None else now + low
+            t_max = None if high is None else now + high
             details = {} if v is None else {"v": v}
-            args = (category, event)
-            window = {"t_min": t_min, "t_max": t_max}
+            expected = select_oracle(tracer, category, event, t_min, t_max,
+                                     **details)
             if kind == "select":
-                assert (indexed.select(*args, **window, **details)
-                        == linear.select(*args, **window, **details))
+                assert tracer.select(category, event, t_min=t_min,
+                                     t_max=t_max, **details) == expected
             else:
-                assert (indexed.count(*args, **window, **details)
-                        == linear.count(*args, **window, **details))
-        assert indexed.records == linear.records
-        if monotone:  # the windows above went through the bisect path
-            assert indexed._monotonic
-
-    def test_buckets_scan_only_new_records(self):
-        tracer = Tracer(clock=lambda: 0)
-        for i in range(10):
-            tracer.record("a", "x" if i % 2 else "y", time=i)
-        assert tracer._by_cat_event is None
-        assert tracer.count("a", "x") == 5
-        bucket = tracer._by_cat_event[("a", "x")]
-        assert bucket.watermark == 10
-        tracer.record("a", "x", time=10)
-        tracer.record("b", "x", time=11)
-        assert [r.time for r in tracer.select("a", "x", t_min=7)] == [7, 9,
-                                                                      10]
-        assert bucket.watermark == 12
-        assert list(tracer._by_cat_event) == [("a", "x")]
+                assert tracer.count(category, event, t_min=t_min,
+                                    t_max=t_max, **details) == len(expected)
+        for entry in tracer.records:
+            # A window closed on a held record's time finds that record.
+            key = (entry.category, entry.event)
+            filters = {"t_min": entry.time, "t_max": entry.time,
+                       "v": entry.details["v"]}
+            found = tracer.select(*key, **filters)
+            assert entry in found
+            assert found == select_oracle(tracer, *key, **filters)
 
 
 class TestListenerDispatch:
@@ -385,8 +369,8 @@ class TestEmit:
                ["cpu", "thread", "kernel", "dispatcher", "network"])))
     @settings(max_examples=60, deadline=None)
     def test_behaves_as_record(self, ops, maxlen, allowed):
-        """Same records, counters, monotone flag, listener calls and
-        return values as record() with the same fields as keywords."""
+        """Same records, counters, listener calls and return values
+        as record() with the same fields as keywords."""
         clock = [0]
         tracers = [Tracer(clock=lambda: clock[0], maxlen=maxlen,
                           categories=allowed) for _ in range(2)]
@@ -408,7 +392,6 @@ class TestEmit:
         assert seen[1] == seen[0]
         assert (emit_side.filtered, emit_side.dropped) == (
             record_side.filtered, record_side.dropped)
-        assert emit_side._monotonic == record_side._monotonic
         assert emit_side.select("cpu", t_min=5) == record_side.select(
             "cpu", t_min=5)
 
