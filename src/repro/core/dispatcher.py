@@ -32,6 +32,7 @@ the §4.1 cost model, using the constants in
 from __future__ import annotations
 
 import enum
+import functools
 from typing import (
     Any,
     Callable,
@@ -174,7 +175,8 @@ class EUInstance:
         self._watching_condvars = False
         self._earliest_timer_target: Optional[int] = None
         # Pending monitoring timers (cancelled — tombstoned in the
-        # event heap — once they can no longer report anything).
+        # event heap — once they can no longer report anything), dropped
+        # when the unit ends.
         self._deadline_timer: Optional[Event] = None
         self._latest_timer: Optional[Event] = None
         # For sync invocations: the invoked instance.
@@ -220,7 +222,7 @@ class TaskInstance:
 
     __slots__ = ("task", "seq", "activation_time", "abs_deadline",
                  "invoked_by", "state", "qualified_name", "eu_instances",
-                 "remaining", "done_event", "finish_time",
+                 "remaining", "_sim", "_done_event", "finish_time",
                  "missed_deadline", "_deadline_timer")
 
     def __init__(self, task: Task, plan: Tuple[EUPlan, ...], seq: int,
@@ -240,11 +242,34 @@ class TaskInstance:
         self.eu_instances: Dict[EU, EUInstance] = {
             step.eu: EUInstance(step, self, dispatcher) for step in plan}
         self.remaining = len(plan)
-        self.done_event = Event(dispatcher.sim,
-                                f"done:{self.qualified_name}")
+        self._sim = dispatcher.sim
+        # The end event, once built (see ``done_event``).
+        self._done_event: Optional[Event] = None
         self.finish_time: Optional[int] = None
         self.missed_deadline = False
+        # The task-level deadline check, dropped at the end (see
+        # Dispatcher._count_down).
         self._deadline_timer: Optional[Event] = None
+
+    @property
+    def done_event(self) -> Event:
+        """Triggers with ``"done"`` or ``"aborted"`` when the instance
+        ends.
+
+        Built on first access, as ``KThread.finished`` is.  Read before
+        the end, it triggers at the end, in the event set position the
+        end takes; an instance nobody waits on pushes no end entry.
+        Read after the end, it comes already triggered and dispatched.
+        """
+        done = self._done_event
+        if done is None:
+            done = self._done_event = Event(self._sim,
+                                            f"done:{self.qualified_name}")
+            if self.state is not _INST_ACTIVE:
+                done._value = ("done" if self.state is _INST_DONE
+                               else "aborted")
+                done._callbacks = None
+        return done
 
     @property
     def key(self) -> Tuple[str, int]:
@@ -744,15 +769,11 @@ class Dispatcher:
                          name=eui.qualified_name,
                          priority=eui.priority,
                          preemption_threshold=eui.preemption_threshold,
-                         processor=processor)
-        if pool is not None:
-            claimed_pool, claimed_unit = pool, processor
-            thread.finished.add_callback(
-                lambda _evt: claimed_pool.release(claimed_unit))
+                         processor=processor,
+                         on_end=functools.partial(self._on_eu_thread_done,
+                                                  eui))
         eui.thread = thread
-        node._threads.append(thread)
-        thread.finished.add_callback(
-            lambda evt: self._on_eu_thread_done(eui, evt))
+        node.register_thread(thread)
         thread.start()
         if eui.engine == "cpu":
             self.tracer.emit(_THREAD_START, eui.qualified_name, node.node_id,
@@ -792,8 +813,14 @@ class Dispatcher:
                 yield self._local
         return context
 
-    def _on_eu_thread_done(self, eui: EUInstance, finished: Event) -> None:
-        if not finished.ok:
+    def _on_eu_thread_done(self, eui: EUInstance, context: Any,
+                           error: Optional[BaseException]) -> None:
+        """The end hook of a Code_EU thread: give back its engine unit,
+        if any, then finish the unit with the body's value (its
+        :class:`ActionContext`, None if killed) or error."""
+        if eui.engine != "cpu":
+            self.nodes[eui.node_id].engines.release(eui.thread.cpu)
+        if error is not None:
             # Action raised: abort the instance; if the task declares a
             # recovery task (§3.1's exception-handling constructions),
             # activate it, otherwise surface the error.
@@ -808,10 +835,9 @@ class Dispatcher:
                                    recovery=recovery.name)
                 self.activate(recovery)
                 return
-            raise finished._exception
+            raise error
         if eui.state is _ABORTED:
             return  # killed; bookkeeping already done by abort
-        context: Optional[ActionContext] = finished.value
         if context is None:
             return  # thread was killed mid-flight
         if eui.instance.state is not _INST_ACTIVE:
@@ -845,10 +871,13 @@ class Dispatcher:
                                 wcet=wcet_bound)
 
         # Monitoring timers that can no longer report anything become
-        # heap tombstones instead of firing into early returns.
+        # heap tombstones instead of firing into early returns.  The
+        # unit then drops both: a late deadline check has fired or is
+        # due at this instant, and nothing cancels a timer after this.
         self._cancel_timer(eui._latest_timer)
         if eui.deadline is not None and eui.finish_time <= eui.deadline:
             self._cancel_timer(eui._deadline_timer)
+        eui._latest_timer = eui._deadline_timer = None
 
         # End-of-unit effects: condvar signals declared by the action,
         # deduplicated last-write-wins per condvar (ActionContext.signal).
@@ -1014,11 +1043,11 @@ class Dispatcher:
         # application threads (§3.1.2: kernel calls run at prio_max).
         thread = KThread(node, invocation_body(),
                          name=f"inv:{eui.qualified_name}",
-                         priority=PRIO_MAX, preemption_threshold=PRIO_MAX)
+                         priority=PRIO_MAX, preemption_threshold=PRIO_MAX,
+                         on_end=functools.partial(self._on_invocation_done,
+                                                  eui))
         eui.thread = thread
-        node._threads.append(thread)
-        thread.finished.add_callback(
-            lambda evt: self._on_invocation_done(eui, evt))
+        node.register_thread(thread)
         thread.start()
 
     def _invoker_priority(self, eui: EUInstance) -> int:
@@ -1036,9 +1065,11 @@ class Dispatcher:
                            if other.is_code()]
         return max(code_priorities, default=eui.priority)
 
-    def _on_invocation_done(self, eui: EUInstance, finished: Event) -> None:
-        if not finished.ok:
-            raise finished._exception
+    def _on_invocation_done(self, eui: EUInstance, _value: Any,
+                            error: Optional[BaseException]) -> None:
+        """The end hook of an Inv_EU thread."""
+        if error is not None:
+            raise error
         if eui.state is _ABORTED or eui.instance.state is not _INST_ACTIVE:
             return
         eui.state = _DONE
@@ -1060,6 +1091,9 @@ class Dispatcher:
         if (instance.abs_deadline is not None
                 and instance.finish_time <= instance.abs_deadline):
             self._cancel_timer(instance._deadline_timer)
+        # Tombstoned, fired, or due at this instant, where it finds the
+        # instance done: the timer is not needed again.
+        instance._deadline_timer = None
         if (instance.abs_deadline is not None
                 and instance.finish_time > instance.abs_deadline
                 and not instance.missed_deadline):
@@ -1072,8 +1106,9 @@ class Dispatcher:
                          instance.qualified_name, instance.response_time,
                          instance.missed_deadline)
         self._m_instances_done.inc()
-        if not instance.done_event.triggered:
-            instance.done_event.succeed("done")
+        done = instance._done_event
+        if done is not None and not done.triggered:
+            done.succeed("done")
 
     def abort_instance(self, instance: TaskInstance, reason: str) -> None:
         """Abort an instance (deadline-miss reaction or explicit)."""
@@ -1081,6 +1116,7 @@ class Dispatcher:
             return
         instance.state = _INST_ABORTED
         self._cancel_timer(instance._deadline_timer)
+        instance._deadline_timer = None
         self.tracer.record("dispatcher", "instance_abort",
                            task=instance.task.name, seq=instance.seq,
                            activation_id=instance.qualified_name,
@@ -1089,14 +1125,17 @@ class Dispatcher:
         for eui in instance.eu_instances.values():
             if eui.state is _DONE or eui.state is _ABORTED:
                 continue
+            # The unit's checks find the instance aborted when they fire.
+            eui._latest_timer = eui._deadline_timer = None
             if self.abort_mode == "kill":
                 if eui.thread is not None and eui.thread.alive:
                     eui.thread.kill()
                 self._release_resources(eui)
                 eui.state = _ABORTED
             # lazy mode: leave threads running; completions become orphans.
-        if not instance.done_event.triggered:
-            instance.done_event.succeed("aborted")
+        done = instance._done_event
+        if done is not None and not done.triggered:
+            done.succeed("aborted")
 
     # -- monitoring callbacks ----------------------------------------------------------------
 

@@ -151,8 +151,7 @@ class HeterogeneousPool:
         """Pick the least-loaded unit and record a claim on it.
 
         The claim must be paired with :meth:`release` when the claiming
-        thread finishes (the dispatcher wires this to the thread's
-        ``finished`` event).
+        thread finishes (the dispatcher's thread end hook releases it).
         """
         unit = self.unit_for(cls_name)
         label = unit.engine_label

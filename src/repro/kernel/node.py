@@ -64,7 +64,9 @@ class Node:
             from repro.hetero.engines import HeterogeneousPool
             self.engines = HeterogeneousPool(self, engines)
         self.crashed = False
-        self._threads: List[KThread] = []
+        # The live registered threads, in spawn order: a dict used as an
+        # ordered set, which a thread leaves at its end (KThread._end).
+        self._threads: Dict[KThread, None] = {}
         self._crash_listeners: List[Callable[["Node"], None]] = []
         #: Software clock value maintained by the tick handler, mirroring
         #: ChorusR3's tick-updated software clock (§4.2).
@@ -84,9 +86,14 @@ class Node:
             raise RuntimeError(f"node {self.node_id} has crashed")
         thread = KThread(self, body, name=name, priority=priority,
                          preemption_threshold=preemption_threshold)
-        self._threads.append(thread)
+        self.register_thread(thread)
         thread.start()
         return thread
+
+    def register_thread(self, thread: KThread) -> None:
+        """Add a thread built on this node to the live threads that
+        :meth:`crash` kills; it leaves them when it ends."""
+        self._threads[thread] = None
 
     def now(self) -> int:
         """This node's *local* clock reading (drifts from real time)."""
@@ -123,9 +130,10 @@ class Node:
         self.crashed = True
         self.tracer.record("node", "crash", node=self.node_id)
         self.clock_tick.deactivate()
-        for thread in self._threads:
-            thread.kill()
+        threads = list(self._threads)
         self._threads.clear()
+        for thread in threads:
+            thread.kill()
         for listener in self._crash_listeners:
             listener(self)
 
@@ -140,9 +148,8 @@ class Node:
 
     @property
     def threads(self) -> List[KThread]:
-        """Live thread objects spawned on this node (copy); finished
-        threads stay in ``_threads`` until :meth:`crash`."""
-        return [thread for thread in self._threads if thread.alive]
+        """Live registered threads of this node, in spawn order (copy)."""
+        return list(self._threads)
 
     def utilization(self, horizon: Optional[int] = None) -> float:
         """Fraction of elapsed (or ``horizon``) time the CPU was busy."""

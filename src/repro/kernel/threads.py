@@ -19,7 +19,8 @@ execution times.
 from __future__ import annotations
 
 import enum
-from typing import Any, Generator, Optional, TYPE_CHECKING
+import functools
+from typing import Any, Callable, Generator, Optional, TYPE_CHECKING
 
 from repro.sim.engine import Event, SimulationError
 from repro.sim.trace import layout
@@ -96,6 +97,11 @@ class WaitEvent:
 
 ThreadBody = Generator[Any, Any, Any]
 
+#: An end hook: ``on_end(value, error)`` gets the body's return value
+#: (None after :meth:`KThread.kill`) and its exception (None unless the
+#: body raised).
+EndHook = Callable[[Any, Optional[BaseException]], None]
+
 
 class KThread:
     """A schedulable kernel thread on one node.
@@ -103,19 +109,24 @@ class KThread:
     :attr:`finished` is built on first access.  A thread nobody waits
     on pushes no end entry into the event set; one read after the end
     is already triggered and dispatched.
+
+    ``on_end``, if given, is called as ``on_end(value, error)`` from an
+    entry pushed where ``finished`` would trigger.  The hook takes the
+    body's value and error: the thread keeps neither, so its
+    ``finished``, read after the end, triggers with None.
     """
 
     __slots__ = ("tid", "node", "cpu", "sim", "name", "_priority",
                  "_preemption_threshold", "_effective_threshold", "state",
-                 "body", "_finished", "_result", "_error", "cpu_time",
-                 "_remaining", "_category", "_ready_seq", "_ready_entry",
-                 "_pt_boosted", "_wait_target", "_wait_private", "_started",
-                 "_suspended", "first_run")
+                 "body", "_finished", "_result", "_error", "_on_end",
+                 "cpu_time", "_remaining", "_category", "_ready_seq",
+                 "_ready_entry", "_pt_boosted", "_wait_target",
+                 "_wait_private", "_started", "_suspended", "first_run")
 
     def __init__(self, node: "Node", body: ThreadBody, name: str = "",
                  priority: int = 1,
                  preemption_threshold: Optional[int] = None,
-                 processor=None):
+                 processor=None, on_end: Optional[EndHook] = None):
         #: Creation number on this node, from 1; names unnamed threads.
         self.tid = next(node._thread_ids)
         self.node = node
@@ -134,10 +145,12 @@ class KThread:
         self.state = _NEW
         self.body = body
         # The end event, once built (see ``finished``), and the end's
-        # value or error, kept for an event built after the end.
+        # value or error, kept for an event built after the end unless
+        # the end hook took them.
         self._finished: Optional[Event] = None
         self._result: Any = None
         self._error: Optional[BaseException] = None
+        self._on_end = on_end
         #: CPU time consumed so far, per category.
         self.cpu_time = 0
         # Compute bookkeeping (owned by the Cpu while READY/RUNNING).
@@ -198,9 +211,11 @@ class KThread:
         (fails with its exception; None after :meth:`kill`).
 
         Built on first access.  Read before the end, it triggers at the
-        end, in the event set position the end takes.  Read after the
-        end, it comes already triggered and dispatched, so callbacks
-        added to it run at once.
+        end, in the event set position the end takes, and an end hook
+        becomes its first callback.  Read after the end, it comes
+        already triggered and dispatched, so callbacks added to it run
+        at once; a thread with an end hook gave its value to the hook,
+        so the event triggers with None.
         """
         finished = self._finished
         if finished is None:
@@ -210,21 +225,31 @@ class KThread:
                 finished._value = self._result
                 finished._exception = self._error
                 finished._callbacks = None
+            elif self._on_end is not None:
+                on_end, self._on_end = self._on_end, None
+                finished._callbacks.append(
+                    lambda event: on_end(event._value, event._exception))
         return finished
 
     def _end(self, value: Any, error: Optional[BaseException] = None,
              state: ThreadState = _FINISHED) -> None:
-        """Enter ``state``; trigger ``finished`` if someone built it."""
+        """Enter ``state`` and leave the node's registry; trigger
+        ``finished`` if someone built it, else push the end hook."""
         self.state = state
         self.body = None
+        self.node._threads.pop(self, None)
         finished = self._finished
-        if finished is None:
+        if finished is not None:
+            if error is None:
+                finished.succeed(value)
+            else:
+                finished.fail(error)
+        elif self._on_end is not None:
+            on_end, self._on_end = self._on_end, None
+            self.sim.call_in(0, functools.partial(on_end, value, error))
+        else:
             self._result = value
             self._error = error
-        elif error is None:
-            finished.succeed(value)
-        else:
-            finished.fail(error)
 
     def start(self) -> "KThread":
         """Begin executing the body (asynchronously, at the current time)."""

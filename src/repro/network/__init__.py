@@ -14,7 +14,8 @@ This package provides the corresponding simulated substrate:
   (full mesh by default), message routing and delivery through the
   destination node's network-card interrupt,
 * :class:`~repro.network.interface.NetworkInterface` — per-node send /
-  receive endpoint with inbox and receive callbacks.
+  receive endpoint with receive callbacks, and an inbox for the
+  messages no callback takes.
 
 Timing guarantees offered to upper layers: if neither endpoint crashes
 and no omission or performance fault hits it, a ``size``-byte message

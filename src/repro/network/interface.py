@@ -2,9 +2,9 @@
 
 Delivery path: link → destination node's network-card interrupt (whose
 WCET and pseudo-period are the §4.2 ``w_atm`` / ``P_atm`` background
-kernel activity) → inbox + receive callbacks.  A crashed node receives
-nothing; messages addressed to it while down are lost (crash semantics
-of §2.1).
+kernel activity) → receive callbacks, or the inbox when no callback
+takes the message.  A crashed node receives nothing; messages addressed
+to it while down are lost (crash semantics of §2.1).
 """
 
 from __future__ import annotations
@@ -27,6 +27,8 @@ class NetworkInterface:
     def __init__(self, network: "Network", node: Node):
         self.network = network
         self.node = node
+        #: Received messages that no receive callback took, for a
+        #: polling endpoint (see :meth:`drain_inbox`).
         self.inbox: Deque[Message] = deque()
         self._receivers: List[Receiver] = []
         self._kind_receivers: Dict[str, List[Receiver]] = {}
@@ -82,15 +84,20 @@ class NetworkInterface:
     def _irq_handler(self, message: Message) -> None:
         if self.node.crashed or message is None:
             return
-        self.inbox.append(message)
         self.received_count += 1
+        taken = False
         for receiver in self._receivers:
             receiver(message)
+            taken = True
         for receiver in self._kind_receivers.get(message.kind, ()):
             receiver(message)
+            taken = True
+        if not taken:
+            self.inbox.append(message)
 
     def drain_inbox(self) -> List[Message]:
-        """Remove and return every queued message."""
+        """Remove and return every queued message: each one received
+        that no receive callback took."""
         drained = list(self.inbox)
         self.inbox.clear()
         return drained

@@ -49,6 +49,18 @@ class DeliveryOutcome(enum.Enum):
     DST_CRASHED = "dst_crashed"  # receiver was down at delivery time
 
 
+# The outcomes and their values as module constants: a member read off
+# the enum class goes through its metaclass, and ``value`` is a
+# Python-level property; a link counts one outcome per message.
+_DELIVERED = DeliveryOutcome.DELIVERED
+_DROPPED = DeliveryOutcome.DROPPED
+_LATE = DeliveryOutcome.LATE
+_DELIVERED_VALUE = _DELIVERED.value
+_DROPPED_VALUE = _DROPPED.value
+_LATE_VALUE = _LATE.value
+_DST_CRASHED_VALUE = DeliveryOutcome.DST_CRASHED.value
+
+
 class LinkFault:
     """Base fault hook: inspects a message, returns (drop?, extra_delay)."""
 
@@ -239,21 +251,21 @@ class Link:
             self.tracer.emit(_SEND, self.label, message.msg_id, message.kind,
                              message.size)
         if not self.up:
-            self._counts[DeliveryOutcome.DROPPED.value] += 1
+            self._counts[_DROPPED_VALUE] += 1
             self._m_dropped.inc()
             self.tracer.record("network", "drop", link=self.label,
                                msg=message.msg_id, reason="link_down")
-            return DeliveryOutcome.DROPPED
+            return _DROPPED
 
         extra = 0
         for fault in self.faults:
             drop, delay = fault.apply(message)
             if drop:
-                self._counts[DeliveryOutcome.DROPPED.value] += 1
+                self._counts[_DROPPED_VALUE] += 1
                 self._m_dropped.inc()
                 self.tracer.record("network", "drop", link=self.label,
                                    msg=message.msg_id, reason="omission")
-                return DeliveryOutcome.DROPPED
+                return _DROPPED
             extra += delay
 
         jitter = self.rng.randrange(0, self.jitter_bound + 1) if self.jitter_bound else 0
@@ -265,28 +277,31 @@ class Link:
         self._last_delivery = deliver_at
 
         bound = self.guaranteed_bound(message.size)
-        late = deliver_at - message.send_time > bound
-        outcome = DeliveryOutcome.LATE if late else DeliveryOutcome.DELIVERED
-        value = outcome.value
+        if deliver_at - message.send_time > bound:
+            outcome, value = _LATE, _LATE_VALUE
+        else:
+            outcome, value = _DELIVERED, _DELIVERED_VALUE
         self.sim.call_at(deliver_at,
                          lambda: self._deliver(message, value, bound))
         return outcome
 
     def _deliver(self, message: Message, outcome: str, bound: int) -> None:
-        message.deliver_time = self.sim.now
+        now = message.deliver_time = self.sim.now
         if self._on_deliver is None or (self._accepts is not None
                                         and not self._accepts()):
             # No receiver wired, or the receiver is down at delivery
             # time (crash semantics of §2.1): the message is lost.
-            self._counts[DeliveryOutcome.DST_CRASHED.value] += 1
+            self._counts[_DST_CRASHED_VALUE] += 1
             self.tracer.record("network", "dst_crashed", link=self.label,
                                msg=message.msg_id, kind=message.kind)
             return
         self._counts[outcome] += 1
         self._m_delivered.inc()
-        self._h_latency.observe(message.latency)
+        # Message.latency, once: both times are set by now.
+        latency = now - message.send_time
+        self._h_latency.observe(latency)
         self.tracer.emit(_DELIVER, self.label, message.msg_id, message.kind,
-                         message.latency, outcome, bound)
+                         latency, outcome, bound)
         self._on_deliver(message)
 
     def __repr__(self) -> str:

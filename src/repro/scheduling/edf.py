@@ -16,6 +16,8 @@ order — and the key cannot go stale, because nothing writes a unit's
 ``deadline`` or its instance's ``abs_deadline`` after construction.
 Rank r gets priority ``PRIO_MAX_APPL - r``, clamped at
 ``PRIO_MIN_APPL``; past that band the tail shares the lowest priority.
+Each rank's priority is read from one tuple, so every unit, thread and
+``set_params`` record of a rank holds the same int object.
 """
 
 from __future__ import annotations
@@ -31,6 +33,12 @@ from repro.kernel.priorities import PRIO_MAX_APPL, PRIO_MIN_APPL
 #: Deadline used for units whose task declares none (runs at background
 #: priority under EDF).
 _NO_DEADLINE = 2 ** 62
+
+#: Rank r's priority, from PRIO_MAX_APPL down to PRIO_MIN_APPL; ranks
+#: past the band take PRIO_MIN_APPL.  Counting down would make a new
+#: int object for each rank above 256, kept by every unit and record.
+_RANK_PRIORITIES = tuple(range(PRIO_MAX_APPL, PRIO_MIN_APPL - 1, -1))
+_BAND = len(_RANK_PRIORITIES)
 
 _DONE = EUState.DONE
 _ABORTED = EUState.ABORTED
@@ -95,9 +103,11 @@ class EDFScheduler(SchedulerBase):
                 break
         # The dispatcher primitive, bound once per re-rank.
         set_thread_params = self.dispatcher.set_thread_params
-        priority = PRIO_MAX_APPL
-        for eui in live:
+        for eui, priority in zip(live, _RANK_PRIORITIES):
             if eui.priority != priority:
                 set_thread_params(eui, priority=priority)
-            if priority > PRIO_MIN_APPL:
-                priority -= 1
+        if len(live) > _BAND:
+            # Past the band, the tail shares the lowest priority.
+            for eui in live[_BAND:]:
+                if eui.priority != PRIO_MIN_APPL:
+                    set_thread_params(eui, priority=PRIO_MIN_APPL)

@@ -20,6 +20,7 @@ from repro.core.notifications import Notification
 from repro.core.scheduler_api import SchedulerBase
 from repro.scheduling import EDFScheduler, FIFOScheduler
 from repro.system import HadesSystem
+from tests.test_trace_golden import export_sha256
 
 
 def make_system(**kwargs):
@@ -653,3 +654,168 @@ class TestNotificationRouting:
         assert {index for index, *_ in deliveries} == set(range(7))
         assert {kind for _i, kind, *_ in deliveries} == {"Atv", "Trm",
                                                          "Rac", "Rre"}
+
+
+def keepers(system):
+    """The units whose ended thread still holds an end event or value."""
+    return [eui.qualified_name
+            for instance in system.dispatcher._instances.values()
+            for eui in instance.eu_instances.values()
+            if eui.thread is not None and not eui.thread.alive
+            and (eui.thread._finished is not None
+                 or eui.thread._result is not None)]
+
+
+class TestThreadEndHook:
+    """Every Code_EU and Inv_EU thread ends through the dispatcher's end
+    hook, pushed where its ``finished`` event used to trigger.  Each
+    case pins its trace's SHA-256, recorded while the dispatcher waited
+    on ``finished``, so the hook keeps every record and every
+    same-instant order; and an ended thread keeps no end event and no
+    value unless a reader built ``finished``."""
+
+    PINS = {
+        "pool_release_first":
+        "163a16b7f060cda9164502ce9610129796868fd4ef7ebbdb2ff6fdd851a2543a",
+        "error_without_recovery":
+        "2131b3c4d4f6e683c33e1f56b1722736176d0502140f906c78a2dbb16385d79e",
+        "error_with_recovery":
+        "9f21edc90c7ef1fadadc10288514d9a88cdd69202eab7a7bae97cac63678beb4",
+        "abort_kill":
+        "2ca7beb12460aaec66cdc10390e705de764abfe797dad86fcc8762924bf102f3",
+        "synchronous_invocation":
+        "b6a728c8af70b46ab4b5f52a4ef5663874b0b6d1e54a7d9efed1ed92b75809e2",
+        "finished_read_before_end":
+        "136b2ef9b28fc8d29f4a7a86cc9408a704043a255e727921435dd6471f759e7f",
+        "finished_read_after_end":
+        "87e393731db6bdbefbe692b23f4ba7cf4ab4aeda09f2706d6de3efcdfedf78e6",
+    }
+
+    def test_pool_release_first(self, tmp_path):
+        # Released before the unit finishes, a's gpu0 is the least
+        # loaded unit when b starts from a's end: both run on gpu0.
+        system = HadesSystem(node_ids=["n0"], engines={"n0": {"gpu": 2}})
+        task = Task("t", deadline=10_000, node_id="n0")
+        a = task.code_eu("a", wcet=100, variants={"gpu": 80}, engine="gpu")
+        b = task.code_eu("b", wcet=100, variants={"gpu": 60}, engine="gpu")
+        task.precede(a, b)
+        inst = system.activate(task.validate())
+        system.run()
+        digest = export_sha256(system.tracer, tmp_path / "trace.jsonl")
+        assert digest == self.PINS["pool_release_first"]
+        assert [inst.eu_instances[eu].thread.cpu.engine_label
+                for eu in (a, b)] == ["gpu0", "gpu0"]
+        assert system.nodes["n0"].engines._claims == {"gpu0": 0}
+        assert keepers(system) == []
+
+    @staticmethod
+    def faulty_system(recovery):
+        system = HadesSystem(node_ids=["n0"])
+        faulty = Task("faulty", deadline=5_000, node_id="n0",
+                      recovery=recovery)
+        first = faulty.code_eu("first", wcet=40)
+
+        def explode(ctx):
+            raise RuntimeError("sensor range error")
+
+        work = faulty.code_eu("work", wcet=50, action=explode)
+        faulty.precede(first, work)
+        return system, system.activate(faulty)
+
+    def test_error_without_recovery(self, tmp_path):
+        system, inst = self.faulty_system(None)
+        with pytest.raises(RuntimeError, match="sensor range error"):
+            system.run()
+        digest = export_sha256(system.tracer, tmp_path / "trace.jsonl")
+        assert digest == self.PINS["error_without_recovery"]
+        assert inst.state is InstanceState.ABORTED
+        assert keepers(system) == []
+
+    def test_error_with_recovery(self, tmp_path):
+        safe = Task("safe", node_id="n0")
+        safe.code_eu("enter", wcet=10)
+        system, inst = self.faulty_system(safe)
+        system.run()
+        digest = export_sha256(system.tracer, tmp_path / "trace.jsonl")
+        assert digest == self.PINS["error_with_recovery"]
+        assert inst.state is InstanceState.ABORTED
+        assert [recovery.state for recovery in
+                system.dispatcher.instances_of("safe")] == [
+                    InstanceState.DONE]
+        assert keepers(system) == []
+
+    def test_abort_kill(self, tmp_path):
+        system = HadesSystem(node_ids=["n0"], on_deadline_miss="abort")
+        task = Task("late", deadline=300, node_id="n0")
+        a = task.code_eu("a", wcet=200)
+        b = task.code_eu("b", wcet=400)
+        task.precede(a, b)
+        inst = system.activate(task)
+        system.run()
+        digest = export_sha256(system.tracer, tmp_path / "trace.jsonl")
+        assert digest == self.PINS["abort_kill"]
+        assert inst.state is InstanceState.ABORTED
+        assert inst.eu_instances[b].state is EUState.ABORTED
+        assert inst.eu_instances[b].thread.state.value == "killed"
+        assert keepers(system) == []
+
+    def test_synchronous_invocation(self, tmp_path):
+        system = HadesSystem(node_ids=["n0"])
+        inner = Task("inner", deadline=2_000, node_id="n0")
+        inner.code_eu("work", wcet=200)
+        outer = Task("outer", deadline=5_000, node_id="n0")
+        pre = outer.code_eu("pre", wcet=10)
+        call = outer.inv_eu("call", inner, synchronous=True)
+        post = outer.code_eu("post", wcet=10)
+        outer.chain(pre, call, post)
+        inst = system.activate(outer)
+        system.run()
+        digest = export_sha256(system.tracer, tmp_path / "trace.jsonl")
+        assert digest == self.PINS["synchronous_invocation"]
+        target = inst.eu_instances[call].invoked_instance
+        assert target.done_event.value == "done"
+        assert inst.eu_instances[post].release_time >= target.finish_time
+        assert keepers(system) == []
+
+    def test_finished_read_before_end(self, tmp_path):
+        # The reader's callback runs right after the hook, in the same
+        # entry: the last record before it is the hook's last one, b's
+        # start.  Only the unit whose end event was built keeps it.
+        system = HadesSystem(node_ids=["n0"])
+        task = Task("t", deadline=1_000, node_id="n0")
+        a = task.code_eu("a", wcet=100)
+        b = task.code_eu("b", wcet=100)
+        task.precede(a, b)
+        inst = system.activate(task)
+        eui = inst.eu_instances[a]
+        seen = []
+
+        def on_finished(event):
+            last = system.tracer.records[-1]
+            seen.append((system.sim.now, eui.state, last.event,
+                         last.details["eu"], type(event.value).__name__))
+            system.tracer.record("test", "finished_seen",
+                                 eu=eui.qualified_name)
+
+        system.sim.call_in(50, lambda: eui.thread.finished.add_callback(
+            on_finished))
+        system.run()
+        digest = export_sha256(system.tracer, tmp_path / "trace.jsonl")
+        assert digest == self.PINS["finished_read_before_end"]
+        assert seen == [(eui.finish_time, EUState.DONE, "thread_start",
+                         inst.eu_instances[b].qualified_name,
+                         "ActionContext")]
+        assert keepers(system) == [eui.qualified_name]
+
+    def test_finished_read_after_end(self, tmp_path):
+        system = HadesSystem(node_ids=["n0"])
+        task = Task("t", deadline=1_000, node_id="n0")
+        unit = task.code_eu("a", wcet=100)
+        inst = system.activate(task)
+        system.run()
+        digest = export_sha256(system.tracer, tmp_path / "trace.jsonl")
+        assert digest == self.PINS["finished_read_after_end"]
+        assert keepers(system) == []
+        finished = inst.eu_instances[unit].thread.finished
+        assert finished.triggered and finished.ok
+        assert finished.value is None
