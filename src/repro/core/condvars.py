@@ -51,7 +51,8 @@ class ConditionVariable:
         self._watchers.append(callback)
 
     def unwatch(self, callback: Callable[["ConditionVariable"], None]) -> None:
-        """Stop monitoring the named task."""
+        """Remove a callback registered by :meth:`watch`; one that is
+        not registered is ignored."""
         try:
             self._watchers.remove(callback)
         except ValueError:

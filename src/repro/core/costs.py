@@ -140,11 +140,12 @@ class CostLedger:
         self.charges[constant] = (count + 1, total + amount)
 
     def count(self, constant: str) -> int:
-        """Current number of matching items."""
+        """Number of charges of ``constant``."""
         return self.charges.get(constant, (0, 0))[0]
 
     def total(self, constant: str = None) -> int:
-        """Sum of a metric across runs."""
+        """Microseconds charged to ``constant``, or to every constant
+        if none is given."""
         if constant is not None:
             return self.charges.get(constant, (0, 0))[1]
         return sum(total for _count, total in self.charges.values())

@@ -256,10 +256,11 @@ class TaskInstance:
         """Triggers with ``"done"`` or ``"aborted"`` when the instance
         ends.
 
-        Built on first access, as ``KThread.finished`` is.  Read before
-        the end, it triggers at the end, in the event set position the
-        end takes; an instance nobody waits on pushes no end entry.
-        Read after the end, it comes already triggered and dispatched.
+        Built on first access: its reader, a synchronous Inv_EU, blocks
+        a kernel thread on it, so it is an event.  Read before the end,
+        it triggers at the end, in the event set position the end takes;
+        an instance nobody waits on pushes no end entry.  Read after the
+        end, it comes already triggered and dispatched.
         """
         done = self._done_event
         if done is None:
@@ -273,7 +274,9 @@ class TaskInstance:
 
     @property
     def key(self) -> Tuple[str, int]:
-        """Ranking key for this policy (smaller = higher priority)."""
+        """``(task name, seq)``: the identity under which
+        ``Dispatcher._instances``, Spring's plan and SRP keep this
+        instance."""
         return (self.task.name, self.seq)
 
     @property

@@ -79,7 +79,8 @@ class ExecutionMonitor:
 
     def report(self, kind: ViolationKind, time: int, task: str,
                instance: int, **details: Any) -> Violation:
-        """Render the aggregated status as a text panel."""
+        """Record one violation and call its handlers: those subscribed
+        to every kind first, then those of ``kind``.  Returns it."""
         violation = Violation(kind, time, task, instance, details)
         self._violations.append(violation)
         for handler in self._handlers.get(None, ()):
@@ -100,7 +101,7 @@ class ExecutionMonitor:
         return [v for v in self._violations if v.kind is kind]
 
     def count(self, kind: Optional[ViolationKind] = None) -> int:
-        """Current number of matching items."""
+        """Number of recorded violations, of ``kind`` if given."""
         if kind is None:
             return len(self._violations)
         return len(self.of_kind(kind))

@@ -99,5 +99,6 @@ class NotificationQueue:
         return ready
 
     def snapshot(self) -> List[Notification]:
-        """A deep copy of the current state."""
+        """The queued notifications, oldest first, as a new list that
+        shares the notification objects."""
         return list(self._items)

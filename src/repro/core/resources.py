@@ -84,7 +84,7 @@ class Resource:
         self.grant_count += 1
 
     def release(self, holder: object) -> None:
-        """V operation: wake a waiter or return a unit."""
+        """Drop ``holder``'s grant; raises if it holds none."""
         if holder not in self._holders:
             raise RuntimeError(f"{holder!r} does not hold {self.name}")
         del self._holders[holder]

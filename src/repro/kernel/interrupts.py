@@ -16,7 +16,6 @@ that the §4.2 sporadic model is an upper bound by construction.
 
 from __future__ import annotations
 
-import functools
 from typing import Any, Callable, Optional, TYPE_CHECKING
 
 from repro.kernel.priorities import PRIO_MAX
@@ -86,24 +85,15 @@ class InterruptSource:
 
 def _firing(source: InterruptSource, payload: Any):
     """The body of one firing of ``source``: its WCET, then its
-    handler.  One module-level body serves every source."""
+    handler.  One module-level body serves every source.  The firing
+    has no end hook, so a handler's error stops the run (see
+    :class:`~repro.kernel.threads.KThread`)."""
     if source.wcet:
         if source._charge.duration != source.wcet:
             source._charge = Compute(source.wcet, "kernel")
         yield source._charge
     if source.handler is not None:
-        try:
-            source.handler(payload)
-        except BaseException as error:
-            # Nobody waits on a firing's end, so its failure would go
-            # unseen: re-raise it from a timer of its own, out of the
-            # simulator's run.
-            source.node.sim.call_in(0, functools.partial(_reraise, error))
-            raise
-
-
-def _reraise(error: BaseException) -> None:
-    raise error
+        source.handler(payload)
 
 
 class PeriodicInterrupt(InterruptSource):

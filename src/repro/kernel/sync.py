@@ -38,7 +38,7 @@ class KSemaphore:
 
     @property
     def count(self) -> int:
-        """Current number of matching items."""
+        """Units available to :meth:`acquire` without waiting."""
         return self._count
 
     def acquire(self, priority: int = 0) -> Event:

@@ -14,6 +14,13 @@ thread (paper §3.2.1); HADES services use threads directly.  Bodies are
 deliberately restricted to these requests so that every blocking point
 is explicit — the property that lets the paper characterise worst-case
 execution times.
+
+A thread ends one way: its body returns or raises, or :meth:`KThread.kill`
+stops it, and the end pushes at most one zero-delay entry into the
+event set.  That entry calls the thread's end hook if it has one;
+otherwise it re-raises the body's error, so an error that no hook takes
+stops :meth:`~repro.sim.engine.Simulator.run`.  Any other end pushes
+nothing.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ class ThreadState(enum.Enum):
     READY = "ready"         # wants CPU (may or may not be running)
     RUNNING = "running"     # currently holds the CPU
     BLOCKED = "blocked"     # waiting on a sleep or event
-    FINISHED = "finished"   # body returned
+    FINISHED = "finished"   # body returned or raised
     KILLED = "killed"       # forcibly terminated
 
 
@@ -103,24 +110,25 @@ ThreadBody = Generator[Any, Any, Any]
 EndHook = Callable[[Any, Optional[BaseException]], None]
 
 
+def _reraise(error: BaseException) -> None:
+    """The end entry of a thread whose body raised and that has no hook."""
+    raise error
+
+
 class KThread:
     """A schedulable kernel thread on one node.
 
-    :attr:`finished` is built on first access.  A thread nobody waits
-    on pushes no end entry into the event set; one read after the end
-    is already triggered and dispatched.
-
-    ``on_end``, if given, is called as ``on_end(value, error)`` from an
-    entry pushed where ``finished`` would trigger.  The hook takes the
-    body's value and error: the thread keeps neither, so its
-    ``finished``, read after the end, triggers with None.
+    ``on_end``, if given, is called once, as ``on_end(value, error)``,
+    from the entry the thread's end pushes.  The thread keeps neither
+    the value nor the error.  Without a hook, a body's error is raised
+    out of :meth:`~repro.sim.engine.Simulator.run` from that entry,
+    after the thread has left its processor.
     """
 
     __slots__ = ("tid", "node", "cpu", "sim", "name", "_priority",
                  "_preemption_threshold", "_effective_threshold", "state",
-                 "body", "_finished", "_result", "_error", "_on_end",
-                 "cpu_time", "_remaining", "_category", "_ready_seq",
-                 "_ready_entry", "_pt_boosted", "_wait_target",
+                 "body", "_on_end", "cpu_time", "_remaining", "_category",
+                 "_ready_seq", "_ready_entry", "_pt_boosted", "_wait_target",
                  "_wait_private", "_started", "_suspended", "first_run")
 
     def __init__(self, node: "Node", body: ThreadBody, name: str = "",
@@ -144,12 +152,6 @@ class KThread:
         self._effective_threshold = max(priority, self._preemption_threshold)
         self.state = _NEW
         self.body = body
-        # The end event, once built (see ``finished``), and the end's
-        # value or error, kept for an event built after the end unless
-        # the end hook took them.
-        self._finished: Optional[Event] = None
-        self._result: Any = None
-        self._error: Optional[BaseException] = None
         self._on_end = on_end
         #: CPU time consumed so far, per category.
         self.cpu_time = 0
@@ -205,51 +207,18 @@ class KThread:
 
     # -- lifecycle -------------------------------------------------------
 
-    @property
-    def finished(self) -> Event:
-        """Triggers with the body's return value when the thread ends
-        (fails with its exception; None after :meth:`kill`).
-
-        Built on first access.  Read before the end, it triggers at the
-        end, in the event set position the end takes, and an end hook
-        becomes its first callback.  Read after the end, it comes
-        already triggered and dispatched, so callbacks added to it run
-        at once; a thread with an end hook gave its value to the hook,
-        so the event triggers with None.
-        """
-        finished = self._finished
-        if finished is None:
-            finished = self._finished = Event(self.sim,
-                                              f"finished:{self.name}")
-            if not self.alive:
-                finished._value = self._result
-                finished._exception = self._error
-                finished._callbacks = None
-            elif self._on_end is not None:
-                on_end, self._on_end = self._on_end, None
-                finished._callbacks.append(
-                    lambda event: on_end(event._value, event._exception))
-        return finished
-
     def _end(self, value: Any, error: Optional[BaseException] = None,
              state: ThreadState = _FINISHED) -> None:
-        """Enter ``state`` and leave the node's registry; trigger
-        ``finished`` if someone built it, else push the end hook."""
+        """Enter ``state``, leave the node's registry and push the end:
+        the hook, else the body's error re-raised, else nothing."""
         self.state = state
         self.body = None
         self.node._threads.pop(self, None)
-        finished = self._finished
-        if finished is not None:
-            if error is None:
-                finished.succeed(value)
-            else:
-                finished.fail(error)
-        elif self._on_end is not None:
-            on_end, self._on_end = self._on_end, None
+        on_end, self._on_end = self._on_end, None
+        if on_end is not None:
             self.sim.call_in(0, functools.partial(on_end, value, error))
-        else:
-            self._result = value
-            self._error = error
+        elif error is not None:
+            self.sim.call_in(0, functools.partial(_reraise, error))
 
     def start(self) -> "KThread":
         """Begin executing the body (asynchronously, at the current time)."""

@@ -65,7 +65,9 @@ class LinkFault:
     """Base fault hook: inspects a message, returns (drop?, extra_delay)."""
 
     def apply(self, message: Message) -> Tuple[bool, int]:
-        """Apply this operation; returns its result."""
+        """Decide this fault's effect on ``message``: returns ``(drop,
+        extra_delay)``, whether the link drops it and the microseconds
+        it adds to its latency."""
         raise NotImplementedError
 
 
@@ -95,7 +97,9 @@ class OmissionFault(LinkFault):
         self.dropped = 0
 
     def apply(self, message: Message) -> Tuple[bool, int]:
-        """Apply this operation; returns its result."""
+        """Returns ``(drop, 0)``: ``drop`` if the message's id is in
+        ``drop_ids`` or the coin says so, unless that would exceed
+        ``max_consecutive`` drops in a row."""
         drop = message.msg_id in self.drop_ids
         if not drop and self.probability > 0:
             drop = self.rng.random() < self.probability
@@ -125,7 +129,8 @@ class PerformanceFault(LinkFault):
         self.delayed = 0
 
     def apply(self, message: Message) -> Tuple[bool, int]:
-        """Apply this operation; returns its result."""
+        """Returns ``(False, extra_delay)`` for a message the coin
+        delays (every one at probability 1), else ``(False, 0)``."""
         hit = self.probability >= 1.0 or self.rng.random() < self.probability
         if hit:
             self.delayed += 1

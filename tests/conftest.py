@@ -1,6 +1,7 @@
 """Shared engine fixtures, parametrized over the heap engine and its
-test-local reference, the call counter of the counted ceilings, and
-the reference that trace queries are compared with.
+test-local reference, a spawn that records a thread's end, the call
+counter of the counted ceilings, and the reference that trace queries
+are compared with.
 
 Engine-level tests (``test_sim_engine.py``, ``test_engine_edges.py``,
 ``test_engine_cancellation.py``) run on both engines via the ``sim``
@@ -21,6 +22,7 @@ import gc
 import pytest
 
 import repro.system
+from repro.kernel.threads import KThread
 from repro.sim.engine import SimulationError, Simulator
 
 
@@ -121,6 +123,19 @@ def on_engine(backend):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(repro.system, "Simulator", ENGINES[backend])
         yield
+
+
+def spawn_with_end(node, body, **params):
+    """Build, register and start a thread as ``node.spawn(body,
+    **params)`` does (without its crashed-node check), with an end
+    hook: returns the thread and the list to which its hook appends
+    the end's ``(value, error)``."""
+    ends = []
+    thread = KThread(node, body, **params,
+                     on_end=lambda value, error: ends.append((value, error)))
+    node.register_thread(thread)
+    thread.start()
+    return thread, ends
 
 
 def count_calls(fn, *args, **kwargs):

@@ -656,23 +656,12 @@ class TestNotificationRouting:
                                                          "Rac", "Rre"}
 
 
-def keepers(system):
-    """The units whose ended thread still holds an end event or value."""
-    return [eui.qualified_name
-            for instance in system.dispatcher._instances.values()
-            for eui in instance.eu_instances.values()
-            if eui.thread is not None and not eui.thread.alive
-            and (eui.thread._finished is not None
-                 or eui.thread._result is not None)]
-
-
 class TestThreadEndHook:
     """Every Code_EU and Inv_EU thread ends through the dispatcher's end
     hook, pushed where its ``finished`` event used to trigger.  Each
     case pins its trace's SHA-256, recorded while the dispatcher waited
     on ``finished``, so the hook keeps every record and every
-    same-instant order; and an ended thread keeps no end event and no
-    value unless a reader built ``finished``."""
+    same-instant order."""
 
     PINS = {
         "pool_release_first":
@@ -685,10 +674,6 @@ class TestThreadEndHook:
         "2ca7beb12460aaec66cdc10390e705de764abfe797dad86fcc8762924bf102f3",
         "synchronous_invocation":
         "b6a728c8af70b46ab4b5f52a4ef5663874b0b6d1e54a7d9efed1ed92b75809e2",
-        "finished_read_before_end":
-        "136b2ef9b28fc8d29f4a7a86cc9408a704043a255e727921435dd6471f759e7f",
-        "finished_read_after_end":
-        "87e393731db6bdbefbe692b23f4ba7cf4ab4aeda09f2706d6de3efcdfedf78e6",
     }
 
     def test_pool_release_first(self, tmp_path):
@@ -706,7 +691,6 @@ class TestThreadEndHook:
         assert [inst.eu_instances[eu].thread.cpu.engine_label
                 for eu in (a, b)] == ["gpu0", "gpu0"]
         assert system.nodes["n0"].engines._claims == {"gpu0": 0}
-        assert keepers(system) == []
 
     @staticmethod
     def faulty_system(recovery):
@@ -729,7 +713,6 @@ class TestThreadEndHook:
         digest = export_sha256(system.tracer, tmp_path / "trace.jsonl")
         assert digest == self.PINS["error_without_recovery"]
         assert inst.state is InstanceState.ABORTED
-        assert keepers(system) == []
 
     def test_error_with_recovery(self, tmp_path):
         safe = Task("safe", node_id="n0")
@@ -742,7 +725,6 @@ class TestThreadEndHook:
         assert [recovery.state for recovery in
                 system.dispatcher.instances_of("safe")] == [
                     InstanceState.DONE]
-        assert keepers(system) == []
 
     def test_abort_kill(self, tmp_path):
         system = HadesSystem(node_ids=["n0"], on_deadline_miss="abort")
@@ -757,7 +739,6 @@ class TestThreadEndHook:
         assert inst.state is InstanceState.ABORTED
         assert inst.eu_instances[b].state is EUState.ABORTED
         assert inst.eu_instances[b].thread.state.value == "killed"
-        assert keepers(system) == []
 
     def test_synchronous_invocation(self, tmp_path):
         system = HadesSystem(node_ids=["n0"])
@@ -775,47 +756,3 @@ class TestThreadEndHook:
         target = inst.eu_instances[call].invoked_instance
         assert target.done_event.value == "done"
         assert inst.eu_instances[post].release_time >= target.finish_time
-        assert keepers(system) == []
-
-    def test_finished_read_before_end(self, tmp_path):
-        # The reader's callback runs right after the hook, in the same
-        # entry: the last record before it is the hook's last one, b's
-        # start.  Only the unit whose end event was built keeps it.
-        system = HadesSystem(node_ids=["n0"])
-        task = Task("t", deadline=1_000, node_id="n0")
-        a = task.code_eu("a", wcet=100)
-        b = task.code_eu("b", wcet=100)
-        task.precede(a, b)
-        inst = system.activate(task)
-        eui = inst.eu_instances[a]
-        seen = []
-
-        def on_finished(event):
-            last = system.tracer.records[-1]
-            seen.append((system.sim.now, eui.state, last.event,
-                         last.details["eu"], type(event.value).__name__))
-            system.tracer.record("test", "finished_seen",
-                                 eu=eui.qualified_name)
-
-        system.sim.call_in(50, lambda: eui.thread.finished.add_callback(
-            on_finished))
-        system.run()
-        digest = export_sha256(system.tracer, tmp_path / "trace.jsonl")
-        assert digest == self.PINS["finished_read_before_end"]
-        assert seen == [(eui.finish_time, EUState.DONE, "thread_start",
-                         inst.eu_instances[b].qualified_name,
-                         "ActionContext")]
-        assert keepers(system) == [eui.qualified_name]
-
-    def test_finished_read_after_end(self, tmp_path):
-        system = HadesSystem(node_ids=["n0"])
-        task = Task("t", deadline=1_000, node_id="n0")
-        unit = task.code_eu("a", wcet=100)
-        inst = system.activate(task)
-        system.run()
-        digest = export_sha256(system.tracer, tmp_path / "trace.jsonl")
-        assert digest == self.PINS["finished_read_after_end"]
-        assert keepers(system) == []
-        finished = inst.eu_instances[unit].thread.finished
-        assert finished.triggered and finished.ok
-        assert finished.value is None

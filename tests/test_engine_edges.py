@@ -8,7 +8,7 @@ import pytest
 from repro.kernel import Compute, KThread, Node, Sleep, ThreadState
 from repro.sim import SimulationError
 
-from tests.conftest import BACKENDS, ENGINES
+from tests.conftest import BACKENDS, ENGINES, spawn_with_end
 
 # The ``sim`` fixture comes from tests/conftest.py and parametrizes
 # every test here over the heap engine and its reference.
@@ -132,12 +132,12 @@ class TestKernelEdges:
             yield Compute(100)
             return sim.now
 
-        thread = node.spawn(body())
+        thread, ends = spawn_with_end(node, body())
         sim.call_in(30, thread.suspend)
         sim.call_in(200, thread.resume)
         sim.run()
         # 30 done + suspended 170 + 70 remaining = 270.
-        assert thread.finished.value == 270
+        assert ends == [(270, None)]
         assert thread.cpu_time == 100
 
     def test_sleep_zero(self, sim):
@@ -147,9 +147,9 @@ class TestKernelEdges:
             yield Sleep(0)
             return sim.now
 
-        thread = node.spawn(body())
+        _thread, ends = spawn_with_end(node, body())
         sim.run()
-        assert thread.finished.value == 0
+        assert ends == [(0, None)]
 
     def test_thread_body_typeerror_propagates_to_finished(self, sim):
         node = Node(sim, "n0")

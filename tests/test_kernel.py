@@ -26,6 +26,7 @@ from repro.kernel.interrupts import InterruptSource
 from repro.sim import Simulator
 from repro.sim.trace import _ClockCall
 from repro.system import HadesSystem
+from tests.conftest import spawn_with_end
 
 
 def entries(sim):
@@ -72,9 +73,9 @@ class TestThreadsBasic:
             yield Compute(100)
             return sim.now
 
-        thread = node.spawn(body(), priority=5)
+        thread, ends = spawn_with_end(node, body(), priority=5)
         sim.run()
-        assert thread.finished.value == 100
+        assert ends == [(100, None)]
         assert thread.cpu_time == 100
         assert thread.state is ThreadState.FINISHED
 
@@ -83,18 +84,18 @@ class TestThreadsBasic:
             yield Compute(0)
             return sim.now
 
-        thread = node.spawn(body())
+        _thread, ends = spawn_with_end(node, body())
         sim.run()
-        assert thread.finished.value == 0
+        assert ends == [(0, None)]
 
     def test_sleep_blocks_without_cpu(self, sim, node):
         def body():
             yield Sleep(500)
             return sim.now
 
-        thread = node.spawn(body())
+        thread, ends = spawn_with_end(node, body())
         sim.run()
-        assert thread.finished.value == 500
+        assert ends == [(500, None)]
         assert thread.cpu_time == 0
 
     def test_wait_event_delivers_value(self, sim, node):
@@ -104,10 +105,10 @@ class TestThreadsBasic:
             got = yield WaitEvent(gate)
             return got
 
-        thread = node.spawn(body())
+        _thread, ends = spawn_with_end(node, body())
         sim.call_in(42, lambda: gate.succeed("opened"))
         sim.run()
-        assert thread.finished.value == "opened"
+        assert ends == [("opened", None)]
 
     def test_bare_event_yield_shorthand(self, sim, node):
         gate = sim.event()
@@ -116,31 +117,51 @@ class TestThreadsBasic:
             got = yield gate
             return got
 
-        thread = node.spawn(body())
+        _thread, ends = spawn_with_end(node, body())
         sim.call_in(1, lambda: gate.succeed(9))
         sim.run()
-        assert thread.finished.value == 9
+        assert ends == [(9, None)]
 
     def test_body_exception_fails_finished_event(self, sim, node):
+        error = ValueError("bad")
+
         def body():
             yield Compute(1)
-            raise ValueError("bad")
+            raise error
 
-        thread = node.spawn(body())
-        sim.run()
-        assert thread.finished.triggered
-        assert not thread.finished.ok
+        _thread, ends = spawn_with_end(node, body())
+        sim.run()  # the hook takes the error
+        assert ends == [(None, error)]
 
     def test_kill_while_computing(self, sim, node):
         def body():
             yield Compute(1000)
             return "should not happen"
 
-        thread = node.spawn(body())
+        thread, ends = spawn_with_end(node, body())
         sim.call_in(100, thread.kill)
         sim.run()
         assert thread.state is ThreadState.KILLED
-        assert thread.finished.value is None
+        assert ends == [(None, None)]
+
+    def test_spawned_body_error_stops_the_run(self, sim, node):
+        def failing():
+            yield Compute(10)
+            raise ValueError("body failed")
+
+        def other():
+            yield Compute(20)
+
+        waiting = node.spawn(other(), priority=1)
+        node.spawn(failing(), priority=5)
+        with pytest.raises(ValueError, match="body failed"):
+            sim.run()
+        assert sim.now == 10
+        # The CPU was left consistent: a second run completes ``other``.
+        sim.run()
+        assert waiting.state is ThreadState.FINISHED
+        assert waiting.cpu_time == 20
+        assert sim.now == 30
 
     def test_negative_compute_rejected(self):
         with pytest.raises(ValueError):
@@ -151,83 +172,141 @@ class TestThreadsBasic:
             Sleep(-5)
 
 
-class TestFinishedContract:
-    """``KThread.finished`` is built on first access: read at any point
-    it tells the same story, and a thread nobody waits on pushes no end
-    entry."""
+class TestEndPath:
+    """Counted pin of the one way a thread ends (DESIGN.md §6): a thread
+    of ``Compute(30)`` on a fresh node that returns 7, raises, or is
+    killed at 10 pushes its hook, else its body's error re-raised, else
+    nothing."""
 
-    @pytest.fixture
-    def sim(self):
-        return Simulator(metrics=True)
+    #: Engine entries per outcome, with a hook and without: the start
+    #: and the completion (a tombstone after the kill), the kill timer,
+    #: and the end's one entry.
+    ENTRIES = {"return": (3, 2), "raise": (3, 3), "kill": (4, 3)}
 
-    def test_read_before_start_triggers_at_the_end(self, sim, node):
+    @pytest.mark.parametrize("hooked", [True, False],
+                             ids=["hook", "no_hook"])
+    @pytest.mark.parametrize("outcome", sorted(ENTRIES))
+    def test_the_end_pushes_one_entry_at_most(self, outcome, hooked):
+        sim = Simulator()
+        node = Node(sim, "n0")
+        error = ValueError("body failed")
+
         def body():
             yield Compute(30)
-            return "done"
-
-        thread = KThread(node, body())
-        finished = thread.finished
-        seen = []
-        finished.add_callback(lambda evt: seen.append((sim.now, evt.value)))
-        thread.start()
-        sim.run()
-        assert thread.finished is finished
-        assert seen == [(30, "done")]
-        # Start, completion and the end entry.
-        assert entries(sim) == 3
-
-    def test_read_after_a_normal_end_returns_the_value(self, sim, node):
-        def body():
-            yield Compute(30)
+            if outcome == "raise":
+                raise error
             return 7
 
-        thread = node.spawn(body())
-        sim.run()
-        finished = thread.finished
-        assert finished.triggered and finished.ok and finished.value == 7
-        seen = []
-        finished.add_callback(lambda evt: seen.append(evt.value))
-        assert seen == [7]  # already dispatched: runs at once
+        if hooked:
+            thread, ends = spawn_with_end(node, body())
+        else:
+            thread, ends = node.spawn(body()), []
+        if outcome == "kill":
+            sim.call_in(10, thread.kill)
+        if outcome == "raise" and not hooked:
+            with pytest.raises(ValueError) as raised:
+                sim.run()
+            assert raised.value is error
+        else:
+            sim.run()
+        call = {"return": (7, None), "raise": (None, error),
+                "kill": (None, None)}[outcome]
+        assert ends == ([call] if hooked else [])
+        with_hook, without = self.ENTRIES[outcome]
+        assert sim._sequence == (with_hook if hooked else without)
         assert sim.pending == 0
+        assert thread.state is (ThreadState.KILLED if outcome == "kill"
+                                else ThreadState.FINISHED)
+        assert node.threads == []
 
-    def test_read_after_a_raising_body(self, sim, node):
-        def body():
-            yield Compute(30)
-            raise ValueError("bad")
 
-        thread = node.spawn(body())
-        sim.run()  # the failure stays on ``finished``
-        finished = thread.finished
-        assert finished.triggered and not finished.ok
-        with pytest.raises(ValueError, match="bad"):
-            _ = finished.value
-        seen = []
-        finished.add_callback(seen.append)
-        assert seen == [finished]
+class BodyFailed(Exception):
+    """The error a body of :class:`TestThreadEnds` raises."""
 
-    def test_read_after_kill(self, sim, node):
-        def body():
-            yield Compute(1_000)
-            return "unreached"
 
-        thread = node.spawn(body())
-        sim.call_in(100, thread.kill)
-        sim.run()
-        assert thread.state is ThreadState.KILLED
-        assert thread.finished.triggered
-        assert thread.finished.value is None
+# Per thread: priority, steps (a compute, a sleep or a wait on the
+# shared gate), how the body ends, the kill instant, and whether it has
+# an end hook.
+_end_steps = st.lists(
+    st.one_of(st.tuples(st.sampled_from(["compute", "sleep"]),
+                        st.integers(0, 40)),
+              st.just(("gate", None))),
+    max_size=4)
+_end_specs = st.lists(
+    st.tuples(st.integers(1, 4), _end_steps,
+              st.sampled_from(["return", "raise", "kill"]),
+              st.integers(0, 150), st.booleans()),
+    min_size=1, max_size=4)
 
-    def test_never_read_builds_no_event(self, sim, node):
-        def body():
-            yield Compute(30)
-            return 1
 
-        thread = node.spawn(body())
-        sim.run()
-        assert thread.state is ThreadState.FINISHED
-        assert thread._finished is None
-        # Start and completion only.
-        assert entries(sim) == 2
+class TestThreadEnds:
+    """Every end of every thread is delivered, once: a hooked thread's
+    hook gets its body's outcome, and each error that no hook takes is
+    raised out of ``run()``, one per call, in end order."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(specs=_end_specs, gate_at=st.integers(0, 150))
+    # Two unhooked bodies raise on one gate wake-up, in one entry.
+    @example(specs=[(1, [("gate", None)], "raise", 0, False),
+                    (2, [("gate", None)], "raise", 0, False)], gate_at=5)
+    def test_every_end_reaches_its_hook_or_run(self, specs, gate_at):
+        sim = Simulator()
+        node = Node(sim, "n0")
+        gate = sim.event("gate")
+        sim.call_at(gate_at, gate.succeed)
+        never = sim.event("never")
+        errors = [BodyFailed(index) for index in range(len(specs))]
+        raised_in_order = []
+        ends = {}
+
+        def body(index, steps, end):
+            for kind, amount in steps:
+                if kind == "compute":
+                    yield Compute(amount)
+                elif kind == "sleep":
+                    yield Sleep(amount)
+                else:
+                    yield WaitEvent(gate)
+            if end == "raise":
+                raised_in_order.append(index)
+                raise errors[index]
+            if end == "kill":
+                yield WaitEvent(never)
+            return index
+
+        threads = []
+        for index, (priority, steps, end, kill_at, hooked) in enumerate(
+                specs):
+            thread_body = body(index, steps, end)
+            if hooked:
+                thread, ends[index] = spawn_with_end(node, thread_body,
+                                                     priority=priority)
+            else:
+                thread = node.spawn(thread_body, priority=priority)
+            if end == "kill":
+                sim.call_at(kill_at, thread.kill)
+            threads.append(thread)
+
+        raised = []
+        for _attempt in range(len(specs) + 1):
+            try:
+                sim.run()
+            except BodyFailed as error:
+                raised.append(error)
+            else:
+                break
+        assert sim.pending == 0
+        assert raised == [errors[index] for index in raised_in_order
+                          if not specs[index][4]]
+        outcomes = {"return": lambda index: (index, None),
+                    "raise": lambda index: (None, errors[index]),
+                    "kill": lambda index: (None, None)}
+        assert ends == {index: [outcomes[specs[index][2]](index)]
+                        for index in ends}
+        assert [thread.state for thread in threads] == [
+            ThreadState.KILLED if end == "kill" else ThreadState.FINISHED
+            for _priority, _steps, end, _kill_at, _hooked in specs]
+        assert node.threads == []
 
 
 class TestSuspendWhileNotQueued:
@@ -267,11 +346,11 @@ class TestSuspendWhileNotQueued:
             yield Compute(50)
             return sim.now
 
-        thread = node.spawn(body())
+        thread, ends = spawn_with_end(node, body())
         thread.suspend()
         thread.resume()
         sim.run()
-        assert thread.finished.value == 100
+        assert ends == [(100, None)]
         assert thread.cpu_time == 100
 
 
@@ -396,11 +475,11 @@ class TestPreemptiveScheduling:
         def high():
             yield Compute(30)
 
-        t_low = node.spawn(low(), priority=1)
+        t_low, low_ends = spawn_with_end(node, low(), priority=1)
         sim.call_in(50, lambda: node.spawn(high(), priority=9))
         sim.run()
         # low: 50 done before preemption + 30 high + 50 remaining = 130
-        assert t_low.finished.value == 130
+        assert low_ends == [(130, None)]
         assert t_low.cpu_time == 100
 
     def test_context_switch_cost_charged_to_kernel(self, sim):
@@ -840,7 +919,7 @@ class TestNodeFaults:
         node.recover()
         thread = node.spawn((yield_ for yield_ in iter([])), name="t")
         sim.run()
-        assert thread.finished.triggered
+        assert thread.state is ThreadState.FINISHED
 
     def test_crash_is_idempotent(self, sim, node):
         node.crash()

@@ -104,6 +104,21 @@ class TestEDF:
         system.run()
         assert system.nodes["n0"].cpu.busy_time.get("scheduler", 0) >= 5
 
+    def test_a_failing_policy_stops_the_run(self):
+        class FailingEDF(EDFScheduler):
+            def handle(self, notification):
+                raise ValueError("policy failed")
+
+        system = make_system()
+        system.attach_scheduler(FailingEDF(scope="n0", w_sched=1))
+        inst = system.activate(simple_task("t", wcet=100, deadline=1000))
+        with pytest.raises(ValueError, match="policy failed"):
+            system.run()
+        # Stopped at the scheduler's first notification, not after the
+        # unit ran on without a scheduler.
+        assert system.sim.now == 1
+        assert inst.state is InstanceState.ACTIVE
+
 
 # -- EDF's keyed order against the sort it replaced ---------------------------
 
